@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from . import linalg
 from .errors import GradingError, MfcatError, UsageError
@@ -31,7 +32,7 @@ from .poly import (
 
 
 def _eadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 @lru_cache(maxsize=None)
@@ -82,6 +83,130 @@ def default_window(source, target):
     return (-spread, sb + spread)
 
 
+# The slots of a map s -> t, by kind: the even kinds e0 and e1 are its
+# components P0 -> Q0 and P1 -> Q1, the odd kinds t0 and t1 those of a
+# homotopy, P0 -> Q1 and P1 -> Q0.  Each kind is (row parity, column parity).
+_PARITY = {"e0": (0, 0), "e1": (1, 1), "t0": (1, 0), "t1": (0, 1)}
+_KIND = {pq: kind for kind, pq in _PARITY.items()}
+EVEN = ("e0", "e1")
+ODD = ("t0", "t1")
+
+
+def _shape(s, t, kind):
+    p, q = _PARITY[kind]
+    return (t.m0, t.m1)[p].rank, (s.m0, s.m1)[q].rank
+
+
+def _slots(s, t, kinds):
+    """The slots (kind, i, j) of a map s -> t of the given kinds, in order."""
+    out = []
+    for kind in kinds:
+        nrows, ncols = _shape(s, t, kind)
+        out += [(kind, i, j) for i in range(nrows) for j in range(ncols)]
+    return out
+
+
+def _slot_offsets(s, t):
+    """{(kind, i, j): d} where slot (i, j) of a degree-0 map s -> t of that
+    kind has entries of weighted degree d; degree k adds k to every d."""
+    a_s = s.split_degree or 0
+    a_t = t.split_degree or 0
+    shift = {"e0": 0, "e1": a_t - a_s, "t0": a_t - s.weights.degree, "t1": -a_s}
+    out = {}
+    for kind, (p, q) in _PARITY.items():
+        col_degs = (s.m0, s.m1)[q].degrees
+        for i, h in enumerate((t.m0, t.m1)[p].degrees):
+            for j, g in enumerate(col_degs):
+                out[kind, i, j] = shift[kind] + g - h
+    return out
+
+
+def _terms(poly, negate=False):
+    return {e: -c for e, c in poly.terms.items()} if negate else poly.terms
+
+
+def _differential(s, t, kind, i, j, tag=()):
+    """Where hom_complex_differential sends a monomial m in slot (i, j) of a
+    map s -> t of the given kind: D(x) = p_t x - (-1)^|x| x p_s.
+
+    Returns (head, terms) pairs, heads in the order of their slot kinds.
+    A head is tag + (kind, row, column) of a slot of D(x); m contributes
+    c to coordinate head + (m * m2,) for each m2: c in terms.  The heads
+    are distinct, so an unknown meets each equation at most once.
+    """
+    p, q = _PARITY[kind]
+    after = (t.p0, t.p1)[p].entries  # Q_p -> Q_(1-p)
+    before = (s.p1, s.p0)[q].entries[j]  # P_(1-q) -> P_q
+    head = tag + (_KIND[1 - p, q],)
+    left = [
+        (head + (a, j), _terms(row[i])) for a, row in enumerate(after)
+        if row[i].terms
+    ]
+    head = tag + (_KIND[p, 1 - q], i)
+    right = [
+        (head + (b,), _terms(poly, p == q)) for b, poly in enumerate(before)
+        if poly.terms
+    ]
+    return left + right if q == 0 else right + left
+
+
+class _Stencils(dict):
+    """The stencil of each slot of a map s -> t, made on first use."""
+
+    def __init__(self, s, t):
+        super().__init__()
+        self.s, self.t = s, t
+
+    def __missing__(self, slot):
+        stencil = self[slot] = _differential(self.s, self.t, *slot)
+        return stencil
+
+
+def _unknowns(slots, support):
+    """Unknown ids (kind, i, j, e), slot by slot, where support(slot) lists
+    the monomials e allowed in the slot."""
+    return [slot + (e,) for slot in slots for e in support(slot)]
+
+
+def _equations(uids, stencils):
+    """Sparse rows {coordinate: {unknown index: coefficient}} of the linear
+    map sending each unknown (*slot, e) along stencils[slot]."""
+    rows = {}
+    for col, uid in enumerate(uids):
+        e = uid[-1]
+        for head, terms in stencils[uid[:-1]]:
+            for e2, c in terms.items():
+                key = head + (tuple(map(add, e, e2)),)
+                row = rows.get(key)
+                if row is None:
+                    rows[key] = {col: c}
+                else:
+                    row[col] = c
+    return rows
+
+
+def _images(uids, stencils, index):
+    """Per unknown, its image as a sparse vector over the coordinates in
+    index; coordinates index lacks are appended to it."""
+    vecs = [{} for _ in uids]
+    for key, row in _equations(uids, stencils).items():
+        col = index.setdefault(key, len(index))
+        for k, c in row.items():
+            vecs[k][col] = c
+    return vecs
+
+
+def _solve(rows, rhs, ncols, field):
+    """linalg.solve on keyed rows and right-hand side, keys in sorted order."""
+    keys = sorted(set(rows) | set(rhs))
+    return linalg.solve(
+        [rows.get(k, {}) for k in keys],
+        [rhs.get(k, field.zero) for k in keys],
+        ncols,
+        field,
+    )
+
+
 @dataclass(frozen=True)
 class _Block:
     even_uids: tuple
@@ -107,113 +232,36 @@ class HomProblem:
         self.source = source
         self.target = target
         self.ws = source.weights
-        a_s = source.split_degree
-        a_t = target.split_degree
-        self.a_s = 0 if a_s is None else a_s
-        self.a_t = 0 if a_t is None else a_t
+        self._even_slots = _slots(source, target, EVEN)
+        self._odd_slots = _slots(source, target, ODD)
+        self._offset = _slot_offsets(source, target)
+        self._stencils = _Stencils(source, target)
         self._blocks = {}
 
     def degree_block(self, d):
         blk = self._blocks.get(d)
         if blk is not None:
             return blk
-        s, t = self.source, self.target
         w = self.ws.weights
-        dd = self.ws.degree
-        off = self.a_t - self.a_s
-        g0, g1 = s.m0.degrees, s.m1.degrees
-        h0, h1 = t.m0.degrees, t.m1.degrees
-        even_uids = []
-        for i in range(t.m0.rank):
-            for j in range(s.m0.rank):
-                for e in monomials_of_weighted_degree(w, d + g0[j] - h0[i]):
-                    even_uids.append(("e0", i, j, e))
-        for i in range(t.m1.rank):
-            for j in range(s.m1.rank):
-                for e in monomials_of_weighted_degree(w, d + off + g1[j] - h1[i]):
-                    even_uids.append(("e1", i, j, e))
+        offset = self._offset
+
+        def support(slot):
+            return monomials_of_weighted_degree(w, d + offset[slot])
+
+        even_uids = tuple(_unknowns(self._even_slots, support))
         even_index = {u: k for k, u in enumerate(even_uids)}
-        odd_uids = []
-        for i in range(t.m1.rank):
-            for j in range(s.m0.rank):
-                for e in monomials_of_weighted_degree(
-                    w, (d + self.a_t - dd) + g0[j] - h1[i]
-                ):
-                    odd_uids.append(("t0", i, j, e))
-        for i in range(t.m0.rank):
-            for j in range(s.m1.rank):
-                for e in monomials_of_weighted_degree(
-                    w, (d - self.a_s) + g1[j] - h0[i]
-                ):
-                    odd_uids.append(("t1", i, j, e))
-
-        rows_map = {}
-        for col, (kind, i, j, e) in enumerate(even_uids):
-            if kind == "e0":
-                for a in range(t.m1.rank):
-                    _acc(rows_map, "r1", a, j, e, t.p0.entries[a][i], col, True)
-                for b in range(s.m1.rank):
-                    _acc(rows_map, "r2", i, b, e, s.p1.entries[j][b], col, False)
-            else:
-                for b in range(s.m0.rank):
-                    _acc(rows_map, "r1", i, b, e, s.p0.entries[j][b], col, False)
-                for a in range(t.m0.rank):
-                    _acc(rows_map, "r2", a, j, e, t.p1.entries[a][i], col, True)
-        zrows = tuple(r for r in rows_map.values() if r)
-
-        dvecs = tuple(self._boundary_vector(u, even_index) for u in odd_uids)
-        blk = _Block(tuple(even_uids), even_index, zrows, tuple(odd_uids), dvecs)
+        odd_uids = tuple(_unknowns(self._odd_slots, support))
+        zrows = tuple(_equations(even_uids, self._stencils).values())
+        index = dict(even_index)
+        dvecs = tuple(_images(odd_uids, self._stencils, index))
+        if len(index) != len(even_index):
+            raise MfcatError(
+                "internal degree bookkeeping violation at %r"
+                % (list(index)[len(even_index)],)
+            )
+        blk = _Block(even_uids, even_index, zrows, odd_uids, dvecs)
         self._blocks[d] = blk
         return blk
-
-    def _boundary_vector(self, uid, even_index):
-        kind, i, j, e = uid
-        s, t = self.source, self.target
-        acc = {}
-
-        def put(kind2, a, b, poly):
-            for e2, c in poly.terms.items():
-                key = (kind2, a, b, _eadd(e, e2))
-                cur = acc.get(key)
-                nv = c if cur is None else cur + c
-                if nv:
-                    acc[key] = nv
-                elif cur is not None:
-                    del acc[key]
-
-        if kind == "t0":
-            for a in range(t.m0.rank):
-                put("e0", a, j, t.p1.entries[a][i])
-            for b in range(s.m1.rank):
-                put("e1", i, b, s.p1.entries[j][b])
-        else:
-            for b in range(s.m0.rank):
-                put("e0", i, b, s.p0.entries[j][b])
-            for a in range(t.m1.rank):
-                put("e1", a, j, t.p0.entries[a][i])
-        out = {}
-        for key, c in acc.items():
-            col = even_index.get(key)
-            if col is None:
-                raise MfcatError(
-                    "internal degree bookkeeping violation at %r" % (key,)
-                )
-            out[col] = c
-        return out
-
-
-def _acc(rows_map, tag, i, j, e, poly, col, negate):
-    for e2, c in poly.terms.items():
-        if negate:
-            c = -c
-        key = (tag, i, j, _eadd(e, e2))
-        row = rows_map.setdefault(key, {})
-        cur = row.get(col)
-        nv = c if cur is None else cur + c
-        if nv:
-            row[col] = nv
-        elif cur is not None:
-            del row[col]
 
 
 @dataclass(frozen=True)
@@ -367,59 +415,54 @@ def _quotient_representatives(null_basis, boundary_rows, field):
     return [v for v in null_basis if reduce_add(v)]
 
 
+def _poly_matrix(tab, nrows, ncols, nvars, field):
+    return PolyMatrix(
+        nrows, ncols, nvars, field,
+        tuple(
+            tuple(Polynomial(nvars, tab[i][j], field) for j in range(ncols))
+            for i in range(nrows)
+        ),
+    )
+
+
+def _slot_matrices(s, t, kinds, coords):
+    """The matrices of the given kinds of a map s -> t from its nonzero
+    coordinates, ((kind, i, j, e), c) pairs."""
+    tabs = {}
+    for kind in kinds:
+        nrows, ncols = _shape(s, t, kind)
+        tabs[kind] = [[{} for _ in range(ncols)] for _ in range(nrows)]
+    for (kind, i, j, e), c in coords:
+        tabs[kind][i][j][e] = c
+    return [
+        _poly_matrix(tabs[kind], *_shape(s, t, kind), s.nvars, s.field)
+        for kind in kinds
+    ]
+
+
 def _vector_to_morphism(source, target, uids, vec, degree):
-    f0t = [[{} for _ in range(source.m0.rank)] for _ in range(target.m0.rank)]
-    f1t = [[{} for _ in range(source.m1.rank)] for _ in range(target.m1.rank)]
-    for col, c in vec.items():
-        kind, i, j, e = uids[col]
-        slot = f0t if kind == "e0" else f1t
-        slot[i][j][e] = slot[i][j].get(e, source.field.zero) + c
-    nvars, field = source.nvars, source.field
-
-    def build(tab, nrows, ncols):
-        return PolyMatrix(
-            nrows, ncols, nvars, field,
-            tuple(
-                tuple(Polynomial(nvars, tab[i][j], field) for j in range(ncols))
-                for i in range(nrows)
-            ),
-        )
-
+    f0, f1 = _slot_matrices(
+        source, target, EVEN, ((uids[col], c) for col, c in vec.items()))
     return MfMorphism(
-        source=source,
-        target=target,
-        f0=build(f0t, target.m0.rank, source.m0.rank),
-        f1=build(f1t, target.m1.rank, source.m1.rank),
-        degree=degree,
+        source=source, target=target, f0=f0, f1=f1, degree=degree,
         validate=False,
     )
 
 
-def _vector_to_homotopy(source, target, uids, vec, degree):
-    t0t = [[{} for _ in range(source.m0.rank)] for _ in range(target.m1.rank)]
-    t1t = [[{} for _ in range(source.m1.rank)] for _ in range(target.m0.rank)]
-    for col, c in vec.items():
-        kind, i, j, e = uids[col]
-        slot = t0t if kind == "t0" else t1t
-        slot[i][j][e] = slot[i][j].get(e, source.field.zero) + c
-    nvars, field = source.nvars, source.field
+def _check_boundary(h, f0, f1, message):
+    """Raise MfcatError(message) unless h bounds the map (f0, f1)."""
+    bd = h.boundary()
+    if not ((bd.f0 - f0).is_zero() and (bd.f1 - f1).is_zero()):
+        raise MfcatError(message)
 
-    def build(tab, nrows, ncols):
-        return PolyMatrix(
-            nrows, ncols, nvars, field,
-            tuple(
-                tuple(Polynomial(nvars, tab[i][j], field) for j in range(ncols))
-                for i in range(nrows)
-            ),
-        )
 
-    return Homotopy(
-        source=source,
-        target=target,
-        t0=build(t0t, target.m1.rank, source.m0.rank),
-        t1=build(t1t, target.m0.rank, source.m1.rank),
-        degree=degree,
-    )
+def _coordinates(phi):
+    """The nonzero coordinates ((kind, i, j, e), c) of an even map."""
+    for kind, f in zip(EVEN, (phi.f0, phi.f1)):
+        for i, row in enumerate(f.entries):
+            for j, poly in enumerate(row):
+                for e, c in poly.terms.items():
+                    yield (kind, i, j, e), c
 
 
 def _even_coordinates(phi, prob):
@@ -427,32 +470,23 @@ def _even_coordinates(phi, prob):
 
     Returns {hom_degree: {even_uid: coeff}}.
     """
-    s, t = phi.source, phi.target
-    ws = prob.ws
-    off = prob.a_t - prob.a_s
+    wdeg = prob.ws.wdeg
+    offset = prob._offset
     pieces = {}
-    for i in range(t.m0.rank):
-        for j in range(s.m0.rank):
-            for e, c in phi.f0.entries[i][j].terms.items():
-                d = ws.wdeg(e) + t.m0.degrees[i] - s.m0.degrees[j]
-                pieces.setdefault(d, {})[("e0", i, j, e)] = c
-    for i in range(t.m1.rank):
-        for j in range(s.m1.rank):
-            for e, c in phi.f1.entries[i][j].terms.items():
-                d = ws.wdeg(e) - off + t.m1.degrees[i] - s.m1.degrees[j]
-                pieces.setdefault(d, {})[("e1", i, j, e)] = c
+    for uid, c in _coordinates(phi):
+        d = wdeg(uid[3]) - offset[uid[:3]]
+        pieces.setdefault(d, {})[uid] = c
     return pieces
+
+
+def _graded(s, t):
+    return (s.weights is not None and t.weights is not None
+            and s.weights == t.weights)
 
 
 def solve_null_homotopy(phi, bound=None):
     """Returns (homotopy or None, definitive flag)."""
-    s, t = phi.source, phi.target
-    graded = (
-        s.weights is not None
-        and t.weights is not None
-        and s.weights == t.weights
-    )
-    if graded:
+    if _graded(phi.source, phi.target):
         return _null_homotopy_graded(phi)
     if bound is None:
         raise UsageError(
@@ -463,113 +497,58 @@ def solve_null_homotopy(phi, bound=None):
 
 def _null_homotopy_graded(phi):
     s, t = phi.source, phi.target
-    prob = HomProblem(s, t)
-    field = s.field
-    pieces = _even_coordinates(phi, prob)
-    if not pieces:
+    if phi.is_zero():
         return Homotopy(
             s, t,
-            PolyMatrix.zero(t.m1.rank, s.m0.rank, s.nvars, field),
-            PolyMatrix.zero(t.m0.rank, s.m1.rank, s.nvars, field),
+            PolyMatrix.zero(t.m1.rank, s.m0.rank, s.nvars, s.field),
+            PolyMatrix.zero(t.m0.rank, s.m1.rank, s.nvars, s.field),
             phi.degree,
         ), True
-    t0_terms = [[{} for _ in range(s.m0.rank)] for _ in range(t.m1.rank)]
-    t1_terms = [[{} for _ in range(s.m1.rank)] for _ in range(t.m0.rank)]
-    for d, coords in sorted(pieces.items()):
-        blk = prob.degree_block(d)
-        rows_t = {}
-        for odd_idx, vec in enumerate(blk.dvecs):
-            for col, c in vec.items():
-                rows_t.setdefault(col, {})[odd_idx] = c
-        keys = set(rows_t)
-        rhs_map = {}
-        for uid, c in coords.items():
-            col = blk.even_index.get(uid)
-            if col is None:
-                raise MfcatError("morphism entry outside its degree space")
-            rhs_map[col] = c
-        keys |= set(rhs_map)
-        ordered = sorted(keys)
-        rows = [rows_t.get(k, {}) for k in ordered]
-        rhs = [rhs_map.get(k, field.zero) for k in ordered]
-        sol = linalg.solve(rows, rhs, len(blk.odd_uids), field)
-        if sol is None:
-            return None, True
-        for odd_idx, c in sol.items():
-            if not c:
-                continue
-            kind, i, j, e = blk.odd_uids[odd_idx]
-            slot = t0_terms if kind == "t0" else t1_terms
-            slot[i][j][e] = slot[i][j].get(e, field.zero) + c
-    nvars = s.nvars
+    prob = HomProblem(s, t)
+    pieces = _even_coordinates(phi, prob)
 
-    def build(tab, nrows, ncols):
-        return PolyMatrix(
-            nrows, ncols, nvars, field,
-            tuple(
-                tuple(Polynomial(nvars, tab[i][j], field) for j in range(ncols))
-                for i in range(nrows)
-            ),
-        )
+    def systems():
+        # one system per degree, in the even coordinates of its block
+        for d, coords in sorted(pieces.items()):
+            blk = prob.degree_block(d)
+            rows = {}
+            for odd_idx, vec in enumerate(blk.dvecs):
+                for col, c in vec.items():
+                    rows.setdefault(col, {})[odd_idx] = c
+            rhs = {}
+            for uid, c in coords.items():
+                col = blk.even_index.get(uid)
+                if col is None:
+                    raise MfcatError("morphism entry outside its degree space")
+                rhs[col] = c
+            yield rows, rhs, blk.odd_uids
 
-    h = Homotopy(
-        source=s,
-        target=t,
-        t0=build(t0_terms, t.m1.rank, s.m0.rank),
-        t1=build(t1_terms, t.m0.rank, s.m1.rank),
-        degree=phi.degree,
-    )
-    bd = h.boundary()
-    if not ((bd.f0 - phi.f0).is_zero() and (bd.f1 - phi.f1).is_zero()):
-        raise MfcatError("homotopy solver produced a wrong witness")
-    return h, True
+    return _solve_homotopy(phi, systems(), definitive=True)
 
 
 def _null_homotopy_bounded(phi, bound):
     s, t = phi.source, phi.target
-    field = s.field
-    nvars = s.nvars
-    monos = monomials_up_to_total_degree(nvars, bound)
-    odd_uids = []
-    for i in range(t.m1.rank):
-        for j in range(s.m0.rank):
-            for e in monos:
-                odd_uids.append(("t0", i, j, e))
-    for i in range(t.m0.rank):
-        for j in range(s.m1.rank):
-            for e in monos:
-                odd_uids.append(("t1", i, j, e))
-    rows_map = {}
-    for col, (kind, i, j, e) in enumerate(odd_uids):
-        if kind == "t0":
-            for a in range(t.m0.rank):
-                _acc(rows_map, "e0", a, j, e, t.p1.entries[a][i], col, False)
-            for b in range(s.m1.rank):
-                _acc(rows_map, "e1", i, b, e, s.p1.entries[j][b], col, False)
-        else:
-            for b in range(s.m0.rank):
-                _acc(rows_map, "e0", i, b, e, s.p0.entries[j][b], col, False)
-            for a in range(t.m1.rank):
-                _acc(rows_map, "e1", a, j, e, t.p0.entries[a][i], col, False)
-    rhs_map = {}
-    for i in range(t.m0.rank):
-        for j in range(s.m0.rank):
-            for e, c in phi.f0.entries[i][j].terms.items():
-                rhs_map[("e0", i, j, e)] = c
-    for i in range(t.m1.rank):
-        for j in range(s.m1.rank):
-            for e, c in phi.f1.entries[i][j].terms.items():
-                rhs_map[("e1", i, j, e)] = c
-    keys = sorted(set(rows_map) | set(rhs_map))
-    rows = [rows_map.get(k, {}) for k in keys]
-    rhs = [rhs_map.get(k, field.zero) for k in keys]
-    sol = linalg.solve(rows, rhs, len(odd_uids), field)
-    if sol is None:
-        return None, False
-    h = _vector_to_homotopy(s, t, odd_uids, sol, phi.degree)
-    bd = h.boundary()
-    if not ((bd.f0 - phi.f0).is_zero() and (bd.f1 - phi.f1).is_zero()):
-        raise MfcatError("homotopy solver produced a wrong witness")
+    monos = monomials_up_to_total_degree(s.nvars, bound)
+    uids = _unknowns(_slots(s, t, ODD), lambda slot: monos)
+    rows = _equations(uids, _Stencils(s, t))
+    return _solve_homotopy(phi, [(rows, dict(_coordinates(phi)), uids)],
+                           definitive=False)
+
+
+def _solve_homotopy(phi, systems, definitive):
+    """The homotopy bounding phi from (rows, rhs, uids) systems over
+    disjoint unknowns, checked against phi; (None, definitive) as soon as
+    one system has no solution."""
+    s, t = phi.source, phi.target
+    coords = []
+    for rows, rhs, uids in systems:
+        sol = _solve(rows, rhs, len(uids), s.field)
+        if sol is None:
+            return None, definitive
+        coords.extend((uids[col], c) for col, c in sol.items())
+    t0, t1 = _slot_matrices(s, t, ODD, coords)
+    h = Homotopy(source=s, target=t, t0=t0, t1=t1, degree=phi.degree)
+    _check_boundary(h, phi.f0, phi.f1, "homotopy solver produced a wrong witness")
     return h, True
 
 
@@ -629,30 +608,13 @@ def homotopy_equivalence_data(phi, bound=None):
     graded case its solvability is decided exactly.
     """
     s, t = phi.source, phi.target
-    graded = (
-        s.weights is not None
-        and t.weights is not None
-        and s.weights == t.weights
-    )
-    if graded:
-        ws = s.weights
-        a_s = s.split_degree or 0
-        a_t = t.split_degree or 0
-        dd = ws.degree
-        d = phi.degree
-        g0, g1 = s.m0.degrees, s.m1.degrees
-        h0, h1 = t.m0.degrees, t.m1.degrees
-        need = {
-            "y0": lambda i, j: -d + h0[j] - g0[i],
-            "y1": lambda i, j: -d + (a_s - a_t) + h1[j] - g1[i],
-            "s0": lambda i, j: (a_s - dd) + g0[j] - g1[i],
-            "s1": lambda i, j: -a_s + g1[j] - g0[i],
-            "u0": lambda i, j: (a_t - dd) + h0[j] - h1[i],
-            "u1": lambda i, j: -a_t + h1[j] - h0[i],
-        }
+    if _graded(s, t):
+        w = s.weights.weights
 
-        def mono_for(group, i, j):
-            return monomials_of_weighted_degree(ws.weights, need[group](i, j))
+        def support(src, tgt, degree):
+            offset = _slot_offsets(src, tgt)
+            return lambda slot: monomials_of_weighted_degree(
+                w, degree + offset[slot])
 
     else:
         if bound is None:
@@ -661,153 +623,81 @@ def homotopy_equivalence_data(phi, bound=None):
             )
         monos = monomials_up_to_total_degree(s.nvars, bound)
 
-        def mono_for(group, i, j):
-            return monos
+        def support(src, tgt, degree):
+            return lambda slot: monos
 
-    sol, uids = _equivalence_system(phi, mono_for)
-    if sol is None:
+    coords = _equivalence_system(phi, support)
+    if coords is None:
         return None
-    field = s.field
-    tabs = {
-        g: [[{} for _ in range(nc)] for _ in range(nr)]
-        for g, (nr, nc) in _equivalence_shapes(phi).items()
-    }
-    for col, c in sol.items():
-        if not c:
-            continue
-        group, i, j, e = uids[col]
-        tab = tabs[group]
-        tab[i][j][e] = tab[i][j].get(e, field.zero) + c
-    nvars = s.nvars
-
-    def build(group):
-        nr, nc = _equivalence_shapes(phi)[group]
-        tab = tabs[group]
-        return PolyMatrix(
-            nr, nc, nvars, field,
-            tuple(
-                tuple(Polynomial(nvars, tab[i][j], field) for j in range(nc))
-                for i in range(nr)
-            ),
-        )
-
+    psi_f0, psi_f1 = _slot_matrices(t, s, EVEN, coords["a"])
     psi = MfMorphism(
-        source=t, target=s, f0=build("y0"), f1=build("y1"),
+        source=t, target=s, f0=psi_f0, f1=psi_f1,
         degree=-phi.degree, validate=False,
     )
-    hs = Homotopy(source=s, target=s, t0=build("s0"), t1=build("s1"), degree=0)
-    ht = Homotopy(source=t, target=t, t0=build("u0"), t1=build("u1"), degree=0)
+    hs = Homotopy(s, s, *_slot_matrices(s, s, ODD, coords["b"]), degree=0)
+    ht = Homotopy(t, t, *_slot_matrices(t, t, ODD, coords["c"]), degree=0)
     comp_s = psi @ phi
     ident_s = MfMorphism.identity(s)
-    bs = hs.boundary()
-    if not ((bs.f0 - (ident_s.f0 - comp_s.f0)).is_zero()
-            and (bs.f1 - (ident_s.f1 - comp_s.f1)).is_zero()):
-        raise MfcatError("equivalence solver produced a wrong source homotopy")
+    _check_boundary(hs, ident_s.f0 - comp_s.f0, ident_s.f1 - comp_s.f1,
+                    "equivalence solver produced a wrong source homotopy")
     comp_t = phi @ psi
     ident_t = MfMorphism.identity(t)
-    bt = ht.boundary()
-    if not ((bt.f0 - (ident_t.f0 - comp_t.f0)).is_zero()
-            and (bt.f1 - (ident_t.f1 - comp_t.f1)).is_zero()):
-        raise MfcatError("equivalence solver produced a wrong target homotopy")
+    _check_boundary(ht, ident_t.f0 - comp_t.f0, ident_t.f1 - comp_t.f1,
+                    "equivalence solver produced a wrong target homotopy")
     return HomotopyEquivalence(inverse=psi, source_homotopy=hs, target_homotopy=ht)
 
 
-def _equivalence_shapes(phi):
-    s, t = phi.source, phi.target
-    return {
-        "y0": (s.m0.rank, t.m0.rank),
-        "y1": (s.m1.rank, t.m1.rank),
-        "s0": (s.m1.rank, s.m0.rank),
-        "s1": (s.m0.rank, s.m1.rank),
-        "u0": (t.m1.rank, t.m0.rank),
-        "u1": (t.m0.rank, t.m1.rank),
-    }
+def _equivalence_system(phi, support):
+    """Solve for an inverse psi: t -> s of phi: s -> t and homotopies on s
+    and on t with D(hs) = id - psi phi and D(ht) = id - phi psi.
 
-
-def _equivalence_system(phi, mono_for):
+    Unknowns and equations carry the tag of their part: "a" for psi and
+    its chain-map equations, "b" for End(s), "c" for End(t).  Returns
+    {tag: [((kind, i, j, e), c), ...]} or None.
+    """
     s, t = phi.source, phi.target
     field = s.field
-    shapes = _equivalence_shapes(phi)
+    parts = (("a", t, s, EVEN, -phi.degree), ("b", s, s, ODD, 0),
+             ("c", t, t, ODD, 0))
     uids = []
-    for group in ("y0", "y1", "s0", "s1", "u0", "u1"):
-        nr, nc = shapes[group]
-        for i in range(nr):
-            for j in range(nc):
-                for e in mono_for(group, i, j):
-                    uids.append((group, i, j, e))
-    rows_map = {}
-    for col, (group, i, j, e) in enumerate(uids):
-        if group == "y0":
-            # psi1 q0 - p0 psi0 = 0 and psi0 q1 - p1 psi1 = 0
-            for a in range(s.m1.rank):
-                _acc(rows_map, "a1", a, j, e, s.p0.entries[a][i], col, True)
-            for b in range(t.m1.rank):
-                _acc(rows_map, "a2", i, b, e, t.p1.entries[j][b], col, False)
-            # id_P - psi phi = D(s)  ->  s1 p0 + p1 s0 + psi0 phi0 = id
-            for b in range(s.m0.rank):
-                _acc(rows_map, "b0", i, b, e, phi.f0.entries[j][b], col, False)
-            # id_Q - phi psi = D(t)  ->  u1 q0 + q1 u0 + phi0 psi0 = id
-            for a in range(t.m0.rank):
-                _acc(rows_map, "c0", a, j, e, phi.f0.entries[a][i], col, False)
-        elif group == "y1":
-            for b in range(t.m0.rank):
-                _acc(rows_map, "a1", i, b, e, t.p0.entries[j][b], col, False)
-            for a in range(s.m0.rank):
-                _acc(rows_map, "a2", a, j, e, s.p1.entries[a][i], col, True)
-            for b in range(s.m1.rank):
-                _acc(rows_map, "b1", i, b, e, phi.f1.entries[j][b], col, False)
-            for a in range(t.m1.rank):
-                _acc(rows_map, "c1", a, j, e, phi.f1.entries[a][i], col, False)
-        elif group == "s0":
-            for a in range(s.m0.rank):
-                _acc(rows_map, "b0", a, j, e, s.p1.entries[a][i], col, False)
-            for b in range(s.m1.rank):
-                _acc(rows_map, "b1", i, b, e, s.p1.entries[j][b], col, False)
-        elif group == "s1":
-            for b in range(s.m0.rank):
-                _acc(rows_map, "b0", i, b, e, s.p0.entries[j][b], col, False)
-            for a in range(s.m1.rank):
-                _acc(rows_map, "b1", a, j, e, s.p0.entries[a][i], col, False)
-        elif group == "u0":
-            for a in range(t.m0.rank):
-                _acc(rows_map, "c0", a, j, e, t.p1.entries[a][i], col, False)
-            for b in range(t.m1.rank):
-                _acc(rows_map, "c1", i, b, e, t.p1.entries[j][b], col, False)
-        else:  # u1
-            for b in range(t.m0.rank):
-                _acc(rows_map, "c0", i, b, e, t.p0.entries[j][b], col, False)
-            for a in range(t.m1.rank):
-                _acc(rows_map, "c1", a, j, e, t.p0.entries[a][i], col, False)
-    rhs_map = {}
-    one = field.one
+    stencils = {}
+    for tag, src, tgt, kinds, degree in parts:
+        slots = _slots(src, tgt, kinds)
+        uids += [(tag,) + u for u in _unknowns(slots, support(src, tgt, degree))]
+        for slot in slots:
+            stencils[(tag,) + slot] = _differential(src, tgt, *slot, (tag,))
+    # psi enters the b and c equations composed with phi
+    for kind, f in zip(EVEN, (phi.f0, phi.f1)):
+        for _, i, j in _slots(t, s, (kind,)):
+            stencils["a", kind, i, j] += [
+                (("b", kind, i, b), _terms(poly))
+                for b, poly in enumerate(f.entries[j]) if poly.terms
+            ] + [
+                (("c", kind, a, j), _terms(row[i]))
+                for a, row in enumerate(f.entries) if row[i].terms
+            ]
     zero_e = (0,) * s.nvars
-    for i in range(s.m0.rank):
-        rhs_map[("b0", i, i, zero_e)] = one
-    for i in range(s.m1.rank):
-        rhs_map[("b1", i, i, zero_e)] = one
-    for i in range(t.m0.rank):
-        rhs_map[("c0", i, i, zero_e)] = one
-    for i in range(t.m1.rank):
-        rhs_map[("c1", i, i, zero_e)] = one
-    keys = sorted(set(rows_map) | set(rhs_map))
-    rows = [rows_map.get(k, {}) for k in keys]
-    rhs = [rhs_map.get(k, field.zero) for k in keys]
-    sol = linalg.solve(rows, rhs, len(uids), field)
-    return sol, uids
+    rhs = {
+        (tag, kind, i, i, zero_e): field.one
+        for tag, mf in (("b", s), ("c", t))
+        for kind, m in zip(EVEN, (mf.m0, mf.m1))
+        for i in range(m.rank)
+    }
+    sol = _solve(_equations(uids, stencils), rhs, len(uids), field)
+    if sol is None:
+        return None
+    coords = {"a": [], "b": [], "c": []}
+    for col, c in sol.items():
+        coords[uids[col][0]].append((uids[col][1:], c))
+    return coords
 
 
 def is_homotopy_equivalence(phi, bound=None):
     """True, False (certified, graded case), or None (truncated)."""
-    s, t = phi.source, phi.target
-    graded = (
-        s.weights is not None
-        and t.weights is not None
-        and s.weights == t.weights
-    )
     data = homotopy_equivalence_data(phi, bound)
     if data is not None:
         return True
-    return False if graded else None
+    return False if _graded(phi.source, phi.target) else None
 
 
 def random_chain_map(source, target, degree=0, rng=None, problem=None):
@@ -848,75 +738,21 @@ def truncated_hom_space(source, target, bound):
     counted as combinations of bounded homotopies whose image stays inside
     the bounded coordinate space, so the quotient is exact on that space.
     """
-    field = source.field
-    nvars = source.nvars
     s, t = source, target
-    monos = monomials_up_to_total_degree(nvars, bound)
-    even_uids = []
-    for i in range(t.m0.rank):
-        for j in range(s.m0.rank):
-            for e in monos:
-                even_uids.append(("e0", i, j, e))
-    for i in range(t.m1.rank):
-        for j in range(s.m1.rank):
-            for e in monos:
-                even_uids.append(("e1", i, j, e))
-    even_index = {u: k for k, u in enumerate(even_uids)}
-    rows_map = {}
-    for col, (kind, i, j, e) in enumerate(even_uids):
-        if kind == "e0":
-            for a in range(t.m1.rank):
-                _acc(rows_map, "r1", a, j, e, t.p0.entries[a][i], col, True)
-            for b in range(s.m1.rank):
-                _acc(rows_map, "r2", i, b, e, s.p1.entries[j][b], col, False)
-        else:
-            for b in range(s.m0.rank):
-                _acc(rows_map, "r1", i, b, e, s.p0.entries[j][b], col, False)
-            for a in range(t.m0.rank):
-                _acc(rows_map, "r2", a, j, e, t.p1.entries[a][i], col, True)
+    field = s.field
+    monos = monomials_up_to_total_degree(s.nvars, bound)
+    stencils = _Stencils(s, t)
+    even_uids = _unknowns(_slots(s, t, EVEN), lambda slot: monos)
     ncols = len(even_uids)
-    zdim = ncols - linalg.rank([r for r in rows_map.values() if r], ncols, field)
+    zrows = list(_equations(even_uids, stencils).values())
+    zdim = ncols - linalg.rank(zrows, ncols, field)
     # boundaries, tracked in an extended coordinate space
-    ext_index = dict(even_index)
-    brows = []
-    for i in range(t.m1.rank):
-        for j in range(s.m0.rank):
-            for e in monos:
-                acc = {}
-                for a in range(t.m0.rank):
-                    for e2, c in t.p1.entries[a][i].terms.items():
-                        k = ("e0", a, j, _eadd(e, e2))
-                        acc[k] = acc.get(k, field.zero) + c
-                for b in range(s.m1.rank):
-                    for e2, c in s.p1.entries[j][b].terms.items():
-                        k = ("e1", i, b, _eadd(e, e2))
-                        acc[k] = acc.get(k, field.zero) + c
-                brows.append(acc)
-    for i in range(t.m0.rank):
-        for j in range(s.m1.rank):
-            for e in monos:
-                acc = {}
-                for b in range(s.m0.rank):
-                    for e2, c in s.p0.entries[j][b].terms.items():
-                        k = ("e0", i, b, _eadd(e, e2))
-                        acc[k] = acc.get(k, field.zero) + c
-                for a in range(t.m1.rank):
-                    for e2, c in t.p0.entries[a][i].terms.items():
-                        k = ("e1", a, j, _eadd(e, e2))
-                        acc[k] = acc.get(k, field.zero) + c
-                brows.append(acc)
-    for row in brows:
-        for k in row:
-            if k not in ext_index:
-                ext_index[k] = len(ext_index)
-    overflow_cols = set(range(ncols, len(ext_index)))
-    b_full = []
+    ext_index = {u: k for k, u in enumerate(even_uids)}
+    odd_uids = _unknowns(_slots(s, t, ODD), lambda slot: monos)
+    b_full = [v for v in _images(odd_uids, stencils, ext_index) if v]
     b_overflow = []
-    for row in brows:
-        full = {ext_index[k]: v for k, v in row.items() if v}
-        if full:
-            b_full.append(full)
-        ov = {c: v for c, v in full.items() if c in overflow_cols}
+    for full in b_full:
+        ov = {c: v for c, v in full.items() if c >= ncols}
         if ov:
             b_overflow.append(ov)
     next_total = len(ext_index)

@@ -1,52 +1,23 @@
 """Exact sparse linear algebra over the rationals or a prime field.
 
-Thin wrappers around a row-reduction kernel.  Two interchangeable kernels
-exist: a compiled one (_kernel_cy, built from the bundled .pyx) and a pure
-Python one (_kernel_py).  The compiled kernel is preferred when importable;
-set MFCAT_PURE=1 in the environment to force the pure kernel, e.g. to rule
-the extension out when debugging.
-
 Matrices are lists of sparse rows, each row a dict {column: coefficient}.
-Coefficients live in a field object from mfcat.fields.
+Coefficients live in a field object from mfcat.fields.  Over the
+rationals, row reduction works on normalized (num, den) pairs of Python
+ints, avoiding Fraction's per-operation overhead inside the elimination
+loop; results convert back to Fraction at the end.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _kernel_py
-
-if os.environ.get("MFCAT_PURE") == "1":
-    _kernel = _kernel_py
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernel_cy as _kernel  # type: ignore[attr-defined]
-
-        BACKEND = "cython"
-    except ImportError:
-        _kernel = _kernel_py
-        BACKEND = "python"
-
-
-def set_backend(name):
-    """Switch kernels at runtime ('python' or 'cython').  Benchmark helper."""
-    global _kernel, BACKEND
-    if name == "python":
-        _kernel = _kernel_py
-        BACKEND = "python"
-    elif name == "cython":
-        from . import _kernel_cy  # raises ImportError if not built
-
-        _kernel = _kernel_cy
-        BACKEND = "cython"
-    else:
-        raise ValueError("unknown backend %r" % (name,))
+from fractions import Fraction
+from math import gcd
 
 
 def rref(rows, ncols, field):
     """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
-    return _kernel.rref_rows(rows, ncols, field.rational)
+    if field.rational:
+        return _rref_qq(rows, ncols)
+    return _rref_generic(rows, ncols)
 
 
 def rank(rows, ncols, field):
@@ -99,26 +70,6 @@ def solve(rows, rhs, ncols, field):
     return sol
 
 
-def in_row_span(rows, vec, ncols, field):
-    """Whether the sparse vector lies in the row span of rows."""
-    red, pivots = rref(rows, ncols, field)
-    r = {c: v for c, v in vec.items() if v}
-    for row, pcol in zip(red, pivots):
-        f = r.get(pcol)
-        if f is not None:
-            del r[pcol]
-            for c, v in row.items():
-                if c == pcol:
-                    continue
-                cur = r.get(c)
-                nv = (cur - f * v) if cur is not None else -f * v
-                if nv:
-                    r[c] = nv
-                elif cur is not None:
-                    del r[c]
-    return not r
-
-
 def feasible_nonneg(rows, rhs):
     """Solve rows * x = rhs with x >= 0 over the rationals, exactly.
 
@@ -127,8 +78,6 @@ def feasible_nonneg(rows, rhs):
     Phase-1 simplex with Bland's rule, which cannot cycle, so this always
     terminates and a None answer is a certificate of infeasibility.
     """
-    from fractions import Fraction
-
     m = len(rows)
     n = len(rows[0]) if m else 0
     # tableau with artificial basis; make rhs nonnegative first
@@ -187,3 +136,152 @@ def feasible_nonneg(rows, rhs):
         if basis[i] < n:
             x[basis[i]] = tab[i][n]
     return x
+
+
+def _mul(a, b):
+    an, ad = a
+    bn, bd = b
+    g1 = gcd(an, bd)
+    g2 = gcd(bn, ad)
+    if g1 > 1:
+        an //= g1
+        bd //= g1
+    if g2 > 1:
+        bn //= g2
+        ad //= g2
+    return (an * bn, ad * bd)
+
+
+def _add(a, b):
+    an, ad = a
+    bn, bd = b
+    if ad == bd:
+        n, d = an + bn, ad
+    else:
+        g = gcd(ad, bd)
+        if g > 1:
+            bdr = bd // g
+            n = an * bdr + bn * (ad // g)
+            d = ad * bdr
+        else:
+            n = an * bd + bn * ad
+            d = ad * bd
+    if n == 0:
+        return (0, 1)
+    g = gcd(n, d)
+    if g > 1:
+        n //= g
+        d //= g
+    return (n, d)
+
+
+def _axpy(r, src, fn, fd):
+    # r += (fn/fd) * src, dropping entries that cancel to zero
+    f = (fn, fd)
+    for c, v in src.items():
+        cur = r.get(c)
+        if cur is None:
+            r[c] = _mul(v, f)
+        else:
+            nv = _add(cur, _mul(v, f))
+            if nv[0] == 0:
+                del r[c]
+            else:
+                r[c] = nv
+
+
+def _rref_qq(rows, ncols):
+    work = []
+    for row in rows:
+        r = {}
+        for c, v in row.items():
+            if v:
+                r[c] = (v.numerator, v.denominator)
+        if r:
+            work.append(r)
+    pivots = []
+    pivot_rows = []
+    for col in range(ncols):
+        target = -1
+        for idx in range(len(work)):
+            if col in work[idx]:
+                target = idx
+                break
+        if target < 0:
+            continue
+        row = work.pop(target)
+        pn, pd = row[col]
+        if pn > 0:
+            inv = (pd, pn)
+        else:
+            inv = (-pd, -pn)
+        row = {c: _mul(v, inv) for c, v in row.items()}
+        live = []
+        for r in work:
+            f = r.get(col)
+            if f is not None:
+                _axpy(r, row, -f[0], f[1])
+            if r:
+                live.append(r)
+        work = live
+        pivots.append(col)
+        pivot_rows.append(row)
+    for i in range(len(pivot_rows) - 1, 0, -1):
+        col = pivots[i]
+        row = pivot_rows[i]
+        for j in range(i):
+            f = pivot_rows[j].get(col)
+            if f is not None:
+                _axpy(pivot_rows[j], row, -f[0], f[1])
+    out = [{c: Fraction(n, d) for c, (n, d) in row.items()} for row in pivot_rows]
+    return out, pivots
+
+
+def _gen_axpy(r, src, f):
+    # r += f * src over a generic field
+    for c, v in src.items():
+        cur = r.get(c)
+        nv = (cur + f * v) if cur is not None else f * v
+        if nv:
+            r[c] = nv
+        elif cur is not None:
+            del r[c]
+
+
+def _rref_generic(rows, ncols):
+    work = []
+    for row in rows:
+        r = {c: v for c, v in row.items() if v}
+        if r:
+            work.append(r)
+    pivots = []
+    pivot_rows = []
+    for col in range(ncols):
+        target = -1
+        for idx in range(len(work)):
+            if col in work[idx]:
+                target = idx
+                break
+        if target < 0:
+            continue
+        row = work.pop(target)
+        piv = row[col]
+        row = {c: v / piv for c, v in row.items()}
+        live = []
+        for r in work:
+            f = r.get(col)
+            if f is not None:
+                _gen_axpy(r, row, -f)
+            if r:
+                live.append(r)
+        work = live
+        pivots.append(col)
+        pivot_rows.append(row)
+    for i in range(len(pivot_rows) - 1, 0, -1):
+        col = pivots[i]
+        row = pivot_rows[i]
+        for j in range(i):
+            f = pivot_rows[j].get(col)
+            if f is not None:
+                _gen_axpy(pivot_rows[j], row, -f)
+    return pivot_rows, pivots

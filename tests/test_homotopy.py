@@ -6,6 +6,7 @@ Gaussian elimination.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,7 @@ from mfcat import (
     hom_space,
     is_contractible,
     is_null_homotopic,
+    koszul_factorization,
     parse_poly,
     random_chain_map,
     solve_null_homotopy,
@@ -152,6 +154,27 @@ def test_truncated_hom_space_is_not_certified():
     assert not ths.certified
 
 
+@pytest.mark.parametrize("label, bound, cycles, boundaries", [
+    ("quadric", 1, 8, 6), ("quadric", 2, 18, 16), ("quadric", 3, 32, 30),
+    ("x|x^2", 1, 2, 1), ("x|x^2", 2, 3, 2), ("x|x^2", 3, 4, 3),
+])
+def test_truncated_hom_space_ungraded(label, bound, cycles, boundaries):
+    # the same objects with and without weights: the truncated quotient
+    # matches the certified graded total
+    if label == "quadric":
+        x, y = parse_poly("x1", 2), parse_poly("x2", 2)
+        mf = koszul_factorization([(x, x), (y, y)], None)
+        graded = suites.quadric()
+    else:
+        u, v = parse_poly("x1", 1), parse_poly("x1^2", 1)
+        mf = elementary_factorization(u, v, None)
+        graded = elementary_factorization(u, v, WeightSystem((1,), 3))
+    ths = truncated_hom_space(mf, mf, bound)
+    (pd,) = ths.per_degree
+    assert (pd.cycles, pd.boundaries) == (cycles, boundaries)
+    assert ths.total == pd.dim == hom_space(graded, graded).total
+
+
 def test_ungraded_null_homotopy_three_valued():
     mu = elementary_factorization(parse_poly("x1", 1), parse_poly("x1", 1), None)
     ident = MfMorphism.identity(mu)
@@ -213,6 +236,78 @@ def test_homotopy_equivalence_with_brick_summand():
     zero = MfMorphism(m, ds, PolyMatrix.zero(3, 1, nv, fld),
                       PolyMatrix.zero(3, 1, nv, fld), degree=0)
     assert not is_homotopy_equivalence(zero)
+
+
+def test_ungraded_homotopy_equivalence_with_brick_summand():
+    m = elementary_factorization(parse_poly("x1", 1), parse_poly("x1", 1), None)
+    ds = direct_sum(m, trivial_brick(m))
+    nv, fld = 1, m.W.field
+    col = vstack([PolyMatrix.identity(1, nv, fld), PolyMatrix.zero(2, 1, nv, fld)])
+    inc = MfMorphism(m, ds, f0=col, f1=col)
+    for bound in range(3):
+        data = homotopy_equivalence_data(inc, bound=bound)
+        assert data is not None, bound
+        back = data.inverse @ inc
+        assert data.source_homotopy.boundary() == MfMorphism.identity(m) - back
+        fwd = inc @ data.inverse
+        assert data.target_homotopy.boundary() == MfMorphism.identity(ds) - fwd
+    zero = MfMorphism(m, ds, PolyMatrix.zero(3, 1, nv, fld),
+                      PolyMatrix.zero(3, 1, nv, fld))
+    assert is_homotopy_equivalence(zero, bound=2) is None
+
+
+def test_representatives_are_independent_chain_maps():
+    # per degree, the boundaries and the representatives together span a
+    # space of dimension B + H, by dense elimination
+    suite = suites.full_suite()
+    for la, a in suite:
+        for lb, b in suite:
+            if a.W != b.W:
+                continue
+            problem = HomProblem(a, b)
+            for pd in hom_space(a, b, problem=problem).per_degree:
+                if not pd.dim:
+                    continue
+                blk = problem.degree_block(pd.degree)
+                n = len(blk.even_uids)
+                rows = [[v.get(k, Fraction(0)) for k in range(n)]
+                        for v in blk.dvecs]
+                for rep in pd.representatives:
+                    assert rep.is_chain_map(), (la, lb)
+                    mats = {"e0": rep.f0, "e1": rep.f1}
+                    rows.append([mats[kind].entries[i][j].terms.get(e, Fraction(0))
+                                 for kind, i, j, e in blk.even_uids])
+                assert orc.dense_rank(rows) == pd.boundaries + pd.dim, (la, lb)
+
+
+def test_block_boundaries_match_homotopy_boundary():
+    # the assembled boundary of each odd unknown, summed over a random
+    # homotopy, is the boundary computed by matrix products
+    objs = suites.an_objects(5)
+    pairs = [(suites.quadric(), suites.quadric()), (objs[1], objs[3]),
+             (objs[2], objs[2])]
+    rng = random.Random(7)
+    for s, t in pairs:
+        problem = HomProblem(s, t)
+        for d in range(-1, 3):
+            blk = problem.degree_block(d)
+            h = suites.random_homotopy(s, t, d, rng)
+            odd_index = {u: k for k, u in enumerate(blk.odd_uids)}
+            got = {}
+            for kind, mat in (("t0", h.t0), ("t1", h.t1)):
+                for i, row in enumerate(mat.entries):
+                    for j, poly in enumerate(row):
+                        for e, c in poly.terms.items():
+                            for col, v in blk.dvecs[odd_index[kind, i, j, e]].items():
+                                got[col] = got.get(col, 0) + c * v
+            bd = h.boundary()
+            want = {}
+            for kind, mat in (("e0", bd.f0), ("e1", bd.f1)):
+                for i, row in enumerate(mat.entries):
+                    for j, poly in enumerate(row):
+                        for e, c in poly.terms.items():
+                            want[blk.even_index[kind, i, j, e]] = c
+            assert {k: v for k, v in got.items() if v} == want, d
 
 
 def test_default_window_contains_socle():

@@ -1,11 +1,7 @@
-"""Sparse exact linear algebra against the dense oracle, plus backend parity."""
+"""Sparse exact linear algebra against the dense oracle."""
 
-import os
 import random
 from fractions import Fraction
-
-import pytest
-from hypothesis import given, settings, strategies as st
 
 import oracles as orc
 from mfcat import linalg
@@ -82,12 +78,6 @@ def test_solve_consistent_and_inconsistent():
     assert linalg.solve(rows, [Fraction(1), Fraction(2)], 1, QQ) is None
 
 
-def test_in_row_span():
-    rows = [{0: Fraction(1), 1: Fraction(2)}, {2: Fraction(1)}]
-    assert linalg.in_row_span(rows, {0: Fraction(2), 1: Fraction(4)}, 3, QQ)
-    assert not linalg.in_row_span(rows, {1: Fraction(1)}, 3, QQ)
-
-
 def test_prime_field_rank_differs_from_rational():
     # det = 1 - 6 = -5, so the matrix drops rank exactly over GF(5)
     gf5 = PrimeField(5)
@@ -97,24 +87,6 @@ def test_prime_field_rank_differs_from_rational():
               {0: gf5.coerce(3), 1: gf5.coerce(1)}]
     assert linalg.rank(rows_q, 2, QQ) == 2
     assert linalg.rank(rows_5, 2, gf5) == 1
-
-
-@given(st.integers(0, 2 ** 30))
-@settings(max_examples=25, deadline=None)
-def test_backends_agree(seed):
-    if linalg.BACKEND == "python" and not os.environ.get("MFCAT_PURE"):
-        pytest.skip("compiled kernel not available")
-    rng = random.Random(seed)
-    rows = random_sparse(rng, rng.randint(1, 5), 4)
-    before = linalg.BACKEND
-    try:
-        linalg.set_backend("python")
-        py = linalg.rref([dict(r) for r in rows], 4, QQ)
-        linalg.set_backend("cython")
-        cy = linalg.rref([dict(r) for r in rows], 4, QQ)
-    finally:
-        linalg.set_backend(before)
-    assert py == cy
 
 
 def test_feasible_nonneg():
