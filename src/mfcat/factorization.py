@@ -19,6 +19,7 @@ automatically.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 from .errors import GradingError, MfcatError, UsageError
 from .matrices import PolyMatrix, hstack, vstack
@@ -113,11 +114,13 @@ class MatrixFactorization:
     def has_chars(self):
         return self.m0.chars is not None and self.m1.chars is not None
 
-    @property
+    @cached_property
     def split_degree(self):
         """Internal degree of p0, recovered from its first nonzero entry.
 
-        None when no weights are attached or p0 is the zero matrix.
+        None when no weights are attached or p0 is the zero matrix.  Read
+        once per object: the fields are frozen, and the value is kept in
+        the instance dict, outside the dataclass fields, equality and hash.
         """
         if self.weights is None:
             return None

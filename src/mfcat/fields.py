@@ -3,8 +3,14 @@
 Every computation in the package is exact; floating point is never used.
 Rational coefficients are plain ``fractions.Fraction`` values.  Prime-field
 coefficients are ``FpElement`` wrappers that keep values reduced mod p and
-support the same operator set, so the polynomial and linear-algebra layers
-stay field-agnostic.
+support the same operator set, so the polynomial layer stays
+field-agnostic.
+
+Row reduction does not run on these objects.  ``mfcat.linalg`` turns F_p
+elements into ints once, eliminates mod p on raw ints, and wraps the
+results once.  Over the rationals it reduces mod linalg.PRIME = 2^31 - 1
+and keeps a rank only under a certificate: full rank mod p, Z_p == B_p
+for a hom-space block, or else the exact fallback on (num, den) pairs.
 """
 
 from __future__ import annotations
@@ -138,13 +144,49 @@ class RationalField:
         return "QQ"
 
 
+# Miller-Rabin with the primes up to 41 as bases decides primality for
+# every n below 3.3 * 10^24 (Sorenson-Webster 2015; the primes up to 37
+# alone reach only 3.2 * 10^23).  PrimeField accepts no larger p.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 1 <= n < _MR_LIMIT."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """F_p for an odd prime p.  Primality is checked at construction."""
+    """F_p for an odd prime p.  Primality is checked at construction, by a
+    deterministic Miller-Rabin test, so p must lie below 3.3 * 10^24."""
 
     rational = False
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= _MR_LIMIT:
+            raise UsageError(f"prime fields need p < {_MR_LIMIT}; got {p}")
+        if p == 2:
+            raise UsageError("prime fields need an odd prime; got 2")
+        if not _is_prime(p):
             raise UsageError(f"{p} is not prime")
         self.p = p
         self.name = f"p:{p}"

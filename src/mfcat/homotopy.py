@@ -361,20 +361,31 @@ def hom_space(source, target, window=None, *, problem=None, even_keep=None,
         ncols = len(uids)
         if ncols == 0:
             continue
-        zdim = ncols - linalg.rank(list(zrows), ncols, field)
-        bdim = linalg.rank(list(dvecs), ncols, field)
-        hdim = zdim - bdim
-        if zdim == 0 and bdim == 0:
-            continue
+        if want_reps or any(dvecs):
+            zdim, bdim = linalg.certified_dims(zrows, dvecs, ncols, field)
+        else:
+            # no boundaries, so B = 0 and Z_p == B_p is the full-rank test
+            # that rank applies itself before its exact pass
+            zdim, bdim = ncols - linalg.rank(zrows, ncols, field), 0
         reps = ()
-        if want_reps and hdim > 0:
-            null_basis = linalg.nullspace(list(zrows), ncols, field)
-            vecs = _quotient_representatives(null_basis, list(dvecs), field)
+        if want_reps and (zdim is None or bdim is None or zdim > bdim):
+            # one exact elimination per side gives both dimensions
+            null_basis = linalg.nullspace(zrows, ncols, field)
+            zdim = len(null_basis)
+            bdim, vecs = _quotient_representatives(null_basis, dvecs, field)
+            if len(vecs) != zdim - bdim:
+                raise MfcatError("representative count disagrees with dimension")
             reps = tuple(
                 _vector_to_morphism(source, target, uids, v, d) for v in vecs
             )
-            if len(reps) != hdim:
-                raise MfcatError("representative count disagrees with dimension")
+        else:
+            if zdim is None:
+                zdim = ncols - linalg.rank(zrows, ncols, field)
+            if bdim is None:
+                bdim = linalg.rank(dvecs, ncols, field)
+        hdim = zdim - bdim
+        if zdim == 0 and bdim == 0:
+            continue
         per_degree.append(DegreeData(d, zdim, bdim, hdim, reps))
         total += hdim
     return HomSpace(
@@ -388,7 +399,8 @@ def hom_space(source, target, window=None, *, problem=None, even_keep=None,
 
 
 def _quotient_representatives(null_basis, boundary_rows, field):
-    """Vectors of null_basis that are independent modulo the boundary span."""
+    """(number of independent boundary rows, the vectors of null_basis that
+    are independent modulo the boundary span)."""
     acc = []
 
     def reduce_add(vec):
@@ -410,9 +422,8 @@ def _quotient_representatives(null_basis, boundary_rows, field):
         acc.append((pcol, {c: v / piv for c, v in r.items()}))
         return True
 
-    for b in boundary_rows:
-        reduce_add(b)
-    return [v for v in null_basis if reduce_add(v)]
+    bdim = sum(map(reduce_add, boundary_rows))
+    return bdim, [v for v in null_basis if reduce_add(v)]
 
 
 def _poly_matrix(tab, nrows, ncols, nvars, field):

@@ -83,8 +83,9 @@ def mat_is_zero(A):
 # dense rational row reduction
 
 
-def dense_rref(rows):
-    """Reduced row echelon form of a dense list-of-lists matrix over Fraction.
+def dense_rref(rows, one=Fraction(1)):
+    """Reduced row echelon form of a dense list-of-lists matrix over the
+    field of ``one`` (Fraction by default, or an F_p element).
 
     Returns (rref rows, pivot column tuple).  The input is not modified.
     """
@@ -103,7 +104,7 @@ def dense_rref(rows):
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = Fraction(1) / mat[r][c]
+        inv = one / mat[r][c]
         mat[r] = [x * inv for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c]:

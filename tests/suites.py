@@ -8,6 +8,7 @@ factorization, and the Fermat cubic x^3 + y^3 + z^3 likewise.
 from fractions import Fraction
 
 from mfcat import (
+    QQ,
     Homotopy,
     Polynomial,
     PolyMatrix,
@@ -24,13 +25,13 @@ def power_weights(n):
     return WeightSystem((1,), n)
 
 
-def an_objects(n):
+def an_objects(n, field=QQ):
     """The elementary factorizations (x^k | x^{n-k}) of x^n, k = 1..n-1."""
     ws = power_weights(n)
     out = {}
     for k in range(1, n):
         out[k] = elementary_factorization(
-            parse_poly(f"x1^{k}", 1), parse_poly(f"x1^{n - k}", 1), ws)
+            parse_poly(f"x1^{k}", 1, field), parse_poly(f"x1^{n - k}", 1, field), ws)
     return out
 
 
@@ -38,10 +39,10 @@ def an_action(n):
     return cyclic_action(n, (1,), 1)
 
 
-def quadric():
+def quadric(field=QQ):
     ws = WeightSystem((1, 1), 2)
-    x = parse_poly("x1", 2)
-    y = parse_poly("x2", 2)
+    x = parse_poly("x1", 2, field)
+    y = parse_poly("x2", 2, field)
     return koszul_factorization([(x, x), (y, y)], ws)
 
 
@@ -49,11 +50,11 @@ def quadric_action():
     return cyclic_action(2, (1, 1), 2)
 
 
-def fermat_cubic():
+def fermat_cubic(field=QQ):
     ws = WeightSystem((1, 1, 1), 3)
     pairs = []
     for i in range(3):
-        v = Polynomial.variable(i, 3)
+        v = Polynomial.variable(i, 3, field)
         pairs.append((v, v * v))
     return koszul_factorization(pairs, ws)
 
@@ -62,14 +63,14 @@ def fermat_action():
     return cyclic_action(3, (1, 1, 1), 3)
 
 
-def full_suite():
-    """Every suite object as (label, factorization) pairs."""
+def full_suite(field=QQ):
+    """Every suite object as (label, factorization) pairs, over the field."""
     out = []
     for n in range(2, 7):
-        for k, mf in sorted(an_objects(n).items()):
+        for k, mf in sorted(an_objects(n, field).items()):
             out.append((f"x^{n}:k={k}", mf))
-    out.append(("quadric", quadric()))
-    out.append(("fermat", fermat_cubic()))
+    out.append(("quadric", quadric(field)))
+    out.append(("fermat", fermat_cubic(field)))
     return out
 
 

@@ -14,6 +14,7 @@ import oracles as orc
 import suites
 from mfcat import (
     MfMorphism,
+    PrimeField,
     PolyMatrix,
     WeightSystem,
     cone,
@@ -314,3 +315,43 @@ def test_default_window_contains_socle():
     objs = suites.an_objects(6)
     lo, hi = default_window(objs[1], objs[5])
     assert lo <= 0 and hi >= 4  # socle bound of x^6 is 4
+
+
+def test_hom_tables_over_q_and_a_large_prime_field_agree():
+    # metamorphic: the systems have small integer entries, whose ranks mod
+    # p drop only at the finitely many primes dividing some minor, so over
+    # a large prime the tables agree with Q degree by degree.  The two
+    # sides take different paths: over Q with representatives (nullspace
+    # and quotient, or the modular certificates), over F_p by exact ranks.
+    gf = PrimeField(2**31 - 1)
+    over_q = suites.full_suite()
+    over_p = suites.full_suite(gf)
+    for (la, a), (_, ap) in zip(over_q, over_p):
+        for (lb, b), (_, bp) in zip(over_q, over_p):
+            if a.W != b.W:
+                continue
+            hq = hom_space(a, b)
+            hp = hom_space(ap, bp, want_reps=False)
+            assert hq.to_json()["per_degree"] == hp.to_json()["per_degree"], (la, lb)
+            assert hq.total == hp.total
+
+
+def test_hom_tables_survive_entries_the_prime_divides():
+    # scaling p0 by a unit c of Q gives an equivalent category: (f0, f1)
+    # stays a chain map and homotopies rescale.  With c = 2^31 - 1 the
+    # systems' entries vanish mod p, with c = 1/(2^31 - 1) they have no
+    # residue, so every hom table here needs the exact fallback
+    P = 2**31 - 1
+    for n in (2, 3, 4):
+        ws = WeightSystem((1,), n)
+        plain = suites.an_objects(n)
+        for c in (str(P), f"1/{P}"):
+            scaled = {k: elementary_factorization(
+                parse_poly(f"{c}*x1^{k}", 1), parse_poly(f"x1^{n - k}", 1), ws)
+                for k in plain}
+            for a in plain:
+                for b in plain:
+                    want = hom_space(plain[a], plain[b]).to_json()["per_degree"]
+                    assert hom_space(scaled[a], scaled[b]).to_json()["per_degree"] == want
+                    got = hom_space(scaled[a], scaled[b], want_reps=False)
+                    assert got.to_json()["per_degree"] == want, (n, c, a, b)

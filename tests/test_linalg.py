@@ -3,9 +3,15 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 import oracles as orc
 from mfcat import linalg
+from mfcat.errors import UsageError
 from mfcat.fields import QQ, PrimeField
+
+P = linalg.PRIME
 
 
 def random_sparse(rng, nrows, ncols, density=0.5):
@@ -21,8 +27,8 @@ def random_sparse(rng, nrows, ncols, density=0.5):
     return rows
 
 
-def densify(rows, ncols):
-    return [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
+def densify(rows, ncols, zero=Fraction(0)):
+    return [[row.get(c, zero) for c in range(ncols)] for row in rows]
 
 
 def test_rref_matches_dense_oracle():
@@ -94,3 +100,78 @@ def test_feasible_nonneg():
     sol = linalg.feasible_nonneg([[Fraction(1), Fraction(1)]], [Fraction(2)])
     assert sol is not None and sum(sol) == 2 and min(sol) >= 0
     assert linalg.feasible_nonneg([[Fraction(1)]], [Fraction(-1)]) is None
+
+
+# Entries that defeat the reduction mod PRIME: multiples of it vanish, and
+# denominators divisible by it have no residue.
+ENTRIES = st.one_of(
+    st.integers(-4, 4).map(Fraction),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    st.integers(-2, 2).map(lambda k: Fraction(k * P)),
+    st.sampled_from([1, -1, 3]).map(lambda k: Fraction(k, P)),
+    st.sampled_from([1, 2]).map(lambda k: Fraction(P + k, 2 * P)),
+)
+
+
+@st.composite
+def sparse_matrices(draw):
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(nrows):
+        cols = draw(st.lists(st.integers(0, ncols - 1), max_size=ncols, unique=True))
+        rows.append({c: draw(ENTRIES) for c in cols})
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_certified_rank_matches_dense_oracle(system):
+    rows, ncols = system
+    assert linalg.rank(rows, ncols, QQ) == orc.dense_rank(densify(rows, ncols))
+
+
+def test_rank_falls_back_when_the_prime_divides():
+    # a rank mod PRIME below the bound certifies nothing
+    assert linalg.rank([{0: Fraction(P)}], 1, QQ) == 1
+    det_p = [{0: Fraction(P + 1), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}]
+    assert linalg.rank(det_p, 2, QQ) == 2
+    assert linalg.rank(det_p, 2, PrimeField(P)) == 1
+    # no reduction mod PRIME at all: over Q exact, over F_p an error
+    assert linalg.rank([{0: Fraction(1, P)}, {0: Fraction(2)}], 1, QQ) == 1
+    with pytest.raises(UsageError):
+        linalg.rank([{0: Fraction(1, P)}], 1, PrimeField(P))
+
+
+def test_prime_field_rref_matches_dense_oracle():
+    # same pivots and the same reduced rows, including fill-in and cancellation
+    for p in (5, 7, P):
+        gf = PrimeField(p)
+        rng = random.Random(p)
+        for trial in range(60):
+            nrows = rng.randint(0, 7)
+            ncols = rng.randint(1, 7)
+            rows = [{c: gf.coerce(rng.randint(-3, 3))
+                     for c in range(ncols) if rng.random() < 0.4}
+                    for _ in range(nrows)]
+            rows = [{c: v for c, v in row.items() if v} for row in rows]
+            got_rows, got_pivots = linalg.rref(rows, ncols, gf)
+            want_rows, want_pivots = orc.dense_rref(densify(rows, ncols, gf.zero), gf.one)
+            assert tuple(got_pivots) == want_pivots, (p, trial)
+            assert densify(got_rows, ncols, gf.zero) == [r for r in want_rows if any(r)]
+            assert linalg.rank(rows, ncols, gf) == len(want_pivots)
+            for vec in linalg.nullspace(rows, ncols, gf):
+                for row in rows:
+                    assert not sum((v * vec.get(c, gf.zero) for c, v in row.items()),
+                                   gf.zero)
+
+
+def test_certified_dims_leave_a_rank_drop_open():
+    # the cycle equation 2^31 - 1 vanishes mod p: Z_p = 2 but Z = 1, so
+    # only the boundary side (full rank mod p) may be settled; with no
+    # residue neither side is, and Z_p == B_p settles both
+    zrows = [{0: Fraction(P)}]
+    dvecs = [{1: Fraction(1)}]
+    assert linalg.certified_dims(zrows, dvecs, 2, QQ) == (None, 1)
+    assert linalg.certified_dims([{0: Fraction(1, P)}], dvecs, 2, QQ) == (None, None)
+    assert linalg.certified_dims([{0: Fraction(1)}], dvecs, 2, QQ) == (1, 1)

@@ -1,5 +1,7 @@
 """Polynomial layer: parsing, arithmetic, weights, monomial enumeration."""
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -145,3 +147,31 @@ def test_field_from_name():
         field_from_name("p:6")
     with pytest.raises(UsageError):
         field_from_name("r")
+
+
+def test_prime_field_primality_is_fast_and_strict():
+    # Miller-Rabin: a 61-bit Mersenne prime is accepted at once
+    start = time.perf_counter()
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    assert time.perf_counter() - start < 0.5
+    # 1 is not prime, 2 is not odd, 561 is a Carmichael number,
+    # 2^61 + 1 is divisible by 3, and 2^89 - 1 lies past the proven range
+    for bad in (1, 2, 561, 2**61 + 1, 2**89 - 1):
+        with pytest.raises(UsageError):
+            PrimeField(bad)
+    # primes with p - 1 = 2^s * d for large s need the squaring steps, and
+    # strong pseudoprimes to the bases up to 7 and up to 23 are refused
+    for p in (65537, 998244353, 2**31 - 1):
+        assert PrimeField(p).p == p
+    for n in (3215031751, 3825123056546413051):
+        with pytest.raises(UsageError):
+            PrimeField(n)
+    small = [n for n in range(3, 3000)
+             if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    accepted = []
+    for n in range(3, 3000):
+        try:
+            accepted.append(PrimeField(n).p)
+        except UsageError:
+            pass
+    assert accepted == small

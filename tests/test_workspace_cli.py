@@ -156,6 +156,15 @@ def test_cli_hom_json(tmp_path, capsys):
     assert data["total"] == 2
 
 
+def test_cli_hom_over_large_prime_field(tmp_path, capsys):
+    path = tmp_path / "ws.mfw"
+    path.write_text(parse_workspace(BASIC).render())
+    code, out, _ = run_cli(["hom", str(path), "kos", "kos", "--json",
+                            "--field", "p:2305843009213693951"], capsys)
+    assert code == 0
+    assert json.loads(out)["total"] == 2
+
+
 def test_cli_hom_shift(tmp_path, capsys):
     path = tmp_path / "ws.mfw"
     path.write_text(parse_workspace(BASIC).render())
