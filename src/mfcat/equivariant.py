@@ -12,6 +12,11 @@ character filter.  That form needs no division by the group order and no
 roots of unity: projecting both sides of the chain-map identities onto a
 fixed character piece is exact over any coefficient field, because the
 structure maps of an equivariant factorization have pure characters.
+
+For the same reason hom spaces split by transformation character at
+assembly: every equation and every boundary of a degree block stays inside
+one character, so each character piece is assembled and reduced as a
+system of its own (``HomProblem.pieces``).
 """
 
 from __future__ import annotations
@@ -22,7 +27,13 @@ from itertools import product
 from .action import GroupAction, char_add, char_sub, normalize_char
 from .errors import MfcatError, UsageError
 from .factorization import Homotopy, MatrixFactorization, MfMorphism
-from .homotopy import HomProblem, default_window, hom_space
+from .homotopy import (
+    _PARITY,
+    HomProblem,
+    _require_weights,
+    default_window,
+    hom_space,
+)
 
 
 def check_equivariant(mf, action):
@@ -144,34 +155,14 @@ def enumerate_structures(mf, action):
     for f in range(action.nfactors):
         m = action.orders[f]
         edges = []
-        consistent = True
-        for i in range(mf.p0.nrows):
-            for j in range(mf.p0.ncols):
-                g = mf.p0.entries[i][j]
-                if g.is_zero():
-                    continue
-                vals = {action.char_of_monomial(e)[f] for e in g.terms}
-                if len(vals) > 1:
-                    consistent = False
-                    break
-                edges.append((("g0", j), ("g1", i), vals.pop()))
-            if not consistent:
-                break
-        if consistent:
-            for i in range(mf.p1.nrows):
-                for j in range(mf.p1.ncols):
-                    g = mf.p1.entries[i][j]
-                    if g.is_zero():
-                        continue
+        for mat, src, tgt in ((mf.p0, "g0", "g1"), (mf.p1, "g1", "g0")):
+            for i, row in enumerate(mat.entries):
+                for j, g in enumerate(row):
                     vals = {action.char_of_monomial(e)[f] for e in g.terms}
                     if len(vals) > 1:
-                        consistent = False
-                        break
-                    edges.append((("g1", j), ("g0", i), vals.pop()))
-                if not consistent:
-                    break
-        if not consistent:
-            return ()
+                        return ()
+                    if vals:
+                        edges.append(((src, j), (tgt, i), vals.pop()))
         comp = _difference_components(nodes, edges, m)
         if comp is None:
             return ()
@@ -229,23 +220,13 @@ def is_equivariant_map(phi, e_src, e_tgt, twist_char=None):
     chi = (
         act.zero_char() if twist_char is None else normalize_char(twist_char, orders)
     )
-    cp0, cp1 = e_src.chars0, e_src.chars1
-    cq0, cq1 = e_tgt.chars0, e_tgt.chars1
-    for mat, rows_c, cols_c in (
-        (phi.f0, cq0, cp0),
-        (phi.f1, cq1, cp1),
-    ):
-        for i in range(mat.nrows):
-            for j in range(mat.ncols):
-                f = mat.entries[i][j]
-                if f.is_zero():
-                    continue
-                want = char_sub(
-                    char_sub(rows_c[i], cols_c[j], orders), chi, orders
-                )
-                if not act.has_character(f, want):
-                    return False
-    return True
+    need = _slot_characters(e_src, e_tgt)
+    return all(
+        act.has_character(f, char_sub(need[kind, i, j], chi, orders))
+        for kind, mat in (("e0", phi.f0), ("e1", phi.f1))
+        for i, row in enumerate(mat.entries)
+        for j, f in enumerate(row)
+    )
 
 
 def reynolds(phi, e_src, e_tgt):
@@ -257,23 +238,12 @@ def reynolds(phi, e_src, e_tgt):
     character piece is compatible with multiplication by them.
     """
     _check_pair(phi, e_src, e_tgt)
-    act = e_src.action
-    orders = act.orders
-    cp0, cp1 = e_src.chars0, e_src.chars1
-    cq0, cq1 = e_tgt.chars0, e_tgt.chars1
-
-    def filt(mat, rows_c, cols_c):
-        return mat.map_entries_indexed(
-            lambda i, j, f: act.project_character(
-                f, char_sub(rows_c[i], cols_c[j], orders)
-            )
-        )
-
+    need = _slot_characters(e_src, e_tgt)
     return MfMorphism(
         source=phi.source,
         target=phi.target,
-        f0=filt(phi.f0, cq0, cp0),
-        f1=filt(phi.f1, cq1, cp1),
+        f0=_project(phi.f0, "e0", need, e_src.action),
+        f1=_project(phi.f1, "e1", need, e_src.action),
         degree=phi.degree,
         validate=False,
     )
@@ -281,74 +251,83 @@ def reynolds(phi, e_src, e_tgt):
 
 def reynolds_homotopy(h, e_src, e_tgt):
     """Character filter on an odd map; the equivariant witness extractor."""
-    act = e_src.action
-    orders = act.orders
-    cp0, cp1 = e_src.chars0, e_src.chars1
-    cq0, cq1 = e_tgt.chars0, e_tgt.chars1
-    t0 = h.t0.map_entries_indexed(
-        lambda i, j, f: act.project_character(
-            f, char_sub(cq1[i], cp0[j], orders)
-        )
-    )
-    t1 = h.t1.map_entries_indexed(
-        lambda i, j, f: act.project_character(
-            f, char_sub(cq0[i], cp1[j], orders)
-        )
-    )
+    need = _slot_characters(e_src, e_tgt)
+    t0 = _project(h.t0, "t0", need, e_src.action)
+    t1 = _project(h.t1, "t1", need, e_src.action)
     return Homotopy(source=h.source, target=h.target, t0=t0, t1=t1, degree=h.degree)
 
 
-def _check_pair(phi, e_src, e_tgt):
+def _slot_characters(e_src, e_tgt):
+    """{(kind, i, j): character of the target's row generator i minus that
+    of the source's column generator j} over the slots of maps between the
+    two structures (slot kinds as in ``homotopy``)."""
+    orders = e_src.action.orders
+    src = (e_src.chars0, e_src.chars1)
+    tgt = (e_tgt.chars0, e_tgt.chars1)
+    return {
+        (kind, i, j): char_sub(ci, cj, orders)
+        for kind, (p, q) in _PARITY.items()
+        for i, ci in enumerate(tgt[p])
+        for j, cj in enumerate(src[q])
+    }
+
+
+def _project(mat, kind, need, act):
+    """Cut each entry of a slot matrix of the given kind to its character."""
+    return mat.map_entries_indexed(
+        lambda i, j, f: act.project_character(f, need[kind, i, j]))
+
+
+def _shared_action(e_src, e_tgt):
     if e_src.action != e_tgt.action:
         raise UsageError("structures live over different actions")
+    return e_src.action
+
+
+def _check_pair(phi, e_src, e_tgt):
+    _shared_action(e_src, e_tgt)
     if phi.source.strip_chars() != e_src.factorization.strip_chars():
         raise UsageError("morphism source does not match the source structure")
     if phi.target.strip_chars() != e_tgt.factorization.strip_chars():
         raise UsageError("morphism target does not match the target structure")
 
 
-def equivariant_hom_space(e_src, e_tgt, window=None, twist_char=None, problem=None):
+def _character_pieces(prob, e_src, e_tgt):
+    """chi -> the piece of prob, the hom problem of the two structures,
+    holding the maps of transformation character chi.
+
+    An unknown (kind, i, j, e) has character need[kind, i, j] - char(e)
+    (``_slot_characters``).
+    """
+    act = e_src.action
+    orders = act.orders
+    need = _slot_characters(e_src, e_tgt)
+    char_of = {}
+
+    def grade(slot, e):
+        c = char_of.get(e)
+        if c is None:
+            c = char_of[e] = act.char_of_monomial(e)
+        return char_sub(need[slot], c, orders)
+
+    return prob.pieces(grade)
+
+
+def equivariant_hom_space(e_src, e_tgt, window=None, twist_char=None):
     """Hom space of maps with a fixed transformation character.
 
     twist_char None computes the invariant (strictly equivariant) part.
     Certification matches the underlying graded computation.
     """
-    if e_src.action != e_tgt.action:
-        raise UsageError("structures live over different actions")
-    act = e_src.action
-    orders = act.orders
+    act = _shared_action(e_src, e_tgt)
     chi = (
-        act.zero_char() if twist_char is None else normalize_char(twist_char, orders)
+        act.zero_char() if twist_char is None
+        else normalize_char(twist_char, act.orders)
     )
-    cp0, cp1 = e_src.chars0, e_src.chars1
-    cq0, cq1 = e_tgt.chars0, e_tgt.chars1
-
-    def even_keep(uid):
-        kind, i, j, e = uid
-        if kind == "e0":
-            want = char_sub(cq0[i], cp0[j], orders)
-        else:
-            want = char_sub(cq1[i], cp1[j], orders)
-        want = char_sub(want, chi, orders)
-        return act.char_of_monomial(e) == want
-
-    def odd_keep(uid):
-        kind, i, j, e = uid
-        if kind == "t0":
-            want = char_sub(cq1[i], cp0[j], orders)
-        else:
-            want = char_sub(cq0[i], cp1[j], orders)
-        want = char_sub(want, chi, orders)
-        return act.char_of_monomial(e) == want
-
-    return hom_space(
-        e_src.factorization,
-        e_tgt.factorization,
-        window,
-        problem=problem,
-        even_keep=even_keep,
-        odd_keep=odd_keep,
-    )
+    src, tgt = e_src.factorization, e_tgt.factorization
+    _require_weights(src, tgt)
+    piece = _character_pieces(HomProblem(src, tgt), e_src, e_tgt)(chi)
+    return hom_space(src, tgt, window, problem=piece)
 
 
 def isotypic_decompose(e_src, e_tgt, window=None):
@@ -356,22 +335,22 @@ def isotypic_decompose(e_src, e_tgt, window=None):
 
     Returns {character: HomSpace}.  The per-degree dimensions of the
     pieces must add up to the full hom space; that is checked and a
-    failure raises, since it would mean the filter lost classes.
+    failure raises, since it would mean the split lost classes.
     """
-    src = e_src.factorization
-    tgt = e_tgt.factorization
+    src, tgt = e_src.factorization, e_tgt.factorization
     prob = HomProblem(src, tgt)
+    act = _shared_action(e_src, e_tgt)
     if window is None:
         window = default_window(src, tgt)
     full = hom_space(src, tgt, window, problem=prob, want_reps=False)
-    pieces = {}
-    for chi in e_src.action.characters():
-        pieces[chi] = equivariant_hom_space(
-            e_src, e_tgt, window, twist_char=chi, problem=prob
-        )
+    piece = _character_pieces(prob, e_src, e_tgt)
+    pieces = {chi: hom_space(src, tgt, window, problem=piece(chi))
+              for chi in act.characters()}
+    full_dims = full.dims_by_degree()
+    piece_dims = [hs.dims_by_degree() for hs in pieces.values()]
     for d in range(window[0], window[1] + 1):
-        want = full.dims_by_degree().get(d, 0)
-        got = sum(hs.dims_by_degree().get(d, 0) for hs in pieces.values())
+        want = full_dims.get(d, 0)
+        got = sum(dims.get(d, 0) for dims in piece_dims)
         if want != got:
             raise MfcatError(
                 "isotypic pieces of degree %d sum to %d, expected %d"

@@ -31,11 +31,16 @@ from .poly import (
 )
 
 
+# Entries kept by each cache of the potential tests, one per (W, weights);
+# one pass of every perfbench workload in one process fills 16.
+_POTENTIAL_CACHE = 256
+
+
 def _eadd(a, b):
     return tuple(map(add, a, b))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_POTENTIAL_CACHE)
 def has_isolated_singularity(W, weights):
     """Exact finiteness test for the Jacobian quotient of W.
 
@@ -216,12 +221,15 @@ class _Block:
     dvecs: tuple  # per odd unknown, its boundary in even coordinates
 
 
+_EMPTY_BLOCK = _Block((), {}, (), (), ())
+
+
 class HomProblem:
     """Per-degree linear systems for maps between two fixed factorizations.
 
     Unknown ids are (kind, i, j, exponent) with kind "e0"/"e1" for the even
     components and "t0"/"t1" for the odd ones.  Blocks are cached per
-    degree, so repeated queries (windows, character filters) stay cheap.
+    degree, so repeated queries (windows, pieces) stay cheap.
     """
 
     def __init__(self, source, target):
@@ -237,28 +245,71 @@ class HomProblem:
         self._offset = _slot_offsets(source, target)
         self._stencils = _Stencils(source, target)
         self._blocks = {}
+        self._piece = None  # (grade, unknowns by degree and grade, own grade)
 
-    def degree_block(self, d):
-        blk = self._blocks.get(d)
-        if blk is not None:
-            return blk
+    def pieces(self, grade):
+        """g -> the piece of this problem whose blocks hold only the
+        unknowns (*slot, e) with grade(slot, e) == g.
+
+        The differential must keep every equation and boundary inside one
+        grade, so that each block is the direct sum of its pieces; a
+        boundary leaving its piece raises MfcatError.  Pieces share slots
+        and stencils, and group each degree's unknowns by grade once.
+        """
+        groups = {}
+
+        def piece(g):
+            prob = object.__new__(HomProblem)
+            prob.__dict__.update(vars(self), _blocks={}, _piece=(grade, groups, g))
+            return prob
+
+        return piece
+
+    def _degree_unknowns(self, d):
+        """(even, odd) unknown ids of degree d; a piece's own only."""
         w = self.ws.weights
         offset = self._offset
 
         def support(slot):
             return monomials_of_weighted_degree(w, d + offset[slot])
 
-        even_uids = tuple(_unknowns(self._even_slots, support))
+        if self._piece is None:
+            return (_unknowns(self._even_slots, support),
+                    _unknowns(self._odd_slots, support))
+        grade, groups, g = self._piece
+        by_grade = groups.get(d)
+        if by_grade is None:
+            by_grade = groups[d] = {}
+            for side, slots in enumerate((self._even_slots, self._odd_slots)):
+                for slot in slots:
+                    for e in support(slot):
+                        key = grade(slot, e)
+                        uids = by_grade.get(key)
+                        if uids is None:
+                            uids = by_grade[key] = ([], [])
+                        uids[side].append(slot + (e,))
+        return by_grade.get(g, ((), ()))
+
+    def degree_block(self, d):
+        blk = self._blocks.get(d)
+        if blk is not None:
+            return blk
+        even, odd = self._degree_unknowns(d)
+        if not (even or odd):
+            self._blocks[d] = _EMPTY_BLOCK
+            return _EMPTY_BLOCK
+        even_uids = tuple(even)
         even_index = {u: k for k, u in enumerate(even_uids)}
-        odd_uids = tuple(_unknowns(self._odd_slots, support))
+        odd_uids = tuple(odd)
         zrows = tuple(_equations(even_uids, self._stencils).values())
         index = dict(even_index)
         dvecs = tuple(_images(odd_uids, self._stencils, index))
         if len(index) != len(even_index):
-            raise MfcatError(
+            raise MfcatError((
+                "boundary leaves its piece at %r; the grading is not "
+                "compatible with the structure" if self._piece else
                 "internal degree bookkeeping violation at %r"
-                % (list(index)[len(even_index)],)
-            )
+            ) % (list(index)[len(even_index)],))
         blk = _Block(even_uids, even_index, zrows, odd_uids, dvecs)
         self._blocks[d] = blk
         return blk
@@ -296,7 +347,7 @@ class HomSpace:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_POTENTIAL_CACHE)
 def _certified_potential(W, weights):
     try:
         return has_isolated_singularity(W, weights)
@@ -304,19 +355,16 @@ def _certified_potential(W, weights):
         return False
 
 
-def hom_space(source, target, window=None, *, problem=None, even_keep=None,
-              odd_keep=None, want_reps=True):
+def hom_space(source, target, window=None, *, problem=None, want_reps=True):
     """Morphism space of the homotopy category, degree by degree.
 
     Per-degree numbers are exact.  The certified flag asserts that the
     window provably contains all degrees with nonzero classes, which we
     claim only for isolated quasi-homogeneous potentials with a window at
-    least the default one.
+    least the default one.  A problem, such as a piece of
+    ``HomProblem.pieces``, supplies the degree blocks.
     """
-    if source.weights is None or target.weights is None:
-        raise GradingError(
-            "hom spaces need a weight system; use truncated_hom_space instead"
-        )
+    _require_weights(source, target)
     prob = problem if problem is not None else HomProblem(source, target)
     dflt = default_window(source, target)
     lo, hi = dflt if window is None else (int(window[0]), int(window[1]))
@@ -330,34 +378,7 @@ def hom_space(source, target, window=None, *, problem=None, even_keep=None,
     total = 0
     for d in range(lo, hi + 1):
         blk = prob.degree_block(d)
-        uids = blk.even_uids
-        zrows = blk.zrows
-        dvecs = blk.dvecs
-        if even_keep is not None or odd_keep is not None:
-            if even_keep is None:
-                even_keep = lambda u: True
-            kept = [k for k, u in enumerate(uids) if even_keep(u)]
-            remap = {old: new for new, old in enumerate(kept)}
-            uids = tuple(blk.even_uids[k] for k in kept)
-            zrows = []
-            for row in blk.zrows:
-                nr = {remap[c]: v for c, v in row.items() if c in remap}
-                if nr:
-                    zrows.append(nr)
-            dvecs = []
-            for u, vec in zip(blk.odd_uids, blk.dvecs):
-                if odd_keep is not None and not odd_keep(u):
-                    continue
-                nv = {}
-                for c, v in vec.items():
-                    nc = remap.get(c)
-                    if nc is None:
-                        raise MfcatError(
-                            "boundary leaves the filtered coordinate space; "
-                            "the filter is not compatible with the structure"
-                        )
-                    nv[nc] = v
-                dvecs.append(nv)
+        uids, zrows, dvecs = blk.even_uids, blk.zrows, blk.dvecs
         ncols = len(uids)
         if ncols == 0:
             continue
@@ -398,32 +419,30 @@ def hom_space(source, target, window=None, *, problem=None, even_keep=None,
     )
 
 
+def _require_weights(source, target):
+    if source.weights is None or target.weights is None:
+        raise GradingError(
+            "hom spaces need a weight system; use truncated_hom_space instead"
+        )
+
+
 def _quotient_representatives(null_basis, boundary_rows, field):
-    """(number of independent boundary rows, the vectors of null_basis that
-    are independent modulo the boundary span)."""
-    acc = []
+    """(B, the vectors of null_basis independent modulo the boundaries and
+    the vectors before them, in basis order), B the rank of boundary_rows.
 
-    def reduce_add(vec):
-        r = dict(vec)
-        for pcol, prow in acc:
-            f = r.get(pcol)
-            if f is not None:
-                for c, v in prow.items():
-                    cur = r.get(c)
-                    nv = (cur - f * v) if cur is not None else -(f * v)
-                    if nv:
-                        r[c] = nv
-                    elif cur is not None:
-                        del r[c]
-        if not r:
-            return False
-        pcol = min(r)
-        piv = r[pcol]
-        acc.append((pcol, {c: v / piv for c, v in r.items()}))
-        return True
-
-    bdim = sum(map(reduce_add, boundary_rows))
-    return bdim, [v for v in null_basis if reduce_add(v)]
+    A boundary is a cycle, so its coordinates in the basis from
+    ``linalg.nullspace`` are its entries at the free columns.  Basis
+    vector k is dropped exactly when some combination of boundaries has
+    its last nonzero coordinate at k.  Read last to first, such a k is a
+    pivot column of the boundary coordinates, so the kept vectors are the
+    free columns of their nullspace.
+    """
+    n = len(null_basis)
+    coord = {max(v): n - 1 - k for k, v in enumerate(null_basis)}
+    rows = [{coord[c]: v for c, v in b.items() if c in coord}
+            for b in boundary_rows]
+    kept = sorted(n - 1 - max(v) for v in linalg.nullspace(rows, n, field))
+    return n - len(kept), [null_basis[k] for k in kept]
 
 
 def _poly_matrix(tab, nrows, ncols, nvars, field):

@@ -110,7 +110,11 @@ def nullspace(rows, ncols, field):
     """Basis of the kernel as sparse column vectors {index: value}.
 
     One basis vector per free column, with that free coordinate set to 1.
-    The basis is deterministic: free columns in increasing order.
+    The basis is deterministic: free columns in increasing order.  A basis
+    vector's free column is its largest key (a reduced row's free columns
+    lie right of its pivot), and it is 0 at every other free column, so a
+    kernel vector is the sum of v[f] times the basis vector of f over the
+    free columns f.
     """
     red, pivots = rref(rows, ncols, field)
     pivot_set = set(pivots)

@@ -430,7 +430,12 @@ def embed_extra_variable(p: Polynomial) -> Polynomial:
     return Polynomial(p.nvars + 1, {e + (0,): c for e, c in p.terms.items()}, p.field)
 
 
-@lru_cache(maxsize=None)
+# Entries kept by each monomial cache, one per (weights, degree); one pass
+# of every perfbench workload in one process fills at most 141.
+_MONOMIAL_CACHE = 4096
+
+
+@lru_cache(maxsize=_MONOMIAL_CACHE)
 def _monomials_rec(weights: tuple, d: int) -> tuple:
     if d < 0:
         return ()
@@ -446,7 +451,7 @@ def _monomials_rec(weights: tuple, d: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MONOMIAL_CACHE)
 def monomials_of_weighted_degree(weights: tuple, d: int) -> tuple:
     """All exponent tuples of weighted degree exactly d, descending graded-lex.
     Finite because all weights are positive."""

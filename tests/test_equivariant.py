@@ -20,6 +20,7 @@ from mfcat import (
     hom_space,
     is_equivariant_map,
     isotypic_decompose,
+    koszul_factorization,
     parse_poly,
     random_chain_map,
     reynolds,
@@ -27,7 +28,7 @@ from mfcat import (
     twist_orbits,
     WeightSystem,
 )
-from mfcat.errors import MfcatError
+from mfcat.errors import GradingError, MfcatError, UsageError
 
 
 def as_pairs(structures):
@@ -215,3 +216,70 @@ def test_structure_requires_matching_action():
     with pytest.raises(MfcatError):
         EquivariantStructure(q.strip_chars(), wrong_action)
     assert reynolds(phi, e, other).is_chain_map()
+
+
+def cyclic_structure_pairs():
+    """(action, source, target) over every pair of structures on the
+    factorizations of the same x^n, n = 2..6."""
+    for n in range(2, 7):
+        act = suites.an_action(n)
+        structs = [st for mf in suites.an_objects(n).values()
+                   for st in enumerate_structures(mf, act)]
+        for e_src in structs:
+            for e_tgt in structs:
+                yield act, e_src, e_tgt
+
+
+def test_isotypic_pieces_split_cycles_and_boundaries():
+    # Z and B of a degree block are the direct sums of their character
+    # pieces, and a piece's classes have its transformation character
+    pairs = 0
+    for act, e_src, e_tgt in cyclic_structure_pairs():
+        pairs += 1
+        full = hom_space(e_src.factorization, e_tgt.factorization, want_reps=False)
+        iso = isotypic_decompose(e_src, e_tgt)
+        assert sorted(iso) == sorted(act.characters())
+        sums = {}
+        for chi, hs in iso.items():
+            for p in hs.per_degree:
+                z, b = sums.get(p.degree, (0, 0))
+                sums[p.degree] = (z + p.cycles, b + p.boundaries)
+                assert len(p.representatives) == p.dim
+                for rep in p.representatives:
+                    assert is_equivariant_map(rep, e_src, e_tgt, twist_char=chi)
+        assert sums == {p.degree: (p.cycles, p.boundaries) for p in full.per_degree}
+    assert pairs == 1484
+
+
+def test_incompatible_characters_raise():
+    # both generators of (x | x^2) with character 0, though p0 = x has
+    # character 1: boundaries leave their character piece
+    mf = suites.an_objects(3)[1]
+    act = suites.an_action(3)
+    bad = EquivariantStructure(mf.with_chars(((0,),), ((0,),)), act, validate=False)
+    assert check_equivariant(bad.factorization, act)
+    with pytest.raises(MfcatError, match="not compatible with the structure"):
+        equivariant_hom_space(bad, bad)
+    good = enumerate_structures(mf, act)[0]
+    for e_src, e_tgt in ((bad, bad), (good, bad), (bad, good)):
+        with pytest.raises(MfcatError, match="not compatible with the structure"):
+            isotypic_decompose(e_src, e_tgt)
+
+
+def test_equivariant_errors_keep_their_types_and_messages():
+    q = suites.quadric()
+    act = suites.quadric_action()
+    e = enumerate_structures(q, act)[0]
+    other = EquivariantStructure(e.factorization, cyclic_action(2, (1, 0), 2),
+                                 validate=False)
+    for fn in (equivariant_hom_space, isotypic_decompose):
+        with pytest.raises(UsageError, match="^structures live over different actions$"):
+            fn(e, other)
+    x, y = parse_poly("x1", 2), parse_poly("x2", 2)
+    ungraded = enumerate_structures(koszul_factorization([(x, x), (y, y)]), act)[0]
+    with pytest.raises(GradingError, match="^hom spaces need a weight system; "
+                                          "use truncated_hom_space instead$"):
+        equivariant_hom_space(ungraded, ungraded)
+    with pytest.raises(GradingError,
+                       match="^graded computations need a shared weight system$"):
+        isotypic_decompose(ungraded, ungraded)

@@ -131,6 +131,39 @@ def test_certified_rank_matches_dense_oracle(system):
     assert linalg.rank(rows, ncols, QQ) == orc.dense_rank(densify(rows, ncols))
 
 
+@st.composite
+def fields_and_matrices(draw):
+    field = draw(st.sampled_from([QQ, PrimeField(7), PrimeField(P)]))
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(1, 7))
+    rows = []
+    for _ in range(nrows):
+        ints = draw(st.lists(st.integers(-7, 7), min_size=ncols, max_size=ncols))
+        coerced = [field.coerce(v) for v in ints]
+        rows.append({c: v for c, v in enumerate(coerced) if v})
+    return field, rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields_and_matrices())
+def test_nullspace_vectors_end_at_their_free_column(system):
+    # the fact hom_space reads boundary coordinates by: a basis vector's
+    # largest key is its free column (a non-pivot column of the dense
+    # oracle), where it is 1, and it is 0 at every other free column
+    field, rows, ncols = system
+    zero = field.zero
+    dense = densify(rows, ncols, zero)
+    _, pivots = orc.dense_rref(dense, field.one)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = linalg.nullspace(rows, ncols, field)
+    assert [max(vec) for vec in basis] == free
+    for vec, f in zip(basis, free):
+        assert vec[f] == field.one
+        assert not any(vec.get(g, zero) for g in free if g != f)
+        for row in dense:
+            assert not sum((a * vec.get(c, zero) for c, a in enumerate(row)), zero)
+
+
 def test_rank_falls_back_when_the_prime_divides():
     # a rank mod PRIME below the bound certifies nothing
     assert linalg.rank([{0: Fraction(P)}], 1, QQ) == 1
