@@ -17,11 +17,23 @@ For the same reason hom spaces split by transformation character at
 assembly: every equation and every boundary of a degree block stays inside
 one character, so each character piece is assembled and reduced as a
 system of its own (``HomProblem.pieces``).
+
+Twisting either structure shifts every slot character by the same amount,
+so the character pieces of a twisted pair are those of the untwisted pair
+relabelled by a fixed offset.  One hom problem and one character split
+therefore serve a whole twist orbit: they are kept in a bounded cache
+keyed by the two factorizations without characters, the action and the
+slot characters relative to the first slot, and the piece of character
+chi is the split's piece chi - need0, need0 the first slot's character.
+Each block of the orbit is graded, assembled and eliminated once;
+representatives are rebuilt on every call as maps between the caller's
+own structures.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import lru_cache
 from itertools import product
 
 from .action import GroupAction, char_add, char_sub, normalize_char
@@ -30,10 +42,14 @@ from .factorization import Homotopy, MatrixFactorization, MfMorphism
 from .homotopy import (
     _PARITY,
     HomProblem,
+    _require_shared_grading,
     _require_weights,
-    default_window,
     hom_space,
 )
+
+# Twist orbits kept by _orbit_split, one per pair of structures up to
+# twisting; one pass of equivariant-isotypic fills 55.
+_ORBIT_CACHE = 128
 
 
 def check_equivariant(mf, action):
@@ -292,25 +308,39 @@ def _check_pair(phi, e_src, e_tgt):
         raise UsageError("morphism target does not match the target structure")
 
 
-def _character_pieces(prob, e_src, e_tgt):
-    """chi -> the piece of prob, the hom problem of the two structures,
-    holding the maps of transformation character chi.
+@lru_cache(maxsize=_ORBIT_CACHE)
+def _orbit_split(source, target, action, rel):
+    """(the hom problem of source -> target, its split by character
+    relative to the first slot), rel the (slot, need - need0) pairs of
+    ``_twist_orbit``.
 
     An unknown (kind, i, j, e) has character need[kind, i, j] - char(e)
-    (``_slot_characters``).
+    (``_slot_characters``); the split grades it by that minus need0.
     """
-    act = e_src.action
-    orders = act.orders
-    need = _slot_characters(e_src, e_tgt)
+    prob = HomProblem(source, target)
+    orders = action.orders
+    need = dict(rel)
     char_of = {}
 
     def grade(slot, e):
         c = char_of.get(e)
         if c is None:
-            c = char_of[e] = act.char_of_monomial(e)
+            c = char_of[e] = action.char_of_monomial(e)
         return char_sub(need[slot], c, orders)
 
-    return prob.pieces(grade)
+    return prob, prob.pieces(grade)
+
+
+def _twist_orbit(e_src, e_tgt):
+    """(problem, split, need0) shared by the twist orbit of the pair: the
+    maps of transformation character chi are split[chi - need0]."""
+    act = e_src.action
+    orders = act.orders
+    need = _slot_characters(e_src, e_tgt)
+    need0 = next(iter(need.values()), act.zero_char())
+    rel = tuple((slot, char_sub(c, need0, orders)) for slot, c in need.items())
+    prob, split = _orbit_split(e_src.forget(), e_tgt.forget(), act, rel)
+    return prob, split, need0
 
 
 def equivariant_hom_space(e_src, e_tgt, window=None, twist_char=None):
@@ -326,7 +356,8 @@ def equivariant_hom_space(e_src, e_tgt, window=None, twist_char=None):
     )
     src, tgt = e_src.factorization, e_tgt.factorization
     _require_weights(src, tgt)
-    piece = _character_pieces(HomProblem(src, tgt), e_src, e_tgt)(chi)
+    _, split, need0 = _twist_orbit(e_src, e_tgt)
+    piece = split[char_sub(chi, need0, act.orders)]
     return hom_space(src, tgt, window, problem=piece)
 
 
@@ -338,14 +369,17 @@ def isotypic_decompose(e_src, e_tgt, window=None):
     failure raises, since it would mean the split lost classes.
     """
     src, tgt = e_src.factorization, e_tgt.factorization
-    prob = HomProblem(src, tgt)
+    _require_shared_grading(src, tgt)
     act = _shared_action(e_src, e_tgt)
+    prob, split, need0 = _twist_orbit(e_src, e_tgt)
     if window is None:
-        window = default_window(src, tgt)
+        window = prob.window
     full = hom_space(src, tgt, window, problem=prob, want_reps=False)
-    piece = _character_pieces(prob, e_src, e_tgt)
-    pieces = {chi: hom_space(src, tgt, window, problem=piece(chi))
-              for chi in act.characters()}
+    pieces = {
+        chi: hom_space(src, tgt, window,
+                       problem=split[char_sub(chi, need0, act.orders)])
+        for chi in act.characters()
+    }
     full_dims = full.dims_by_degree()
     piece_dims = [hs.dims_by_degree() for hs in pieces.values()]
     for d in range(window[0], window[1] + 1):

@@ -17,7 +17,7 @@ containing the default one; everything else is reported window-truncated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add
 
 from . import linalg
@@ -229,14 +229,15 @@ class HomProblem:
 
     Unknown ids are (kind, i, j, exponent) with kind "e0"/"e1" for the even
     components and "t0"/"t1" for the odd ones.  Blocks are cached per
-    degree, so repeated queries (windows, pieces) stay cheap.
+    degree, and so is each degree's answer (``answer``): Z, B and the
+    coordinates of the representatives.  A problem shared between calls
+    (the pieces of one twist orbit in ``equivariant``) therefore assembles
+    and eliminates each block once.  The default window and the
+    isolated-singularity flag are computed once per problem.
     """
 
     def __init__(self, source, target):
-        if source.W != target.W:
-            raise UsageError("objects factor different potentials")
-        if source.weights is None or source.weights != target.weights:
-            raise GradingError("graded computations need a shared weight system")
+        _require_shared_grading(source, target)
         self.source = source
         self.target = target
         self.ws = source.weights
@@ -245,25 +246,27 @@ class HomProblem:
         self._offset = _slot_offsets(source, target)
         self._stencils = _Stencils(source, target)
         self._blocks = {}
+        self._answers = {}
         self._piece = None  # (grade, unknowns by degree and grade, own grade)
 
+    @cached_property
+    def window(self):
+        return default_window(self.source, self.target)
+
+    @cached_property
+    def isolated(self):
+        return _certified_potential(self.source.W, self.ws)
+
     def pieces(self, grade):
-        """g -> the piece of this problem whose blocks hold only the
-        unknowns (*slot, e) with grade(slot, e) == g.
+        """{g: the piece of this problem whose blocks hold only the unknowns
+        (*slot, e) with grade(slot, e) == g}, each piece made on first use.
 
         The differential must keep every equation and boundary inside one
         grade, so that each block is the direct sum of its pieces; a
         boundary leaving its piece raises MfcatError.  Pieces share slots
         and stencils, and group each degree's unknowns by grade once.
         """
-        groups = {}
-
-        def piece(g):
-            prob = object.__new__(HomProblem)
-            prob.__dict__.update(vars(self), _blocks={}, _piece=(grade, groups, g))
-            return prob
-
-        return piece
+        return _Pieces(self, grade)
 
     def _degree_unknowns(self, d):
         """(even, odd) unknown ids of degree d; a piece's own only."""
@@ -314,6 +317,60 @@ class HomProblem:
         self._blocks[d] = blk
         return blk
 
+    def answer(self, d, want_reps):
+        """(Z, B, reps) in degree d, reps a tuple of coordinate tuples
+        ((kind, i, j, e), c), one per representative; None when not
+        wanted and H > 0.  Kept, so the block is eliminated once; once
+        the answer is complete the block is dropped (degree_block would
+        assemble it again)."""
+        ans = self._answers.get(d)
+        if ans is None or (want_reps and ans[2] is None):
+            ans = self._answers[d] = _block_answer(
+                self.degree_block(d), self.source.field, want_reps)
+            if ans[2] is not None:
+                del self._blocks[d]
+        return ans
+
+
+class _Pieces(dict):
+    """The pieces of a problem by grade, made on first use."""
+
+    def __init__(self, prob, grade):
+        super().__init__()
+        self.prob, self.grade, self.groups = prob, grade, {}
+
+    def __missing__(self, g):
+        piece = self[g] = object.__new__(HomProblem)
+        piece.__dict__.update(vars(self.prob), _blocks={}, _answers={},
+                              _piece=(self.grade, self.groups, g))
+        return piece
+
+
+def _block_answer(blk, field, want_reps):
+    """HomProblem.answer of one degree block: each side is reduced at most
+    once, exactly only where the modular certificate leaves it open."""
+    uids, zrows, dvecs = blk.even_uids, blk.zrows, blk.dvecs
+    ncols = len(uids)
+    if ncols == 0:
+        return 0, 0, ()
+    if want_reps or any(dvecs):
+        zdim, bdim = linalg.certified_dims(zrows, dvecs, ncols, field)
+    else:
+        # no boundaries, so B = 0 and Z_p == B_p is the full-rank test
+        # that rank applies itself before its exact pass
+        zdim, bdim = ncols - linalg.rank(zrows, ncols, field), 0
+    if want_reps and (zdim is None or bdim is None or zdim > bdim):
+        # one exact elimination per side gives both dimensions
+        null_basis = linalg.nullspace(zrows, ncols, field)
+        bdim, vecs = _quotient_representatives(null_basis, dvecs, field)
+        reps = tuple(tuple((uids[col], c) for col, c in v.items()) for v in vecs)
+        return len(null_basis), bdim, reps
+    if zdim is None:
+        zdim = ncols - linalg.rank(zrows, ncols, field)
+    if bdim is None:
+        bdim = linalg.rank(dvecs, ncols, field)
+    return zdim, bdim, (() if zdim == bdim else None)
+
 
 @dataclass(frozen=True)
 class DegreeData:
@@ -362,51 +419,28 @@ def hom_space(source, target, window=None, *, problem=None, want_reps=True):
     window provably contains all degrees with nonzero classes, which we
     claim only for isolated quasi-homogeneous potentials with a window at
     least the default one.  A problem, such as a piece of
-    ``HomProblem.pieces``, supplies the degree blocks.
+    ``HomProblem.pieces``, supplies the degree answers, the default window
+    and the isolated-singularity flag; without one each call builds its
+    own.  Representatives are made from the kept coordinates on every
+    call, as maps source -> target.
     """
     _require_weights(source, target)
     prob = problem if problem is not None else HomProblem(source, target)
-    dflt = default_window(source, target)
+    dflt = prob.window
     lo, hi = dflt if window is None else (int(window[0]), int(window[1]))
-    certified = (
-        lo <= dflt[0]
-        and hi >= dflt[1]
-        and _certified_potential(source.W, source.weights)
-    )
-    field = source.field
+    certified = lo <= dflt[0] and hi >= dflt[1] and prob.isolated
     per_degree = []
     total = 0
     for d in range(lo, hi + 1):
-        blk = prob.degree_block(d)
-        uids, zrows, dvecs = blk.even_uids, blk.zrows, blk.dvecs
-        ncols = len(uids)
-        if ncols == 0:
-            continue
-        if want_reps or any(dvecs):
-            zdim, bdim = linalg.certified_dims(zrows, dvecs, ncols, field)
-        else:
-            # no boundaries, so B = 0 and Z_p == B_p is the full-rank test
-            # that rank applies itself before its exact pass
-            zdim, bdim = ncols - linalg.rank(zrows, ncols, field), 0
-        reps = ()
-        if want_reps and (zdim is None or bdim is None or zdim > bdim):
-            # one exact elimination per side gives both dimensions
-            null_basis = linalg.nullspace(zrows, ncols, field)
-            zdim = len(null_basis)
-            bdim, vecs = _quotient_representatives(null_basis, dvecs, field)
-            if len(vecs) != zdim - bdim:
-                raise MfcatError("representative count disagrees with dimension")
-            reps = tuple(
-                _vector_to_morphism(source, target, uids, v, d) for v in vecs
-            )
-        else:
-            if zdim is None:
-                zdim = ncols - linalg.rank(zrows, ncols, field)
-            if bdim is None:
-                bdim = linalg.rank(dvecs, ncols, field)
-        hdim = zdim - bdim
+        zdim, bdim, coords = prob.answer(d, want_reps)
         if zdim == 0 and bdim == 0:
             continue
+        hdim = zdim - bdim
+        reps = ()
+        if want_reps:
+            if len(coords) != hdim:
+                raise MfcatError("representative count disagrees with dimension")
+            reps = tuple(_morphism(source, target, c, d) for c in coords)
         per_degree.append(DegreeData(d, zdim, bdim, hdim, reps))
         total += hdim
     return HomSpace(
@@ -417,6 +451,13 @@ def hom_space(source, target, window=None, *, problem=None, want_reps=True):
         total=total,
         certified=certified,
     )
+
+
+def _require_shared_grading(source, target):
+    if source.W != target.W:
+        raise UsageError("objects factor different potentials")
+    if source.weights is None or source.weights != target.weights:
+        raise GradingError("graded computations need a shared weight system")
 
 
 def _require_weights(source, target):
@@ -470,9 +511,10 @@ def _slot_matrices(s, t, kinds, coords):
     ]
 
 
-def _vector_to_morphism(source, target, uids, vec, degree):
-    f0, f1 = _slot_matrices(
-        source, target, EVEN, ((uids[col], c) for col, c in vec.items()))
+def _morphism(source, target, coords, degree):
+    """The even map source -> target of the given degree with the nonzero
+    coordinates coords, ((kind, i, j, e), c) pairs."""
+    f0, f1 = _slot_matrices(source, target, EVEN, coords)
     return MfMorphism(
         source=source, target=target, f0=f0, f1=f1, degree=degree,
         validate=False,
@@ -758,7 +800,9 @@ def random_chain_map(source, target, degree=0, rng=None, problem=None):
                 combo[col] = nv
             elif cur is not None:
                 del combo[col]
-    return _vector_to_morphism(source, target, blk.even_uids, combo, degree)
+    uids = blk.even_uids
+    return _morphism(source, target, ((uids[col], c) for col, c in combo.items()),
+                     degree)
 
 
 def truncated_hom_space(source, target, bound):

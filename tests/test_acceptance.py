@@ -38,6 +38,7 @@ from mfcat import (
     trivial_brick,
     w_multiple_homotopy,
 )
+from mfcat.equivariant import _ORBIT_CACHE, _orbit_split
 
 SUITE = suites.full_suite()
 
@@ -233,6 +234,7 @@ def test_criterion_08_reynolds_projector():
                     assert is_equivariant_map(r, e1, e2)
                     assert (r == f) == is_equivariant_map(f, e1, e2)
                     sampled += 1
+    assert _orbit_split.cache_info().currsize <= _ORBIT_CACHE
     print(f"ACCEPTANCE 8: PASS (invariant dimension equals character-0 "
           f"isotypic piece on {pairs} structure pairs; projector idempotent "
           f"and fixing exactly the equivariant maps on {sampled} samples)")
@@ -251,6 +253,7 @@ def test_criterion_09_twist_sums():
                                  want_reps=False).total
                 assert twisted == full, name
                 pairs += 1
+    assert _orbit_split.cache_info().currsize <= _ORBIT_CACHE
     print(f"ACCEPTANCE 9: PASS (equivariant dims over all target twists sum "
           f"to the plain dim on {pairs} structure pairs)")
 

@@ -28,6 +28,7 @@ from mfcat import (
     twist_orbits,
     WeightSystem,
 )
+from mfcat.equivariant import _ORBIT_CACHE, _orbit_split
 from mfcat.errors import GradingError, MfcatError, UsageError
 
 
@@ -218,10 +219,10 @@ def test_structure_requires_matching_action():
     assert reynolds(phi, e, other).is_chain_map()
 
 
-def cyclic_structure_pairs():
+def cyclic_structure_pairs(top=6):
     """(action, source, target) over every pair of structures on the
-    factorizations of the same x^n, n = 2..6."""
-    for n in range(2, 7):
+    factorizations of the same x^n, n = 2..top."""
+    for n in range(2, top + 1):
         act = suites.an_action(n)
         structs = [st for mf in suites.an_objects(n).values()
                    for st in enumerate_structures(mf, act)]
@@ -283,3 +284,77 @@ def test_equivariant_errors_keep_their_types_and_messages():
     with pytest.raises(GradingError,
                        match="^graded computations need a shared weight system$"):
         isotypic_decompose(ungraded, ungraded)
+
+
+def fingerprint(hs):
+    """Everything a hom space holds, with the term order of its maps."""
+    def terms(mat):
+        return [[list(f.terms.items()) for f in row] for row in mat.entries]
+
+    return (hs.to_json(), hs.window, hs.source, hs.target, [
+        (p.degree, [(r.source, r.target, r.degree, terms(r.f0), terms(r.f1))
+                    for r in p.representatives])
+        for p in hs.per_degree])
+
+
+def test_twist_orbit_sharing_changes_no_answer():
+    # every answer served from a shared twist orbit equals the answer of
+    # the same call on an empty cache, and its representatives are maps
+    # between the caller's own structures with the piece's character
+    for act, e_src, e_tgt in cyclic_structure_pairs(top=5):
+        chars = act.characters()
+        calls = []
+        for c in chars:
+            t = e_tgt.twist(c)
+            calls += [(t, chi, lambda t=t, chi=chi: equivariant_hom_space(
+                e_src, t, twist_char=chi)) for chi in chars]
+            calls.append((t, None, lambda t=t: isotypic_decompose(e_src, t)))
+        shared = [call() for _, _, call in calls]
+        for (t, chi, call), got in zip(calls, shared):
+            _orbit_split.cache_clear()
+            want = call()
+            spaces = {chi: got} if chi is not None else got
+            if chi is None:
+                assert list(got) == list(want)
+            else:
+                want = {chi: want}
+            for ch, hs in spaces.items():
+                assert fingerprint(hs) == fingerprint(want[ch])
+                assert hs == want[ch]
+                for p in hs.per_degree:
+                    for rep in p.representatives:
+                        assert rep.source is e_src.factorization
+                        assert rep.target is t.factorization
+                        assert is_equivariant_map(rep, e_src, t, twist_char=ch)
+
+
+def test_twist_orbit_cache_failures_and_bound():
+    mf = suites.an_objects(3)[1]
+    act = suites.an_action(3)
+    bad = EquivariantStructure(mf.with_chars(((0,),), ((0,),)), act, validate=False)
+    for _ in range(2):
+        with pytest.raises(MfcatError, match="not compatible with the structure"):
+            equivariant_hom_space(bad, bad)
+        with pytest.raises(MfcatError, match="not compatible with the structure"):
+            isotypic_decompose(bad, bad)
+    s0, s1, _ = enumerate_structures(mf, act)
+
+    def table(hs):
+        return [(p.degree, p.cycles, p.boundaries) for p in hs.per_degree]
+
+    # recorded before twist orbits were shared
+    want = {(0,): [(1, 1, 1)], (1,): [(0, 1, 0)], (2,): []}
+    assert {chi: table(hs) for chi, hs in isotypic_decompose(s0, s1).items()} == want
+    assert table(equivariant_hom_space(s0, s1, twist_char=(1,))) == want[(1,)]
+    # degree twists give distinct orbits: more than the bound evicts the
+    # oldest, which is then rebuilt with the same answers
+    assert _orbit_split.cache_info().maxsize == _ORBIT_CACHE
+    _orbit_split.cache_clear()
+    first = fingerprint(equivariant_hom_space(s0, s1, twist_char=(1,)))
+    for k in range(1, _ORBIT_CACHE + 2):
+        e = EquivariantStructure(s1.factorization.degree_twist(k), act)
+        equivariant_hom_space(e, e)
+    assert _orbit_split.cache_info().currsize == _ORBIT_CACHE
+    misses = _orbit_split.cache_info().misses
+    assert fingerprint(equivariant_hom_space(s0, s1, twist_char=(1,))) == first
+    assert _orbit_split.cache_info().misses == misses + 1

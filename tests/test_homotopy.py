@@ -206,6 +206,18 @@ def test_hom_problem_reuse():
     assert first.dims_by_degree() == second.dims_by_degree()
 
 
+def test_kept_answers_serve_later_calls_with_representatives():
+    # a problem first asked without representatives still gives them
+    # later, equal to those of a fresh problem
+    for a, b in ((suites.quadric(), suites.quadric()),
+                 (suites.an_objects(5)[2], suites.an_objects(5)[3])):
+        problem = HomProblem(a, b)
+        plain = hom_space(a, b, problem=problem, want_reps=False)
+        assert plain == hom_space(a, b, want_reps=False)
+        assert hom_space(a, b, problem=problem) == hom_space(a, b)
+        assert any(p.representatives for p in hom_space(a, b).per_degree)
+
+
 def test_differential_squares_to_zero():
     q = suites.quadric()
     rng = random.Random(4)
