@@ -4,9 +4,7 @@ A group Z/m1 x ... x Z/mr acts on k[x1..xn] with the i-th generator
 scaling x_j by a primitive m_i-th root of unity raised to exponents[i][j].
 Roots of unity are never materialized: everything is tracked through the
 character lattice, where a "character" is a residue tuple (c1..cr) with
-c_i taken mod m_i.  Acting on a polynomial therefore returns its pieces
-grouped by phase rather than a single polynomial, except in the special
-case where every phase is +1 or -1.
+c_i taken mod m_i.
 """
 
 from __future__ import annotations
@@ -94,18 +92,6 @@ class GroupAction:
         want = normalize_char(char, self.orders)
         return all(self.char_of_monomial(e) == want for e in f.terms)
 
-    def char_of_poly(self, f):
-        """The common character of f's monomials, or None if f is zero or
-        mixes characters."""
-        found = None
-        for e in f.terms:
-            c = self.char_of_monomial(e)
-            if found is None:
-                found = c
-            elif c != found:
-                return None
-        return found
-
     def project_character(self, f, char):
         """Sum of the monomials of f whose character equals char."""
         want = normalize_char(char, self.orders)
@@ -122,63 +108,6 @@ class GroupAction:
         return all(
             sum(row) % m == 0 for row, m in zip(self.exponents, self.orders)
         )
-
-    def act(self, g, f):
-        """Apply the group element g, keeping phases symbolic.
-
-        Returns {phase: polynomial} where a phase is a residue tuple and
-        stands for the product over factors of zeta_{m_i}^{c_i}.  The
-        argument may itself be such a dict, so actions compose.  Functions
-        transform contravariantly: the monomial piece of character chi
-        picks up the phase of chi evaluated at the inverse of g.
-        """
-        g = tuple(int(v) % m for v, m in zip(g, self.orders))
-        if isinstance(f, Polynomial):
-            pieces = {self.zero_char(): f}
-        else:
-            pieces = f
-        if not pieces:
-            return {}
-        sample = next(iter(pieces.values()))
-        nvars, field = sample.nvars, sample.field
-        out = {}
-        for base_phase, part in pieces.items():
-            for e, c in part.terms.items():
-                chi = self.char_of_monomial(e)
-                shift = tuple(
-                    (-gv * cv) % m for gv, cv, m in zip(g, chi, self.orders)
-                )
-                phase = char_add(base_phase, shift, self.orders)
-                bucket = out.setdefault(phase, {})
-                bucket[e] = bucket.get(e, field.zero) + c
-        result = {}
-        for phase, terms in out.items():
-            terms = {e: c for e, c in terms.items() if c}
-            if terms:
-                result[phase] = Polynomial(nvars, terms, field)
-        return result
-
-    def act_polynomial(self, g, f):
-        """g acting on f as an honest polynomial.
-
-        Only possible when every phase that occurs is rational, i.e. +1
-        (residue 0) or -1 (residue m/2 for even m).  Raises otherwise.
-        """
-        total = Polynomial.zero(f.nvars, f.field)
-        for phase, part in self.act(g, f).items():
-            sign = 1
-            for c, m in zip(phase, self.orders):
-                if c == 0:
-                    continue
-                if 2 * c == m:
-                    sign = -sign
-                else:
-                    raise UsageError(
-                        "phase is an irrational root of unity; "
-                        "the transformed polynomial has no rational form"
-                    )
-            total = total + part if sign > 0 else total - part
-        return total
 
     def to_json(self):
         return {

@@ -18,14 +18,18 @@ assembly: every equation and every boundary of a degree block stays inside
 one character, so each character piece is assembled and reduced as a
 system of its own (``HomProblem.pieces``).
 
-Twisting either structure shifts every slot character by the same amount,
-so the character pieces of a twisted pair are those of the untwisted pair
-relabelled by a fixed offset.  One hom problem and one character split
-therefore serve a whole twist orbit: they are kept in a bounded cache
-keyed by the two factorizations without characters, the action and the
-slot characters relative to the first slot, and the piece of character
-chi is the split's piece chi - need0, need0 the first slot's character.
-Each block of the orbit is graded, assembled and eliminated once;
+Twisting a structure shifts all its generator characters by the same
+amount, so the character pieces of a twisted pair are those of the
+untwisted pair relabelled by a fixed offset.  One hom problem and one
+character split therefore serve a whole twist orbit.  They are kept in a
+bounded cache whose key takes, per structure, the fields every twist
+shares (W, the weights, the generator degrees, p0 and p1; twists share
+the matrix objects, and polynomial and matrix hashes are memoized) and
+the characters relative to the structure's first one, plus the action.
+The piece of character chi is the split's piece chi - need0, need0 the
+target's first character minus the source's.  The factorizations
+without characters that the problem needs are built only on a cache
+miss.  Each block of the orbit is graded, assembled and eliminated once;
 representatives are rebuilt on every call as maps between the caller's
 own structures.
 """
@@ -38,7 +42,12 @@ from itertools import product
 
 from .action import GroupAction, char_add, char_sub, normalize_char
 from .errors import MfcatError, UsageError
-from .factorization import Homotopy, MatrixFactorization, MfMorphism
+from .factorization import (
+    GradedFreeModule,
+    Homotopy,
+    MatrixFactorization,
+    MfMorphism,
+)
 from .homotopy import (
     _PARITY,
     HomProblem,
@@ -217,14 +226,7 @@ def twist_orbits(structures):
     """
     seen = {}
     for st in structures:
-        orders = st.action.orders
-        allc = st.chars0 + st.chars1
-        if allc:
-            base = allc[0]
-            key = tuple(char_sub(c, base, orders) for c in allc)
-        else:
-            key = ()
-        seen.setdefault(key, []).append(st)
+        seen.setdefault(_relative_chars(st)[1], []).append(st)
     return tuple(tuple(orbit) for orbit in seen.values())
 
 
@@ -236,7 +238,8 @@ def is_equivariant_map(phi, e_src, e_tgt, twist_char=None):
     chi = (
         act.zero_char() if twist_char is None else normalize_char(twist_char, orders)
     )
-    need = _slot_characters(e_src, e_tgt)
+    need = _slot_characters(
+        (e_src.chars0, e_src.chars1), (e_tgt.chars0, e_tgt.chars1), orders)
     return all(
         act.has_character(f, char_sub(need[kind, i, j], chi, orders))
         for kind, mat in (("e0", phi.f0), ("e1", phi.f1))
@@ -254,7 +257,8 @@ def reynolds(phi, e_src, e_tgt):
     character piece is compatible with multiplication by them.
     """
     _check_pair(phi, e_src, e_tgt)
-    need = _slot_characters(e_src, e_tgt)
+    need = _slot_characters((e_src.chars0, e_src.chars1),
+                            (e_tgt.chars0, e_tgt.chars1), e_src.action.orders)
     return MfMorphism(
         source=phi.source,
         target=phi.target,
@@ -267,19 +271,18 @@ def reynolds(phi, e_src, e_tgt):
 
 def reynolds_homotopy(h, e_src, e_tgt):
     """Character filter on an odd map; the equivariant witness extractor."""
-    need = _slot_characters(e_src, e_tgt)
+    need = _slot_characters((e_src.chars0, e_src.chars1),
+                            (e_tgt.chars0, e_tgt.chars1), e_src.action.orders)
     t0 = _project(h.t0, "t0", need, e_src.action)
     t1 = _project(h.t1, "t1", need, e_src.action)
     return Homotopy(source=h.source, target=h.target, t0=t0, t1=t1, degree=h.degree)
 
 
-def _slot_characters(e_src, e_tgt):
+def _slot_characters(src, tgt, orders):
     """{(kind, i, j): character of the target's row generator i minus that
-    of the source's column generator j} over the slots of maps between the
-    two structures (slot kinds as in ``homotopy``)."""
-    orders = e_src.action.orders
-    src = (e_src.chars0, e_src.chars1)
-    tgt = (e_tgt.chars0, e_tgt.chars1)
+    of the source's column generator j} over the slots of maps between two
+    structures (slot kinds as in ``homotopy``); src and tgt are their
+    (chars0, chars1)."""
     return {
         (kind, i, j): char_sub(ci, cj, orders)
         for kind, (p, q) in _PARITY.items()
@@ -302,24 +305,53 @@ def _shared_action(e_src, e_tgt):
 
 def _check_pair(phi, e_src, e_tgt):
     _shared_action(e_src, e_tgt)
-    if phi.source.strip_chars() != e_src.factorization.strip_chars():
+    if _untwisted(phi.source) != _untwisted(e_src.factorization):
         raise UsageError("morphism source does not match the source structure")
-    if phi.target.strip_chars() != e_tgt.factorization.strip_chars():
+    if _untwisted(phi.target) != _untwisted(e_tgt.factorization):
         raise UsageError("morphism target does not match the target structure")
 
 
+def _untwisted(mf):
+    """The fields of mf that every character twist of it shares: all but
+    the generator characters.  Two factorizations are equal up to
+    characters when these are equal."""
+    return mf.W, mf.weights, mf.m0.degrees, mf.m1.degrees, mf.p0, mf.p1
+
+
+def _relative_chars(st):
+    """(base, (chars0 - base, chars1 - base)) of a structure, base its
+    first generator character (zero without generators).  Twisting the
+    structure moves base only."""
+    act = st.action
+    first = st.chars0 or st.chars1
+    if not first:
+        return act.zero_char(), ((), ())
+    base, orders = first[0], act.orders
+    return base, tuple(tuple(char_sub(c, base, orders) for c in chars)
+                       for chars in (st.chars0, st.chars1))
+
+
 @lru_cache(maxsize=_ORBIT_CACHE)
-def _orbit_split(source, target, action, rel):
-    """(the hom problem of source -> target, its split by character
-    relative to the first slot), rel the (slot, need - need0) pairs of
-    ``_twist_orbit``.
+def _orbit_split(source, target, action):
+    """(the hom problem between two structures without their characters,
+    its split by character relative to need0); source and target are each
+    (``_untwisted`` fields, ``_relative_chars`` relative characters) of a
+    structure, so every twist of the pair has the same key.
 
     An unknown (kind, i, j, e) has character need[kind, i, j] - char(e)
-    (``_slot_characters``); the split grades it by that minus need0.
+    (``_slot_characters``), and need[kind, i, j] is need0 plus the same
+    difference taken between the relative characters; the split grades
+    the unknown by that difference minus char(e).
     """
-    prob = HomProblem(source, target)
+    mfs = [
+        MatrixFactorization(
+            W, weights, GradedFreeModule(len(deg0), deg0),
+            GradedFreeModule(len(deg1), deg1), p0, p1, validate=False)
+        for (W, weights, deg0, deg1, p0, p1), _ in (source, target)
+    ]
+    prob = HomProblem(*mfs)
     orders = action.orders
-    need = dict(rel)
+    need = _slot_characters(source[1], target[1], orders)
     char_of = {}
 
     def grade(slot, e):
@@ -333,14 +365,14 @@ def _orbit_split(source, target, action, rel):
 
 def _twist_orbit(e_src, e_tgt):
     """(problem, split, need0) shared by the twist orbit of the pair: the
-    maps of transformation character chi are split[chi - need0]."""
+    maps of transformation character chi are split[chi - need0], need0 the
+    target's first character minus the source's."""
     act = e_src.action
-    orders = act.orders
-    need = _slot_characters(e_src, e_tgt)
-    need0 = next(iter(need.values()), act.zero_char())
-    rel = tuple((slot, char_sub(c, need0, orders)) for slot, c in need.items())
-    prob, split = _orbit_split(e_src.forget(), e_tgt.forget(), act, rel)
-    return prob, split, need0
+    base_src, rel_src = _relative_chars(e_src)
+    base_tgt, rel_tgt = _relative_chars(e_tgt)
+    prob, split = _orbit_split((_untwisted(e_src.factorization), rel_src),
+                               (_untwisted(e_tgt.factorization), rel_tgt), act)
+    return prob, split, char_sub(base_tgt, base_src, act.orders)
 
 
 def equivariant_hom_space(e_src, e_tgt, window=None, twist_char=None):

@@ -772,15 +772,14 @@ def is_homotopy_equivalence(phi, bound=None):
     return False if _graded(phi.source, phi.target) else None
 
 
-def random_chain_map(source, target, degree=0, rng=None, problem=None):
+def random_chain_map(source, target, degree=0, rng=None):
     """A reproducible chain map: an rng-weighted combination of a basis of
     the degree-d cycle space.  Zero when that space is zero."""
     import random as _random
 
     if rng is None:
         rng = _random.Random(20240901)
-    prob = problem if problem is not None else HomProblem(source, target)
-    blk = prob.degree_block(degree)
+    blk = HomProblem(source, target).degree_block(degree)
     field = source.field
     basis = linalg.nullspace(list(blk.zrows), len(blk.even_uids), field)
     if not basis:

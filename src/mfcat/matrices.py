@@ -8,6 +8,7 @@ cone or direct sum.  Entries are Polynomial values over a common field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import UsageError
 from .poly import Polynomial
@@ -59,6 +60,19 @@ class PolyMatrix:
             n, n, f.nvars, f.field,
             tuple(tuple(f if i == j else z for j in range(n)) for i in range(n)),
         )
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        """Hash of the dataclass fields, computed once: the fields are
+        frozen, and the value is kept in the instance dict, outside them."""
+        return hash((self.nrows, self.ncols, self.nvars, self.field, self.entries))
+
+    def __reduce__(self):
+        # as for Polynomial: a pickle must not carry the kept hash
+        return PolyMatrix, (self.nrows, self.ncols, self.nvars, self.field, self.entries)
 
     def __getitem__(self, ij):
         i, j = ij

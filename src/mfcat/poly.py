@@ -33,9 +33,14 @@ def grlex_key(e: Exponent):
 
 
 class Polynomial:
-    """Immutable-by-convention sparse polynomial."""
+    """Immutable-by-convention sparse polynomial.
 
-    __slots__ = ("nvars", "field", "terms")
+    ``terms`` is never mutated after construction: the hash is computed on
+    first use and kept in the ``_hash`` slot.  The arithmetic fast paths
+    build results through ``__new__`` and leave that slot unset.
+    """
+
+    __slots__ = ("nvars", "field", "terms", "_hash")
 
     def __init__(self, nvars: int, terms: dict | None = None, field=QQ):
         self.nvars = nvars
@@ -204,7 +209,17 @@ class Polynomial:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.nvars, self.field, frozenset(self.terms.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash(
+                (self.nvars, self.field, frozenset(self.terms.items())))
+            return h
+
+    def __reduce__(self):
+        # the kept hash follows the process's string hash seed (the field's
+        # hash), so a pickle carries the terms only
+        return Polynomial, (self.nvars, self.terms, self.field)
 
     # -- text and JSON -------------------------------------------------------
 
@@ -413,16 +428,6 @@ def detect_weights(w_poly: Polynomial):
         if ws.wdeg(e) != ws.degree:
             raise AssertionError("weight detection produced an invalid system")
     return ws
-
-
-def scaling_substitution(p: Polynomial, ws: WeightSystem) -> Polynomial:
-    """Substitute x_i -> t^{w_i} * x_i, returning a polynomial in n+1
-    variables with the scaling variable t last.  Quasi-homogeneity of degree
-    D is exactly the identity  result == t^D * embed(p)."""
-    if ws.nvars != p.nvars:
-        raise UsageError("weight system does not match the variable count")
-    terms = {e + (ws.wdeg(e),): c for e, c in p.terms.items()}
-    return Polynomial(p.nvars + 1, terms, p.field)
 
 
 def embed_extra_variable(p: Polynomial) -> Polynomial:

@@ -284,6 +284,16 @@ def test_equivariant_errors_keep_their_types_and_messages():
     with pytest.raises(GradingError,
                        match="^graded computations need a shared weight system$"):
         isotypic_decompose(ungraded, ungraded)
+    # maps are matched to structures up to characters only
+    phi = random_chain_map(q, q)
+    assert is_equivariant_map(reynolds(phi, e, e.twist((1,))), e, e.twist((1,)))
+    shifted = EquivariantStructure(e.factorization.degree_twist(1), act)
+    with pytest.raises(UsageError,
+                       match="^morphism source does not match the source structure$"):
+        reynolds(phi, shifted, e)
+    with pytest.raises(UsageError,
+                       match="^morphism target does not match the target structure$"):
+        is_equivariant_map(phi, e, shifted)
 
 
 def fingerprint(hs):
@@ -357,4 +367,36 @@ def test_twist_orbit_cache_failures_and_bound():
     assert _orbit_split.cache_info().currsize == _ORBIT_CACHE
     misses = _orbit_split.cache_info().misses
     assert fingerprint(equivariant_hom_space(s0, s1, twist_char=(1,))) == first
+    assert _orbit_split.cache_info().misses == misses + 1
+
+
+def test_equal_structures_share_one_orbit_entry():
+    # the orbit key compares the fields a twist shares, not objects: a
+    # separately built copy of a pair and its twists read the pair's entry
+    act = suites.an_action(4)
+
+    def structures():
+        return enumerate_structures(suites.an_objects(4)[1], act)[:2]
+
+    (s0, s1), (c0, c1) = structures(), structures()
+    assert (c0, c1) == (s0, s1)
+    assert c0.factorization.p0 is not s0.factorization.p0
+    _orbit_split.cache_clear()
+    first = isotypic_decompose(s0, s1)
+    assert _orbit_split.cache_info().misses == 1
+    hits = _orbit_split.cache_info().hits
+    second = isotypic_decompose(c0, c1)
+    twisted = equivariant_hom_space(c0.twist((3,)), c1, twist_char=(2,))
+    assert _orbit_split.cache_info().misses == 1
+    assert _orbit_split.cache_info().hits == hits + 2
+    assert list(second) == list(first)
+    assert all(fingerprint(second[chi]) == fingerprint(first[chi]) for chi in first)
+    _orbit_split.cache_clear()
+    assert fingerprint(twisted) == fingerprint(
+        equivariant_hom_space(c0.twist((3,)), c1, twist_char=(2,)))
+    # a degree twist moves the generator degrees, so it is another orbit
+    d0, d1 = (EquivariantStructure(s.factorization.degree_twist(1), act)
+              for s in (s0, s1))
+    misses = _orbit_split.cache_info().misses
+    isotypic_decompose(d0, d1)
     assert _orbit_split.cache_info().misses == misses + 1

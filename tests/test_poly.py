@@ -1,6 +1,10 @@
 """Polynomial layer: parsing, arithmetic, weights, monomial enumeration."""
 
 import math
+import os
+import pickle
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -9,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as orc
 from mfcat import (
+    PolyMatrix,
     Polynomial,
     WeightSystem,
     detect_weights,
@@ -68,6 +73,8 @@ def test_format_parse_round_trip(p):
 @settings(max_examples=40)
 def test_distributivity(a, b, c):
     assert a * (b + c) == a * b + a * c
+    # equal polynomials built along different paths hash equal
+    assert hash(a * (b + c)) == hash(a * b + a * c)
 
 
 @given(polys(2, max_exp=3, max_terms=4), polys(2, max_exp=3, max_terms=4))
@@ -83,6 +90,71 @@ def test_mul_against_oracle(a, b):
     got = orc.poly_to_dict(a * b)
     want = orc.pmul(orc.poly_to_dict(a), orc.poly_to_dict(b))
     assert got == want
+
+
+def fresh_hash(p):
+    return hash((p.nvars, p.field, frozenset(p.terms.items())))
+
+
+def test_memoized_hash_matches_fresh_hash():
+    for field in (QQ, PrimeField(7)):
+        a = parse_poly("x1^2 + 2*x1*x2", 2, field)
+        b = parse_poly("x2^2 - 1/3*x1*x2", 2, field)
+        built = {
+            "__init__": Polynomial(2, {(1, 0): 3, (0, 1): -1}, field),
+            "zero": Polynomial.zero(2, field),
+            "+": a + b,
+            "unary -": -a,
+            "*": a * b,
+            "scalar *": a * 5,
+            "scalar * on the left": 5 * b,
+        }
+        for path, p in built.items():
+            # the first call fills the slot, the second reads it back
+            assert hash(p) == fresh_hash(p), path
+            assert hash(p) == fresh_hash(p), path
+    x, y = parse_poly("x1", 2), parse_poly("x2", 2)
+    same = [
+        (x + y) * (x + y),
+        x * x + 2 * (x * y) + y * y,
+        -(-((x + y) ** 2)),
+        parse_poly("x1^2 + 2*x1*x2 + x2^2", 2),
+        Polynomial(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1}),
+    ]
+    assert all(p == same[0] for p in same)
+    assert {hash(p) for p in same} == {fresh_hash(same[0])}
+
+
+def test_matrix_hash_is_kept_and_structural():
+    def build():
+        return PolyMatrix.from_rows(
+            [[parse_poly("x1^2", 2), parse_poly("x2 - x1", 2)],
+             [Polynomial.zero(2), parse_poly("3*x1*x2", 2)]], 2, QQ)
+
+    m, copy = build(), build()
+    assert copy == m and copy.entries[0][0] is not m.entries[0][0]
+    want = hash((m.nrows, m.ncols, m.nvars, m.field, m.entries))
+    assert hash(m) == hash(m) == hash(copy) == want
+    assert hash(m) != hash(m.scale(2))
+
+
+def test_pickles_carry_no_kept_hash():
+    # a kept hash follows the string hash seed of the process that made
+    # it, so an unpickled copy must hash afresh in a process of another seed
+    p = parse_poly("x1^2 - 1/2*x1*x2", 2, PrimeField(7))
+    m = PolyMatrix.from_rows([[p, -p]], 2, p.field)
+    hash(p), hash(m)  # fill both kept hashes before pickling
+    data = pickle.dumps((p, m))
+    code = (
+        "import pickle, sys\n"
+        "p, m = pickle.loads(sys.stdin.buffer.read())\n"
+        "assert hash(p) == hash((p.nvars, p.field, frozenset(p.terms.items())))\n"
+        "assert hash(m) == hash((m.nrows, m.ncols, m.nvars, m.field, m.entries))\n"
+    )
+    seed = "1" if os.environ.get("PYTHONHASHSEED") == "2" else "2"
+    subprocess.run([sys.executable, "-c", code], input=data, check=True,
+                   env=dict(os.environ, PYTHONHASHSEED=seed))
+    assert pickle.loads(data) == (p, m)
 
 
 def test_detect_weights_frozen():
