@@ -42,17 +42,14 @@ from itertools import product
 
 from .action import GroupAction, char_add, char_sub, normalize_char
 from .errors import MfcatError, UsageError
-from .factorization import (
-    GradedFreeModule,
-    Homotopy,
-    MatrixFactorization,
-    MfMorphism,
-)
+from .factorization import Homotopy, MatrixFactorization, MfMorphism
 from .homotopy import (
     _PARITY,
     HomProblem,
+    _from_untwisted,
     _require_shared_grading,
     _require_weights,
+    _untwisted,
     hom_space,
 )
 
@@ -311,13 +308,6 @@ def _check_pair(phi, e_src, e_tgt):
         raise UsageError("morphism target does not match the target structure")
 
 
-def _untwisted(mf):
-    """The fields of mf that every character twist of it shares: all but
-    the generator characters.  Two factorizations are equal up to
-    characters when these are equal."""
-    return mf.W, mf.weights, mf.m0.degrees, mf.m1.degrees, mf.p0, mf.p1
-
-
 def _relative_chars(st):
     """(base, (chars0 - base, chars1 - base)) of a structure, base its
     first generator character (zero without generators).  Twisting the
@@ -343,13 +333,7 @@ def _orbit_split(source, target, action):
     difference taken between the relative characters; the split grades
     the unknown by that difference minus char(e).
     """
-    mfs = [
-        MatrixFactorization(
-            W, weights, GradedFreeModule(len(deg0), deg0),
-            GradedFreeModule(len(deg1), deg1), p0, p1, validate=False)
-        for (W, weights, deg0, deg1, p0, p1), _ in (source, target)
-    ]
-    prob = HomProblem(*mfs)
+    prob = HomProblem(_from_untwisted(source[0]), _from_untwisted(target[0]))
     orders = action.orders
     need = _slot_characters(source[1], target[1], orders)
     char_of = {}

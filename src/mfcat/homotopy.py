@@ -8,10 +8,14 @@ inverse) becomes a finite linear system over the coefficient field.
 
 Certification policy: an answer is marked certified only when the claim
 rests on an exhaustively enumerated degree set.  A found witness is always
-definitive.  Nonexistence is definitive in the graded case, where entry
-degrees are forced.  Totals over a degree window are certified only for a
-quasi-homogeneous potential with isolated critical point and a window
-containing the default one; everything else is reported window-truncated.
+definitive, once its boundary is checked to equal the map.  Nonexistence
+is definitive in the graded case, where entry degrees are forced.  There a
+witness comes from a kept solver of each degree's system, and a "no" only
+from the exact solve of the freshly assembled system, run when the kept
+solver's witness fails the boundary check.  Totals over a degree window
+are certified only for a quasi-homogeneous potential with isolated
+critical point and a window containing the default one; everything else is
+reported window-truncated.
 """
 
 from __future__ import annotations
@@ -22,7 +26,12 @@ from operator import add
 
 from . import linalg
 from .errors import GradingError, MfcatError, UsageError
-from .factorization import Homotopy, MatrixFactorization, MfMorphism
+from .factorization import (
+    GradedFreeModule,
+    Homotopy,
+    MatrixFactorization,
+    MfMorphism,
+)
 from .matrices import PolyMatrix
 from .poly import (
     Polynomial,
@@ -34,6 +43,10 @@ from .poly import (
 # Entries kept by each cache of the potential tests, one per (W, weights);
 # one pass of every perfbench workload in one process fills 16.
 _POTENTIAL_CACHE = 256
+
+# Null-homotopy systems kept by _kept_system, one per source, target and
+# degree up to characters.
+_KEPT_SYSTEMS = 64
 
 
 def _eadd(a, b):
@@ -124,6 +137,13 @@ def _slot_offsets(s, t):
             for j, g in enumerate(col_degs):
                 out[kind, i, j] = shift[kind] + g - h
     return out
+
+
+def _graded_support(weights, offset, d):
+    """support(slot) for _unknowns in degree d: the monomials of weighted
+    degree d + offset[slot], offset from _slot_offsets."""
+    w = weights.weights
+    return lambda slot: monomials_of_weighted_degree(w, d + offset[slot])
 
 
 def _terms(poly, negate=False):
@@ -270,12 +290,7 @@ class HomProblem:
 
     def _degree_unknowns(self, d):
         """(even, odd) unknown ids of degree d; a piece's own only."""
-        w = self.ws.weights
-        offset = self._offset
-
-        def support(slot):
-            return monomials_of_weighted_degree(w, d + offset[slot])
-
+        support = _graded_support(self.ws, self._offset, d)
         if self._piece is None:
             return (_unknowns(self._even_slots, support),
                     _unknowns(self._odd_slots, support))
@@ -521,10 +536,15 @@ def _morphism(source, target, coords, degree):
     )
 
 
+def _bounds(h, f0, f1):
+    """Whether the odd map h bounds the even map (f0, f1)."""
+    bd = h.boundary()
+    return (bd.f0 - f0).is_zero() and (bd.f1 - f1).is_zero()
+
+
 def _check_boundary(h, f0, f1, message):
     """Raise MfcatError(message) unless h bounds the map (f0, f1)."""
-    bd = h.boundary()
-    if not ((bd.f0 - f0).is_zero() and (bd.f1 - f1).is_zero()):
+    if not _bounds(h, f0, f1):
         raise MfcatError(message)
 
 
@@ -537,13 +557,13 @@ def _coordinates(phi):
                     yield (kind, i, j, e), c
 
 
-def _even_coordinates(phi, prob):
-    """Split a morphism into homogeneous pieces in unknown coordinates.
+def _even_coordinates(phi, offset):
+    """Split a morphism into homogeneous pieces in unknown coordinates,
+    offset from _slot_offsets.
 
     Returns {hom_degree: {even_uid: coeff}}.
     """
-    wdeg = prob.ws.wdeg
-    offset = prob._offset
+    wdeg = phi.source.weights.wdeg
     pieces = {}
     for uid, c in _coordinates(phi):
         d = wdeg(uid[3]) - offset[uid[:3]]
@@ -556,8 +576,42 @@ def _graded(s, t):
             and s.weights == t.weights)
 
 
+def _untwisted(mf):
+    """The fields of mf that every character twist of it shares: all but
+    the generator characters.  Two factorizations are equal up to
+    characters when these are equal."""
+    return mf.W, mf.weights, mf.m0.degrees, mf.m1.degrees, mf.p0, mf.p1
+
+
+def _from_untwisted(fields):
+    """The factorization without characters whose _untwisted fields are
+    the given ones."""
+    W, weights, deg0, deg1, p0, p1 = fields
+    return MatrixFactorization(
+        W, weights, GradedFreeModule(len(deg0), deg0),
+        GradedFreeModule(len(deg1), deg1), p0, p1, validate=False)
+
+
+@lru_cache(maxsize=_KEPT_SYSTEMS)
+def _kept_system(source, target, d):
+    """(odd unknowns, linalg.solver) of the degree-d null-homotopy system
+    of maps source -> target, each given by its _untwisted fields:
+    D(h) = phi in the degree-d odd unknowns h, one equation per even
+    coordinate (kind, i, j, e) that D reaches.  The equations themselves
+    are not kept."""
+    s, t = _from_untwisted(source), _from_untwisted(target)
+    support = _graded_support(s.weights, _slot_offsets(s, t), d)
+    uids = tuple(_unknowns(_slots(s, t, ODD), support))
+    return uids, linalg.solver(_equations(uids, _Stencils(s, t)), len(uids), s.field)
+
+
 def solve_null_homotopy(phi, bound=None):
-    """Returns (homotopy or None, definitive flag)."""
+    """Returns (homotopy or None, definitive flag).
+
+    Between graded factorizations the answer is always definitive
+    (``_null_homotopy_graded``); otherwise the search is bounded by total
+    entry degree and only a found witness is definitive.
+    """
     if _graded(phi.source, phi.target):
         return _null_homotopy_graded(phi)
     if bound is None:
@@ -568,6 +622,15 @@ def solve_null_homotopy(phi, bound=None):
 
 
 def _null_homotopy_graded(phi):
+    """(homotopy, True) or (None, True): entry degrees are forced, so each
+    degree d of phi is one finite system in the degree-d odd unknowns.
+
+    Each system's solver is kept (``_kept_system``), so a later map needs
+    one substitution per degree.  A found homotopy is checked to bound
+    phi.  When it does not, the systems are assembled again and solved
+    exactly: "no" means that solve found no solution too, and a solution
+    the kept solver missed raises MfcatError.
+    """
     s, t = phi.source, phi.target
     if phi.is_zero():
         return Homotopy(
@@ -576,26 +639,26 @@ def _null_homotopy_graded(phi):
             PolyMatrix.zero(t.m0.rank, s.m1.rank, s.nvars, s.field),
             phi.degree,
         ), True
-    prob = HomProblem(s, t)
-    pieces = _even_coordinates(phi, prob)
-
-    def systems():
-        # one system per degree, in the even coordinates of its block
-        for d, coords in sorted(pieces.items()):
-            blk = prob.degree_block(d)
-            rows = {}
-            for odd_idx, vec in enumerate(blk.dvecs):
-                for col, c in vec.items():
-                    rows.setdefault(col, {})[odd_idx] = c
-            rhs = {}
-            for uid, c in coords.items():
-                col = blk.even_index.get(uid)
-                if col is None:
-                    raise MfcatError("morphism entry outside its degree space")
-                rhs[col] = c
-            yield rows, rhs, blk.odd_uids
-
-    return _solve_homotopy(phi, systems(), definitive=True)
+    _require_shared_grading(s, t)
+    offset = _slot_offsets(s, t)
+    keys = _untwisted(s), _untwisted(t)
+    coords = []
+    systems = []
+    for d, rhs in sorted(_even_coordinates(phi, offset).items()):
+        support = _graded_support(s.weights, offset, d)
+        if any(uid[3] not in support(uid[:3]) for uid in rhs):
+            raise MfcatError("morphism entry outside its degree space")
+        uids, solve = _kept_system(*keys, d)
+        coords.extend((uids[col], c) for col, c in solve(rhs).items())
+        systems.append((uids, rhs))
+    h = _homotopy(phi, coords)
+    if _bounds(h, phi.f0, phi.f1):
+        return h, True
+    stencils = _Stencils(s, t)
+    if _solve_homotopy(phi, [(_equations(uids, stencils), rhs, uids)
+                             for uids, rhs in systems]) is not None:
+        raise MfcatError("kept null-homotopy solver missed a witness")
+    return None, True
 
 
 def _null_homotopy_bounded(phi, bound):
@@ -603,25 +666,31 @@ def _null_homotopy_bounded(phi, bound):
     monos = monomials_up_to_total_degree(s.nvars, bound)
     uids = _unknowns(_slots(s, t, ODD), lambda slot: monos)
     rows = _equations(uids, _Stencils(s, t))
-    return _solve_homotopy(phi, [(rows, dict(_coordinates(phi)), uids)],
-                           definitive=False)
-
-
-def _solve_homotopy(phi, systems, definitive):
-    """The homotopy bounding phi from (rows, rhs, uids) systems over
-    disjoint unknowns, checked against phi; (None, definitive) as soon as
-    one system has no solution."""
-    s, t = phi.source, phi.target
-    coords = []
-    for rows, rhs, uids in systems:
-        sol = _solve(rows, rhs, len(uids), s.field)
-        if sol is None:
-            return None, definitive
-        coords.extend((uids[col], c) for col, c in sol.items())
-    t0, t1 = _slot_matrices(s, t, ODD, coords)
-    h = Homotopy(source=s, target=t, t0=t0, t1=t1, degree=phi.degree)
+    h = _solve_homotopy(phi, [(rows, dict(_coordinates(phi)), uids)])
+    if h is None:
+        return None, False
     _check_boundary(h, phi.f0, phi.f1, "homotopy solver produced a wrong witness")
     return h, True
+
+
+def _homotopy(phi, coords):
+    """The odd map of phi's degree with the nonzero coordinates coords,
+    ((kind, i, j, e), c) pairs."""
+    s, t = phi.source, phi.target
+    t0, t1 = _slot_matrices(s, t, ODD, coords)
+    return Homotopy(source=s, target=t, t0=t0, t1=t1, degree=phi.degree)
+
+
+def _solve_homotopy(phi, systems):
+    """The homotopy solving (rows, rhs, uids) systems over disjoint
+    unknowns exactly, or None as soon as one system has no solution."""
+    coords = []
+    for rows, rhs, uids in systems:
+        sol = _solve(rows, rhs, len(uids), phi.source.field)
+        if sol is None:
+            return None
+        coords.extend((uids[col], c) for col, c in sol.items())
+    return _homotopy(phi, coords)
 
 
 def find_homotopy(phi, bound=None):
@@ -681,12 +750,8 @@ def homotopy_equivalence_data(phi, bound=None):
     """
     s, t = phi.source, phi.target
     if _graded(s, t):
-        w = s.weights.weights
-
         def support(src, tgt, degree):
-            offset = _slot_offsets(src, tgt)
-            return lambda slot: monomials_of_weighted_degree(
-                w, degree + offset[slot])
+            return _graded_support(s.weights, _slot_offsets(src, tgt), degree)
 
     else:
         if bound is None:
@@ -779,9 +844,12 @@ def random_chain_map(source, target, degree=0, rng=None):
 
     if rng is None:
         rng = _random.Random(20240901)
-    blk = HomProblem(source, target).degree_block(degree)
+    _require_shared_grading(source, target)
+    support = _graded_support(source.weights, _slot_offsets(source, target), degree)
+    uids = _unknowns(_slots(source, target, EVEN), support)
     field = source.field
-    basis = linalg.nullspace(list(blk.zrows), len(blk.even_uids), field)
+    rows = _equations(uids, _Stencils(source, target))
+    basis = linalg.nullspace(list(rows.values()), len(uids), field)
     if not basis:
         return MfMorphism.zero(source, target, degree)
     combo = {}
@@ -799,7 +867,6 @@ def random_chain_map(source, target, degree=0, rng=None):
                 combo[col] = nv
             elif cur is not None:
                 del combo[col]
-    uids = blk.even_uids
     return _morphism(source, target, ((uids[col], c) for col, c in combo.items()),
                      degree)
 

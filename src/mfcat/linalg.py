@@ -151,6 +151,48 @@ def solve(rows, rhs, ncols, field):
     return sol
 
 
+def solver(rows, ncols, field):
+    """A kept solver for the keyed system {key: sparse row}: a function
+    from a right-hand side {key: value} to the solution ``solve`` gives,
+    for every right-hand side the system can meet.
+
+    [A | I] is reduced once, one tag column per equation, pivoting on the
+    columns of A (over F_p the kernel also pivots on tag columns).  For
+    each pivot column of A the row of the transform E (R = E A) is kept,
+    as (key, entry) pairs; then x[pivot k] = (E b)_k with the free
+    unknowns zero, the unique solution ``solve`` picks.  The other rows
+    of E vanish on A, so they vanish on every consistent b and are
+    dropped.  An inconsistent b still gets a vector, which is no
+    solution: callers check it.
+    """
+    keys = list(rows)
+    one = field.one
+    aug = []
+    for i, row in enumerate(rows.values()):
+        r = dict(row)
+        r[ncols + i] = one
+        aug.append(r)
+    red, pivots = rref(aug, ncols, field)
+    kept = [
+        (pcol, [(keys[c - ncols], v) for c, v in row.items() if c >= ncols])
+        for row, pcol in zip(red, pivots) if pcol < ncols
+    ]
+
+    def substitute(rhs):
+        sol = {}
+        for pcol, erow in kept:
+            v = 0
+            for key, e in erow:
+                b = rhs.get(key)
+                if b is not None:
+                    v = e * b + v
+            if v:
+                sol[pcol] = v
+        return sol
+
+    return substitute
+
+
 def feasible_nonneg(rows, rhs):
     """Solve rows * x = rhs with x >= 0 over the rationals, exactly.
 

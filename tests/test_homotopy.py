@@ -13,6 +13,7 @@ import pytest
 import oracles as orc
 import suites
 from mfcat import (
+    QQ,
     MfMorphism,
     PrimeField,
     PolyMatrix,
@@ -22,6 +23,7 @@ from mfcat import (
     elementary_factorization,
     find_homotopy,
     hom_space,
+    homotopy_decomposition,
     is_contractible,
     is_null_homotopic,
     koszul_factorization,
@@ -31,8 +33,12 @@ from mfcat import (
     trivial_brick,
     w_multiple_homotopy,
 )
+from mfcat import homotopy, linalg
+from mfcat.errors import MfcatError
 from mfcat.homotopy import (
+    _KEPT_SYSTEMS,
     HomProblem,
+    _kept_system,
     default_window,
     has_isolated_singularity,
     hom_complex_differential,
@@ -133,12 +139,109 @@ def test_w_multiple_is_null_homotopic_with_witness():
     assert w_multiple_homotopy(phi).boundary() == wphi
 
 
-def test_identity_is_not_null_homotopic():
+def test_identity_is_not_null_homotopic(monkeypatch):
+    # refused on the first call and again when the system is kept, each
+    # time by the exact solve
+    exact = []
+    solve = linalg.solve
+    monkeypatch.setattr(linalg, "solve", lambda *args: exact.append(1) or solve(*args))
     ws = WeightSystem((1,), 2)
     m = elementary_factorization(parse_poly("x1", 1), parse_poly("x1", 1), ws)
-    h, definitive = solve_null_homotopy(MfMorphism.identity(m))
-    assert h is None and definitive
+    fermat = suites.fermat_cubic()
+    for x in (m, fermat):
+        _kept_system.cache_clear()
+        for call in range(2):
+            before = len(exact)
+            h, definitive = solve_null_homotopy(MfMorphism.identity(x))
+            assert h is None and definitive
+            assert len(exact) > before
+        assert _kept_system.cache_info()[:2] == (1, 1)  # hits, misses
     assert is_null_homotopic(MfMorphism.identity(m)) is False
+    # the Fermat cubic's identity meets a system with unknowns
+    key = homotopy._untwisted(fermat)
+    assert _kept_system(key, key, 0)[0]
+
+
+def _terms_of(x):
+    """Every entry's terms of a homotopy or a map, in their stored order."""
+    mats = (x.t0, x.t1) if hasattr(x, "t0") else (x.f0, x.f1)
+    return [[[list(p.terms.items()) for p in row] for row in m.entries]
+            for m in mats]
+
+
+def _witness_queries(x, rng):
+    """A cone composite and a W-multiple to bound, and a random boundary to
+    factor through the brick, as zero-argument calls giving entry terms."""
+    phi = random_chain_map(x, x, 0, rng=rng)
+    incl = cone(phi).inclusion @ phi
+    wphi = MfMorphism(x, x, phi.f0.poly_mul(x.W), phi.f1.poly_mul(x.W),
+                      degree=phi.degree + x.weights.degree)
+    bd = suites.random_homotopy(x, x, 0, rng).boundary()
+
+    def decomposition():
+        dec = homotopy_decomposition(bd)
+        return _terms_of(dec.into_brick), _terms_of(dec.from_brick)
+
+    return [lambda: _terms_of(find_homotopy(incl)),
+            lambda: _terms_of(find_homotopy(wphi)), decomposition]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(2**31 - 1)],
+                         ids=["Q", "F7", "F2^31-1"])
+def test_kept_solvers_give_the_witnesses_of_fresh_ones(field):
+    # a witness served from a kept solver equals, entry by entry and in
+    # term order, the one a solver built for that call alone gives
+    objects = [o for n in range(2, 7) for o in suites.an_objects(n, field).values()]
+    objects.append(suites.quadric(field))
+    for idx, x in enumerate(objects):
+        for obj in (x, x.shift()):
+            queries = _witness_queries(obj, random.Random(idx))
+            fresh = []
+            for query in queries:
+                _kept_system.cache_clear()
+                fresh.append(query())
+            hits = _kept_system.cache_info().hits
+            assert [query() for query in queries] == fresh
+            assert [query() for query in queries] == fresh
+            assert _kept_system.cache_info().hits > hits
+
+
+def test_a_witness_the_kept_solver_misses_raises(monkeypatch):
+    # a kept solver that finds nothing must not turn into a certified no:
+    # the exact solve finds the witness, and that is a fault
+    monkeypatch.setattr(linalg, "solver", lambda rows, ncols, field: lambda rhs: {})
+    _kept_system.cache_clear()
+    try:
+        q = suites.quadric()
+        phi = random_chain_map(q, q, rng=random.Random(8))
+        wphi = MfMorphism(q, q, phi.f0.poly_mul(q.W), phi.f1.poly_mul(q.W),
+                          degree=phi.degree + q.weights.degree)
+        with pytest.raises(MfcatError, match="missed a witness"):
+            solve_null_homotopy(wphi)
+    finally:
+        _kept_system.cache_clear()
+
+
+def test_kept_systems_stay_within_their_bound():
+    # x^(k+2) id is null-homotopic on (x | x), since x id is the boundary
+    # of t0 = t1 = 1/2; each degree is a system of its own, so the first
+    # one is evicted
+    ws = WeightSystem((1,), 2)
+    m = elementary_factorization(parse_poly("x1", 1), parse_poly("x1", 1), ws)
+    ident = MfMorphism.identity(m)
+
+    def multiple(k):
+        xk = parse_poly(f"x1^{k + 2}", 1)
+        return MfMorphism(m, m, ident.f0.poly_mul(xk), ident.f1.poly_mul(xk),
+                          degree=k + 2)
+
+    _kept_system.cache_clear()
+    first = [_terms_of(find_homotopy(multiple(k))) for k in range(_KEPT_SYSTEMS + 1)]
+    info = _kept_system.cache_info()
+    assert info.misses == _KEPT_SYSTEMS + 1
+    assert info.currsize <= info.maxsize == _KEPT_SYSTEMS
+    assert _terms_of(find_homotopy(multiple(0))) == first[0]
+    assert _kept_system.cache_info().misses == _KEPT_SYSTEMS + 2
 
 
 def test_contractibility():

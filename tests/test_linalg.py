@@ -84,6 +84,31 @@ def test_solve_consistent_and_inconsistent():
     assert linalg.solve(rows, [Fraction(1), Fraction(2)], 1, QQ) is None
 
 
+def test_kept_solver_matches_solve():
+    # on every consistent right-hand side, including those of systems with
+    # dependent equations, the kept solver gives solve's solution
+    for field in (QQ, PrimeField(7), PrimeField(P)):
+        rng = random.Random(31)
+        for trial in range(40):
+            nrows = rng.randint(1, 7)
+            ncols = rng.randint(1, 6)
+            rows = [{c: field.coerce(rng.randint(-3, 3))
+                     for c in range(ncols) if rng.random() < 0.5}
+                    for _ in range(nrows)]
+            rows = [{c: v for c, v in row.items() if v} for row in rows]
+            if rows and rng.random() < 0.5:  # a dependent equation
+                rows.append({c: v + v for c, v in rows[0].items()})
+            keyed = {("eq", i): row for i, row in enumerate(rows)}
+            substitute = linalg.solver(keyed, ncols, field)
+            for _ in range(3):
+                x = {c: field.coerce(rng.randint(-3, 3)) for c in range(ncols)}
+                rhs = [sum((v * x[c] for c, v in row.items()), field.zero)
+                       for row in rows]
+                want = linalg.solve(rows, rhs, ncols, field)
+                got = substitute({("eq", i): b for i, b in enumerate(rhs) if b})
+                assert got == want and list(got) == list(want), (field, trial)
+
+
 def test_prime_field_rank_differs_from_rational():
     # det = 1 - 6 = -5, so the matrix drops rank exactly over GF(5)
     gf5 = PrimeField(5)
