@@ -10,8 +10,9 @@ Certification policy: an answer is marked certified only when the claim
 rests on an exhaustively enumerated degree set.  A found witness is always
 definitive, once its boundary is checked to equal the map.  Nonexistence
 is definitive in the graded case, where entry degrees are forced.  There a
-witness comes from a kept solver of each degree's system, and a "no" only
-from the exact solve of the freshly assembled system, run when the kept
+degree's system is solved exactly on its first sighting and by a kept
+solver when it comes back, and a "no" comes only from an exact solve of a
+freshly assembled system: a first sighting's, or the one run when a kept
 solver's witness fails the boundary check.  Totals over a degree window
 are certified only for a quasi-homogeneous potential with isolated
 critical point and a window containing the default one; everything else is
@@ -592,13 +593,37 @@ def _from_untwisted(fields):
         GradedFreeModule(len(deg1), deg1), p0, p1, validate=False)
 
 
+class _FirstSighting(Exception):
+    """Raised by _kept_system for a system it is not to keep yet."""
+
+
+# Keys of null-homotopy systems met once and not kept, oldest first.
+_seen_once = {}
+
+
 @lru_cache(maxsize=_KEPT_SYSTEMS)
 def _kept_system(source, target, d):
     """(odd unknowns, linalg.solver) of the degree-d null-homotopy system
     of maps source -> target, each given by its _untwisted fields:
     D(h) = phi in the degree-d odd unknowns h, one equation per even
     coordinate (kind, i, j, e) that D reaches.  The equations themselves
-    are not kept."""
+    are not kept.
+
+    A system is kept only when it comes back.  On its first sighting the
+    key goes into _seen_once, which drops its oldest key beyond
+    _KEPT_SYSTEMS, and _FirstSighting is raised; lru_cache keeps no raised
+    call, so the caller solves that one right-hand side exactly instead,
+    and a one-off system neither pays for [A | I] nor evicts a kept one.
+    A key met again while still in _seen_once is built and kept.
+    """
+    key = source, target, d
+    if key in _seen_once:
+        del _seen_once[key]
+    else:
+        _seen_once[key] = None
+        while len(_seen_once) > _KEPT_SYSTEMS:
+            del _seen_once[next(iter(_seen_once))]
+        raise _FirstSighting
     s, t = _from_untwisted(source), _from_untwisted(target)
     support = _graded_support(s.weights, _slot_offsets(s, t), d)
     uids = tuple(_unknowns(_slots(s, t, ODD), support))
@@ -625,11 +650,13 @@ def _null_homotopy_graded(phi):
     """(homotopy, True) or (None, True): entry degrees are forced, so each
     degree d of phi is one finite system in the degree-d odd unknowns.
 
-    Each system's solver is kept (``_kept_system``), so a later map needs
-    one substitution per degree.  A found homotopy is checked to bound
-    phi.  When it does not, the systems are assembled again and solved
-    exactly: "no" means that solve found no solution too, and a solution
-    the kept solver missed raises MfcatError.
+    A system met for the first time (``_kept_system`` raises
+    _FirstSighting) is assembled and solved exactly for phi alone, and no
+    solution there is the answer "no".  A system met again is served by
+    its kept solver, one substitution per degree.  A found homotopy is
+    checked to bound phi.  When it does not, the kept solvers' systems
+    are assembled again and solved exactly: "no" means that solve found no
+    solution too, and a solution a kept solver missed raises MfcatError.
     """
     s, t = phi.source, phi.target
     if phi.is_zero():
@@ -641,22 +668,33 @@ def _null_homotopy_graded(phi):
         ), True
     _require_shared_grading(s, t)
     offset = _slot_offsets(s, t)
-    keys = _untwisted(s), _untwisted(t)
-    coords = []
-    systems = []
+    pieces = []
     for d, rhs in sorted(_even_coordinates(phi, offset).items()):
         support = _graded_support(s.weights, offset, d)
         if any(uid[3] not in support(uid[:3]) for uid in rhs):
             raise MfcatError("morphism entry outside its degree space")
-        uids, solve = _kept_system(*keys, d)
-        coords.extend((uids[col], c) for col, c in solve(rhs).items())
-        systems.append((uids, rhs))
+        pieces.append((d, rhs, support))
+    keys = _untwisted(s), _untwisted(t)
+    stencils = _Stencils(s, t)
+    coords = []
+    kept = []
+    for d, rhs, support in pieces:
+        try:
+            uids, solve = _kept_system(*keys, d)
+        except _FirstSighting:
+            uids = _unknowns(_slots(s, t, ODD), support)
+            sol = _solve(_equations(uids, stencils), rhs, len(uids), s.field)
+            if sol is None:
+                return None, True
+        else:
+            sol = solve(rhs)
+            kept.append((uids, rhs))
+        coords.extend((uids[col], c) for col, c in sol.items())
     h = _homotopy(phi, coords)
     if _bounds(h, phi.f0, phi.f1):
         return h, True
-    stencils = _Stencils(s, t)
     if _solve_homotopy(phi, [(_equations(uids, stencils), rhs, uids)
-                             for uids, rhs in systems]) is not None:
+                             for uids, rhs in kept]) is not None:
         raise MfcatError("kept null-homotopy solver missed a witness")
     return None, True
 

@@ -3,13 +3,17 @@
 Matrices are lists of sparse rows, each row a dict {column: coefficient}.
 Coefficients live in a field object from mfcat.fields.
 
-One kernel, ``_eliminate``, row-reduces mod a prime p on raw Python ints
-(after LaMacchia-Odlyzko 1990): pivot columns are taken left to right, a
-column-to-rows index finds the rows holding each one, the sparsest of
-them is the pivot row, and inverses come from pow(x, -1, p).  A rank
-stops after the forward pass; ``rref`` also back-substitutes.  Over F_p,
-``rref``, ``rank``, ``nullspace`` and ``solve`` turn the entries into ints
-once on the way in and back into F_p elements once on the way out.
+One kernel, ``_eliminate``, row-reduces over F_p on raw Python ints and
+over Q on normalized (num, den) pairs of ints (after LaMacchia-Odlyzko
+1990): pivot columns are taken left to right, a column-to-rows index
+finds the rows holding each one, the sparsest of them is the pivot row,
+and back-substitution clears each pivot column from the pivot rows an
+index of holders names.  Inverses mod p come from pow(x, -1, p).  A rank
+stops after the forward pass; ``rref`` also back-substitutes.  Columns
+past ncols are carried along but never pivot, which is how ``solver``
+tags the equations of [A | I].  Over F_p, ``rref``, ``rank``,
+``nullspace`` and ``solve`` turn the entries into ints once on the way in
+and back into F_p elements once on the way out.
 
 Over the rationals every rank is certified or exact:
 
@@ -21,9 +25,9 @@ Over the rationals every rank is certified or exact:
   since boundaries are cycles, B_p <= B <= Z <= Z_p, and equal ends
   settle both.
 * exact fallback: otherwise, or when a denominator is divisible by
-  PRIME, ``_rref_qq`` eliminates exactly on normalized (num, den) pairs of
-  ints, forward only for a rank.  ``rref``, ``nullspace`` and ``solve``
-  over the rationals always take this exact path.
+  PRIME, ``_rref_qq`` runs the kernel exactly over Q, forward only for a
+  rank.  ``rref``, ``nullspace`` and ``solve`` over the rationals always
+  take this exact path.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ def rref(rows, ncols, field):
     if field.rational:
         return _rref_qq(rows, ncols, True)
     p = field.p
-    red, pivots = _eliminate(_residues(rows, p), p, True)
+    red, pivots = _eliminate(_residues(rows, p), ncols, p, True)
     return [{c: FpElement(v, p) for c, v in row.items()} for row in red], pivots
 
 
@@ -62,7 +66,7 @@ def rank(rows, ncols, field):
     p = PRIME if field.rational else field.p
     res = _residues(rows, p)
     if res is not None:
-        r = len(res) if len(res) < 2 else len(_eliminate(res, p, False)[1])
+        r = len(res) if len(res) < 2 else len(_eliminate(res, ncols, p, False)[1])
         if not field.rational or _full_rank(r, rows, ncols):
             return r
     elif not field.rational:
@@ -156,14 +160,13 @@ def solver(rows, ncols, field):
     from a right-hand side {key: value} to the solution ``solve`` gives,
     for every right-hand side the system can meet.
 
-    [A | I] is reduced once, one tag column per equation, pivoting on the
-    columns of A (over F_p the kernel also pivots on tag columns).  For
-    each pivot column of A the row of the transform E (R = E A) is kept,
-    as (key, entry) pairs; then x[pivot k] = (E b)_k with the free
-    unknowns zero, the unique solution ``solve`` picks.  The other rows
-    of E vanish on A, so they vanish on every consistent b and are
-    dropped.  An inconsistent b still gets a vector, which is no
-    solution: callers check it.
+    [A | I] is reduced once, one tag column per equation past ncols, so
+    only the columns of A pivot.  For each pivot column of A the row of
+    the transform E (R = E A) is kept, as (key, entry) pairs; then
+    x[pivot k] = (E b)_k with the free unknowns zero, the unique solution
+    ``solve`` picks.  The rows of E that reduce A to zero vanish on every
+    consistent b; the kernel drops them.  An inconsistent b still gets a
+    vector, which is no solution: callers check it.
     """
     keys = list(rows)
     one = field.one
@@ -175,7 +178,7 @@ def solver(rows, ncols, field):
     red, pivots = rref(aug, ncols, field)
     kept = [
         (pcol, [(keys[c - ncols], v) for c, v in row.items() if c >= ncols])
-        for row, pcol in zip(red, pivots) if pcol < ncols
+        for row, pcol in zip(red, pivots)
     ]
 
     def substitute(rhs):
@@ -261,107 +264,18 @@ def feasible_nonneg(rows, rhs):
     return x
 
 
-def _mul(a, b):
-    an, ad = a
-    bn, bd = b
-    g1 = gcd(an, bd)
-    g2 = gcd(bn, ad)
-    if g1 > 1:
-        an //= g1
-        bd //= g1
-    if g2 > 1:
-        bn //= g2
-        ad //= g2
-    return (an * bn, ad * bd)
-
-
-def _add(a, b):
-    an, ad = a
-    bn, bd = b
-    if ad == bd:
-        n, d = an + bn, ad
-    else:
-        g = gcd(ad, bd)
-        if g > 1:
-            bdr = bd // g
-            n = an * bdr + bn * (ad // g)
-            d = ad * bdr
-        else:
-            n = an * bd + bn * ad
-            d = ad * bd
-    if n == 0:
-        return (0, 1)
-    g = gcd(n, d)
-    if g > 1:
-        n //= g
-        d //= g
-    return (n, d)
-
-
-def _axpy(r, src, fn, fd):
-    # r += (fn/fd) * src, dropping entries that cancel to zero
-    f = (fn, fd)
-    for c, v in src.items():
-        cur = r.get(c)
-        if cur is None:
-            r[c] = _mul(v, f)
-        else:
-            nv = _add(cur, _mul(v, f))
-            if nv[0] == 0:
-                del r[c]
-            else:
-                r[c] = nv
-
-
 def _rref_qq(rows, ncols, reduce):
-    # Exact elimination over Q on (num, den) pairs.  Without reduce it
-    # stops after the forward pass and only the pivot columns are meant.
+    # Exact elimination over Q: the kernel on normalized (num, den) pairs
+    # of ints.  Without reduce only the pivot columns are meant.
     work = []
     for row in rows:
-        r = {}
-        for c, v in row.items():
-            if v:
-                r[c] = (v.numerator, v.denominator)
+        r = {c: (v.numerator, v.denominator) for c, v in row.items() if v}
         if r:
             work.append(r)
-    pivots = []
-    pivot_rows = []
-    for col in range(ncols):
-        target = -1
-        for idx in range(len(work)):
-            if col in work[idx]:
-                target = idx
-                break
-        if target < 0:
-            continue
-        row = work.pop(target)
-        pn, pd = row[col]
-        if pn > 0:
-            inv = (pd, pn)
-        else:
-            inv = (-pd, -pn)
-        row = {c: _mul(v, inv) for c, v in row.items()}
-        live = []
-        for r in work:
-            f = r.get(col)
-            if f is not None:
-                _axpy(r, row, -f[0], f[1])
-            if r:
-                live.append(r)
-        work = live
-        pivots.append(col)
-        pivot_rows.append(row)
+    red, pivots = _eliminate(work, ncols, None, reduce)
     if not reduce:
-        return pivot_rows, pivots
-    for i in range(len(pivot_rows) - 1, 0, -1):
-        col = pivots[i]
-        row = pivot_rows[i]
-        for j in range(i):
-            f = pivot_rows[j].get(col)
-            if f is not None:
-                _axpy(pivot_rows[j], row, -f[0], f[1])
-    out = [{c: Fraction(n, d) for c, (n, d) in row.items()} for row in pivot_rows]
-    return out, pivots
+        return red, pivots
+    return [{c: Fraction(n, d) for c, (n, d) in row.items()} for row in red], pivots
 
 
 def _residues(rows, p):
@@ -391,30 +305,36 @@ def _residues(rows, p):
     return out
 
 
-def _eliminate(rows, p, reduce):
-    """Row-reduce rows mod the prime p.  Returns (pivot rows, pivot columns).
+def _eliminate(rows, ncols, p, reduce):
+    """Row-reduce rows.  Returns (pivot rows, pivot columns).
 
-    rows are dicts {column: int in 1..p-1}; they are consumed.  Pivot
-    columns are taken left to right, and for each one an index from
-    column to rows finds the rows that hold it; the sparsest of them is
-    the pivot row (LaMacchia-Odlyzko), scaled to a leading 1, and is
-    subtracted from the others.  The index is appended to on fill-in and
-    never pruned, so stale entries are skipped on use.  Without reduce
-    this is the forward pass alone, enough for a rank, and the pivot rows
-    are not all kept; with it, each pivot column is also cleared from the
-    earlier pivot rows, giving the (unique) reduced row echelon form.
+    Over F_p (p a prime) entries are ints in 1..p-1; over Q (p None) they
+    are normalized (num, den) pairs of ints with den > 0.  rows are dicts
+    {column: entry}; they are consumed.  Pivot columns are taken left to
+    right among the columns < ncols, and for each one an index from column
+    to rows finds the rows that hold it; the sparsest of them is the pivot
+    row (LaMacchia-Odlyzko), scaled to a leading 1, and is subtracted from
+    the others.  Columns >= ncols are carried along but not indexed, so
+    they never pivot.  The index is appended to on fill-in and never
+    pruned, so stale entries are skipped on use.  Without reduce this is
+    the forward pass alone, enough for a rank, and the pivot rows are not
+    all kept; with it, each pivot column is also cleared from the earlier
+    pivot rows, giving the reduced row echelon form (unique on the columns
+    < ncols).
     """
     where = {}
     for i, r in enumerate(rows):
         for c in r:
-            held = where.get(c)
-            if held is None:
-                where[c] = [i]
-            else:
-                held.append(i)
+            if c < ncols:
+                held = where.get(c)
+                if held is None:
+                    where[c] = [i]
+                else:
+                    held.append(i)
     pivots = []
     pivot_rows = []
-    # fill-in lands only on columns of a pivot row, already in the index
+    # fill-in below ncols lands only on columns of a pivot row, already in
+    # the index
     for col in sorted(where):
         holders = [i for i in where[col] if rows[i] is not None and col in rows[i]]
         if not holders:
@@ -426,33 +346,87 @@ def _eliminate(rows, p, reduce):
             rows[best] = None
             pivots.append(col)
             continue
-        row = rows[best]
+        row = _leading_one(rows[best], col, p)
         rows[best] = None
-        inv = pow(row[col], -1, p)
-        if inv != 1:
-            row = {c: v * inv % p for c, v in row.items()}
         pivots.append(col)
         pivot_rows.append(row)
-        rest = [(c, v) for c, v in row.items() if c != col]
-        for i in holders:
-            r = rows[i]
-            f = None if r is None else r.pop(col, None)
-            if f is None:  # the pivot row, or a repeated index entry
-                continue
+        _clear(rows, holders, col, row, p, where)
+    if reduce:
+        _back_substitute(pivot_rows, pivots, p)
+    return pivot_rows, pivots
+
+
+def _leading_one(row, col, p):
+    """row divided by its entry at col."""
+    if p is not None:
+        inv = pow(row[col], -1, p)
+        return row if inv == 1 else {c: v * inv % p for c, v in row.items()}
+    pn, pd = row[col]
+    if pn == pd:
+        return row
+    if pn < 0:
+        pn, pd = -pn, -pd
+    out = {}
+    for c, (n, d) in row.items():
+        g = gcd(n, pn)
+        h = gcd(pd, d)
+        out[c] = (n // g * (pd // h), d // h * (pn // g))
+    return out
+
+
+def _clear(rows, targets, col, pivot_row, p, where):
+    """Clear col from rows[i] for each i in targets: subtract rows[i][col]
+    times pivot_row, whose entry at col is 1.  Entries that cancel are
+    dropped.  A target that is None or lacks col (the pivot row itself, or
+    a repeated index entry) is skipped.  Each new entry at a column of the
+    index where appends its row there."""
+    rest = [(c, v) for c, v in pivot_row.items() if c != col]
+    for i in targets:
+        r = rows[i]
+        f = None if r is None else r.pop(col, None)
+        if f is None:
+            continue
+        if p is not None:
             for c, v in rest:
                 cur = r.get(c)
                 if cur is None:
                     r[c] = -f * v % p
-                    where[c].append(i)
+                    held = where.get(c)
+                    if held is not None:
+                        held.append(i)
                 else:
                     cur = (cur - f * v) % p
                     if cur:
                         r[c] = cur
                     else:
                         del r[c]
-    if reduce:
-        _back_substitute(pivot_rows, pivots, p)
-    return pivot_rows, pivots
+            continue
+        fn, fd = f
+        for c, (vn, vd) in rest:
+            # t = f * v, reduced
+            g = gcd(fn, vd)
+            h = gcd(vn, fd)
+            tn = fn // g * (vn // h)
+            td = fd // h * (vd // g)
+            cur = r.get(c)
+            if cur is None:
+                r[c] = (-tn, td)
+                held = where.get(c)
+                if held is not None:
+                    held.append(i)
+                continue
+            n, d = cur
+            if d == td:
+                n -= tn
+            else:
+                g = gcd(d, td)
+                n = n * (td // g) - tn * (d // g)
+                d = d // g * td
+            if n:
+                g = gcd(n, d)
+                r[c] = (n // g, d // g) if g > 1 else (n, d)
+            else:
+                del r[c]
 
 
 def _back_substitute(pivot_rows, pivots, p):
@@ -468,19 +442,5 @@ def _back_substitute(pivot_rows, pivots, p):
                 holders[c].append(k)
     for k in range(len(pivots) - 1, 0, -1):
         col = pivots[k]
-        if not holders[col]:
-            continue
-        rest = [(c, v) for c, v in pivot_rows[k].items() if c != col]
-        for j in holders[col]:
-            r = pivot_rows[j]
-            f = r.pop(col)
-            for c, v in rest:
-                cur = r.get(c)
-                if cur is None:
-                    r[c] = -f * v % p
-                else:
-                    cur = (cur - f * v) % p
-                    if cur:
-                        r[c] = cur
-                    else:
-                        del r[c]
+        if holders[col]:
+            _clear(pivot_rows, holders[col], col, pivot_rows[k], p, {})

@@ -139,9 +139,25 @@ def test_w_multiple_is_null_homotopic_with_witness():
     assert w_multiple_homotopy(phi).boundary() == wphi
 
 
-def test_identity_is_not_null_homotopic(monkeypatch):
-    # refused on the first call and again when the system is kept, each
-    # time by the exact solve
+def _forget_kept_systems():
+    _kept_system.cache_clear()
+    homotopy._seen_once.clear()
+
+
+@pytest.fixture
+def solver_builds(monkeypatch):
+    """The list that gets one entry per linalg.solver built."""
+    builds = []
+    solver = linalg.solver
+    monkeypatch.setattr(linalg, "solver",
+                        lambda *args: builds.append(1) or solver(*args))
+    return builds
+
+
+def test_identity_is_not_null_homotopic(monkeypatch, solver_builds):
+    # refused by the exact solve every time: on the first call, which
+    # builds no solver, on the second, which builds and keeps one, and on
+    # the third, which hits it
     exact = []
     solve = linalg.solve
     monkeypatch.setattr(linalg, "solve", lambda *args: exact.append(1) or solve(*args))
@@ -149,13 +165,17 @@ def test_identity_is_not_null_homotopic(monkeypatch):
     m = elementary_factorization(parse_poly("x1", 1), parse_poly("x1", 1), ws)
     fermat = suites.fermat_cubic()
     for x in (m, fermat):
-        _kept_system.cache_clear()
-        for call in range(2):
+        _forget_kept_systems()
+        builds = []
+        for call in range(3):
             before = len(exact)
             h, definitive = solve_null_homotopy(MfMorphism.identity(x))
             assert h is None and definitive
             assert len(exact) > before
-        assert _kept_system.cache_info()[:2] == (1, 1)  # hits, misses
+            builds.append(len(solver_builds))
+            solver_builds.clear()
+        assert builds == [0, 1, 0]
+        assert _kept_system.cache_info().hits == 1
     assert is_null_homotopic(MfMorphism.identity(m)) is False
     # the Fermat cubic's identity meets a system with unknowns
     key = homotopy._untwisted(fermat)
@@ -188,9 +208,10 @@ def _witness_queries(x, rng):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(2**31 - 1)],
                          ids=["Q", "F7", "F2^31-1"])
-def test_kept_solvers_give_the_witnesses_of_fresh_ones(field):
-    # a witness served from a kept solver equals, entry by entry and in
-    # term order, the one a solver built for that call alone gives
+def test_kept_solvers_give_the_witnesses_of_fresh_ones(field, solver_builds):
+    # a witness served from a kept solver, when it is built and when it is
+    # hit, equals, entry by entry and in term order, the one the exact
+    # solve of that call's systems alone gives
     objects = [o for n in range(2, 7) for o in suites.an_objects(n, field).values()]
     objects.append(suites.quadric(field))
     for idx, x in enumerate(objects):
@@ -198,34 +219,42 @@ def test_kept_solvers_give_the_witnesses_of_fresh_ones(field):
             queries = _witness_queries(obj, random.Random(idx))
             fresh = []
             for query in queries:
-                _kept_system.cache_clear()
+                _forget_kept_systems()
                 fresh.append(query())
-            hits = _kept_system.cache_info().hits
+            assert not solver_builds
+            _forget_kept_systems()
             assert [query() for query in queries] == fresh
             assert [query() for query in queries] == fresh
+            assert solver_builds
+            built, hits = len(solver_builds), _kept_system.cache_info().hits
+            assert [query() for query in queries] == fresh
+            assert len(solver_builds) == built
             assert _kept_system.cache_info().hits > hits
+            solver_builds.clear()
 
 
 def test_a_witness_the_kept_solver_misses_raises(monkeypatch):
     # a kept solver that finds nothing must not turn into a certified no:
-    # the exact solve finds the witness, and that is a fault
+    # the first call is solved exactly, and on the second the exact solve
+    # finds the witness the kept solver missed, and that is a fault
     monkeypatch.setattr(linalg, "solver", lambda rows, ncols, field: lambda rhs: {})
-    _kept_system.cache_clear()
+    _forget_kept_systems()
     try:
         q = suites.quadric()
         phi = random_chain_map(q, q, rng=random.Random(8))
         wphi = MfMorphism(q, q, phi.f0.poly_mul(q.W), phi.f1.poly_mul(q.W),
                           degree=phi.degree + q.weights.degree)
+        h, definitive = solve_null_homotopy(wphi)
+        assert definitive and h.boundary() == wphi
         with pytest.raises(MfcatError, match="missed a witness"):
             solve_null_homotopy(wphi)
     finally:
-        _kept_system.cache_clear()
+        _forget_kept_systems()
 
 
-def test_kept_systems_stay_within_their_bound():
+def test_kept_systems_stay_within_their_bound(solver_builds):
     # x^(k+2) id is null-homotopic on (x | x), since x id is the boundary
-    # of t0 = t1 = 1/2; each degree is a system of its own, so the first
-    # one is evicted
+    # of t0 = t1 = 1/2; each degree is a system of its own
     ws = WeightSystem((1,), 2)
     m = elementary_factorization(parse_poly("x1", 1), parse_poly("x1", 1), ws)
     ident = MfMorphism.identity(m)
@@ -235,13 +264,30 @@ def test_kept_systems_stay_within_their_bound():
         return MfMorphism(m, m, ident.f0.poly_mul(xk), ident.f1.poly_mul(xk),
                           degree=k + 2)
 
-    _kept_system.cache_clear()
-    first = [_terms_of(find_homotopy(multiple(k))) for k in range(_KEPT_SYSTEMS + 1)]
+    def witness(k):
+        return _terms_of(find_homotopy(multiple(k)))
+
+    count = 2 * _KEPT_SYSTEMS + 1
+    # met once each: solved exactly, and only the latest keys are remembered
+    _forget_kept_systems()
+    first = [witness(k) for k in range(count)]
+    assert not solver_builds
+    assert len(homotopy._seen_once) == _KEPT_SYSTEMS
+    assert _kept_system.cache_info().currsize == 0
+    # met twice each: kept on the second call, the oldest evicted
+    _forget_kept_systems()
+    for k in range(count):
+        assert witness(k) == first[k]
+        assert witness(k) == first[k]
+    assert len(solver_builds) == count
     info = _kept_system.cache_info()
-    assert info.misses == _KEPT_SYSTEMS + 1
-    assert info.currsize <= info.maxsize == _KEPT_SYSTEMS
-    assert _terms_of(find_homotopy(multiple(0))) == first[0]
-    assert _kept_system.cache_info().misses == _KEPT_SYSTEMS + 2
+    assert info.currsize == info.maxsize == _KEPT_SYSTEMS
+    assert len(homotopy._seen_once) <= _KEPT_SYSTEMS
+    # the evicted first system is solved exactly again, then rebuilt
+    assert witness(0) == first[0]
+    assert len(solver_builds) == count
+    assert witness(0) == first[0]
+    assert len(solver_builds) == count + 1
 
 
 def test_contractibility():

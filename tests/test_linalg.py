@@ -233,3 +233,64 @@ def test_certified_dims_leave_a_rank_drop_open():
     assert linalg.certified_dims(zrows, dvecs, 2, QQ) == (None, 1)
     assert linalg.certified_dims([{0: Fraction(1, P)}], dvecs, 2, QQ) == (None, None)
     assert linalg.certified_dims([{0: Fraction(1)}], dvecs, 2, QQ) == (1, 1)
+
+
+def sparse_system(rng, nrows, ncols, density=0.1):
+    """About nrows rows over ncols columns at the given density, with rows
+    that are combinations of earlier ones and rows that are empty."""
+    rows = random_sparse(rng, nrows, ncols, density)
+    for k in range(0, nrows, 5):
+        rows[k] = {}
+    for k in range(3, nrows, 7):
+        a, b = rng.sample(range(k), 2)
+        fa, fb = Fraction(rng.randint(-3, 3), rng.randint(1, 2)), Fraction(rng.randint(1, 3))
+        row = {c: fa * v for c, v in rows[a].items()}
+        for c, v in rows[b].items():
+            row[c] = row.get(c, Fraction(0)) + fb * v
+        rows[k] = {c: v for c, v in row.items() if v}
+    return rows
+
+
+def test_exact_elimination_of_larger_sparse_systems():
+    # the exact path, forward only and reduced, against the dense oracle
+    rng = random.Random(97)
+    for trial in range(12):
+        ncols = rng.randint(24, 32)
+        rows = sparse_system(rng, rng.randint(34, 44), ncols)
+        want_rows, want_pivots = orc.dense_rref(densify(rows, ncols))
+        got_rows, got_pivots = linalg._rref_qq(rows, ncols, True)
+        assert tuple(got_pivots) == want_pivots, trial
+        assert densify(got_rows, ncols) == [r for r in want_rows if any(r)], trial
+        assert tuple(linalg._rref_qq(rows, ncols, False)[1]) == want_pivots, trial
+        # a denominator divisible by PRIME leaves no reduction mod PRIME
+        spoiled = [dict(row) for row in rows]
+        k = rng.randrange(len(spoiled))
+        c = rng.randrange(ncols)
+        spoiled[k][c] = spoiled[k].get(c, Fraction(0)) + Fraction(1, P)
+        assert linalg.rank(spoiled, ncols, QQ) == orc.dense_rank(densify(spoiled, ncols))
+
+
+def test_kept_solver_of_overdetermined_sparse_systems():
+    # [A | I] pivots on A's columns only, its rows are E with E A = R, and
+    # on consistent right-hand sides the kept solver gives solve's answer
+    rng = random.Random(41)
+    for trial in range(8):
+        ncols = rng.randint(24, 32)
+        rows = sparse_system(rng, rng.randint(36, 44), ncols)
+        tagged = [{**row, ncols + i: Fraction(1)} for i, row in enumerate(rows)]
+        red, pivots = linalg.rref(tagged, ncols, QQ)
+        want_rows, want_pivots = orc.dense_rref(densify(rows, ncols))
+        assert tuple(pivots) == want_pivots and all(c < ncols for c in pivots)
+        for got, want in zip(red, want_rows):
+            combo = [sum((e * rows[c - ncols].get(j, Fraction(0))
+                          for c, e in got.items() if c >= ncols), Fraction(0))
+                     for j in range(ncols)]
+            assert combo == want == [got.get(j, Fraction(0)) for j in range(ncols)]
+        keyed = {("eq", i): row for i, row in enumerate(rows)}
+        substitute = linalg.solver(keyed, ncols, QQ)
+        for _ in range(3):
+            x = {c: Fraction(rng.randint(-3, 3)) for c in range(ncols)}
+            rhs = [sum((v * x[c] for c, v in row.items()), Fraction(0)) for row in rows]
+            want = linalg.solve(rows, rhs, ncols, QQ)
+            got = substitute({("eq", i): b for i, b in enumerate(rhs) if b})
+            assert got == want and list(got) == list(want), trial
