@@ -185,7 +185,7 @@ def demo_brick(field=QQ):
             "into_brick_f1": _matrix_strings(decomp.into_brick.f1),
             "from_brick_f0": _matrix_strings(decomp.from_brick.f0),
             "from_brick_f1": _matrix_strings(decomp.from_brick.f1),
-            "recomposes": (decomp.composite() - phi).is_zero(),
+            "recomposes": decomp.composite() == phi,
         },
         "stable_hom_totals": stable,
         "two_periodicity": periodicity.to_json(),
@@ -230,8 +230,8 @@ def demo_cone_axioms(field=QQ):
                     c.projection @ c.inclusion
                 ).is_zero(),
                 "splitting_homotopy_exact": (
-                    c.splitting_homotopy.boundary() - (c.inclusion @ phi)
-                ).is_zero(),
+                    c.splitting_homotopy.boundary() == c.inclusion @ phi
+                ),
             }
             report["cones"].append(entry)
     return ws.render(), report

@@ -22,7 +22,7 @@ from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 from .errors import GradingError, MfcatError, UsageError
-from .matrices import PolyMatrix, hstack, vstack
+from .matrices import PolyMatrix, hstack, sum_of_products, vstack
 from .poly import Polynomial, WeightSystem
 
 
@@ -144,9 +144,7 @@ class MatrixFactorization:
             )
         wid0 = PolyMatrix.scalar(self.W, self.m0.rank)
         wid1 = PolyMatrix.scalar(self.W, self.m1.rank)
-        products = (self.p1 @ self.p0 - wid0).is_zero() and (
-            self.p0 @ self.p1 - wid1
-        ).is_zero()
+        products = self.p1 @ self.p0 == wid0 and self.p0 @ self.p1 == wid1
         if not products:
             problems.append("composites of p0 and p1 are not W times the identity")
         graded = None
@@ -316,9 +314,8 @@ class MfMorphism:
 
     def is_chain_map(self):
         s, t = self.source, self.target
-        return (self.f1 @ s.p0 - t.p0 @ self.f0).is_zero() and (
-            self.f0 @ s.p1 - t.p1 @ self.f1
-        ).is_zero()
+        return (self.f1 @ s.p0 == t.p0 @ self.f0
+                and self.f0 @ s.p1 == t.p1 @ self.f1)
 
     def grading_violations(self):
         s, t = self.source, self.target
@@ -447,8 +444,8 @@ class Homotopy:
         return MfMorphism(
             source=s,
             target=t,
-            f0=self.t1 @ s.p0 + t.p1 @ self.t0,
-            f1=t.p0 @ self.t1 + self.t0 @ s.p1,
+            f0=sum_of_products([(self.t1, s.p0), (t.p1, self.t0)]),
+            f1=sum_of_products([(t.p0, self.t1), (self.t0, s.p1)]),
             degree=self.degree,
             validate=False,
         )

@@ -540,7 +540,7 @@ def _morphism(source, target, coords, degree):
 def _bounds(h, f0, f1):
     """Whether the odd map h bounds the even map (f0, f1)."""
     bd = h.boundary()
-    return (bd.f0 - f0).is_zero() and (bd.f1 - f1).is_zero()
+    return bd.f0 == f0 and bd.f1 == f1
 
 
 def _check_boundary(h, f0, f1, message):

@@ -2,13 +2,25 @@
 
 Shapes are carried explicitly so that empty matrices (0 rows or 0 columns)
 compose correctly; those show up as soon as the zero factorization enters a
-cone or direct sum.  Entries are Polynomial values over a common field.
+cone or direct sum.  Entries are Polynomial values over a common field,
+and, like every Polynomial, never hold a zero coefficient, so two matrices
+are equal exactly when their difference is zero.
+
+Products go through one kernel, ``sum_of_products``: the sum of a @ b over
+a list of (a, b) pairs, accumulated into one term dict per output entry.
+It walks only the nonzero entries of each row of b and builds each entry's
+Polynomial once, dropping the coefficients that cancel, so no product,
+sum or negated copy is built on the way.  ``@`` is the one-pair case, and
+a homotopy's boundary and a chain-map square are one call each.  The
+matrices this library multiplies are tiny (mostly 1x1 to 2x2, about one
+term per entry), so the cost lies in intermediate objects, not arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 
 from .errors import UsageError
 from .poly import Polynomial
@@ -79,25 +91,7 @@ class PolyMatrix:
         return self.entries[i][j]
 
     def __matmul__(self, other):
-        if self.ncols != other.nrows:
-            raise UsageError(
-                "shape mismatch: %dx%d @ %dx%d"
-                % (self.nrows, self.ncols, other.nrows, other.ncols)
-            )
-        z = Polynomial.zero(self.nvars, self.field)
-        rows = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = z
-                for k in range(self.ncols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = acc + a * b
-                row.append(acc)
-            rows.append(tuple(row))
-        return PolyMatrix(self.nrows, other.ncols, self.nvars, self.field, tuple(rows))
+        return sum_of_products([(self, other)])
 
     def __add__(self, other):
         self._same_shape(other)
@@ -174,6 +168,66 @@ class PolyMatrix:
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
         return cls(nrows, ncols, nvars, field, rows)
+
+
+def sum_of_products(pairs):
+    """The sum of a @ b over the (a, b) pairs, as one PolyMatrix.
+
+    Every product must have the shape, the number of variables and the
+    field of the first one.  Each output entry accumulates one term dict,
+    and each nonzero entry a[i][k] meets only the nonzero entries of row k
+    of b; the coefficients that cancel are dropped when the entry's
+    Polynomial is built.
+    """
+    if not pairs:
+        raise UsageError("sum of no products")
+    a0, b0 = pairs[0]
+    nrows, ncols, nvars, field = a0.nrows, b0.ncols, a0.nvars, a0.field
+    acc = [[None] * ncols for _ in range(nrows)]
+    for a, b in pairs:
+        if a.ncols != b.nrows:
+            raise UsageError(
+                "shape mismatch: %dx%d @ %dx%d" % (a.nrows, a.ncols, b.nrows, b.ncols)
+            )
+        if a.nrows != nrows or b.ncols != ncols:
+            raise UsageError("matrix shapes differ")
+        for m in (a, b):
+            if m.nvars != nvars:
+                raise UsageError(f"variable counts differ: {nvars} vs {m.nvars}")
+            if m.field is not field and m.field != field:
+                raise UsageError(f"coefficient fields differ: {field} vs {m.field}")
+        b_rows = [
+            [(j, p.terms) for j, p in enumerate(row) if p.terms]
+            for row in b.entries
+        ]
+        for a_row, out in zip(a.entries, acc):
+            for p, b_row in zip(a_row, b_rows):
+                a_terms = p.terms
+                if not a_terms:
+                    continue
+                for j, b_terms in b_row:
+                    terms = out[j]
+                    if terms is None:
+                        terms = out[j] = {}
+                    for e1, c1 in a_terms.items():
+                        for e2, c2 in b_terms.items():
+                            e = tuple(map(add, e1, e2))
+                            cur = terms.get(e)
+                            terms[e] = c1 * c2 if cur is None else cur + c1 * c2
+    zero = Polynomial.zero(nvars, field)
+    rows = []
+    for out in acc:
+        row = []
+        for terms in out:
+            if terms is None:
+                row.append(zero)
+                continue
+            poly = Polynomial.__new__(Polynomial)
+            poly.nvars, poly.field = nvars, field
+            poly.terms = {e: c for e, c in terms.items() if c}
+            row.append(poly)
+        rows.append(tuple(row))
+    return PolyMatrix(nrows, ncols, nvars, field, tuple(rows))
 
 
 def hstack(blocks):

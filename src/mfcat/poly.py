@@ -154,7 +154,18 @@ class Polynomial:
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        self._check(other)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            cur = terms.get(e)
+            s = -c if cur is None else cur - c
+            if s:
+                terms[e] = s
+            elif cur is not None:
+                del terms[e]
+        out = Polynomial.__new__(Polynomial)
+        out.nvars, out.field, out.terms = self.nvars, self.field, terms
+        return out
 
     def __neg__(self):
         out = Polynomial.__new__(Polynomial)

@@ -13,6 +13,7 @@ quotient is attempted here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import linalg
 from .errors import GradingError, MfcatError, UsageError
@@ -327,7 +328,7 @@ def two_periodicity_check(mf, window=None):
         )
         if r != ncols:
             all_inj = False
-    witness = (mf.p1 @ mf.p0 - PolyMatrix.scalar(mf.W, mf.m1.rank)).is_zero()
+    witness = mf.p1 @ mf.p0 == PolyMatrix.scalar(mf.W, mf.m1.rank)
     return TwoPeriodicityReport(
         window=(lo, hi),
         per_degree=tuple(per),
@@ -384,36 +385,17 @@ class BrickDecomposition:
         return self.from_brick @ self.into_brick
 
 
-def homotopy_decomposition(phi, homotopy=None, bound=None):
-    """Factor a null-homotopic chain map through the target's brick.
+# Targets whose brick and checked projection are kept; a target is one
+# factorization, and one witness-certify pass meets 35.
+_BRICK_PROJECTIONS = 64
 
-    When no homotopy is supplied one is searched for; failure to find
-    one raises, since the decomposition only exists for null-homotopic
-    maps.
-    """
-    s, t = phi.source, phi.target
-    if homotopy is None:
-        homotopy, definitive = solve_null_homotopy(phi, bound)
-        if homotopy is None:
-            if definitive:
-                raise UsageError("map is not null-homotopic")
-            raise UsageError(
-                "no null-homotopy found within the bound; pass a larger one"
-            )
-    else:
-        diff = homotopy.boundary() - phi
-        if not diff.is_zero():
-            raise UsageError("supplied homotopy does not bound the map")
-    nvars, field = s.nvars, s.field
+
+@lru_cache(maxsize=_BRICK_PROJECTIONS)
+def _brick_projection(t):
+    """(trivial_brick(t), the projection from it onto t), the projection
+    built with validate=True: a checked chain map of degree a_t."""
+    nvars, field = t.nvars, t.field
     brick = trivial_brick(t)
-    a_t = t.split_degree or 0
-    u = MfMorphism(
-        source=s,
-        target=brick,
-        f0=vstack([homotopy.t0, phi.f0]),
-        f1=vstack([homotopy.t1, phi.f1]),
-        degree=phi.degree - a_t,
-    )
     v = MfMorphism(
         source=brick,
         target=t,
@@ -425,9 +407,43 @@ def homotopy_decomposition(phi, homotopy=None, bound=None):
             PolyMatrix.zero(t.m1.rank, t.m0.rank, nvars, field),
             PolyMatrix.identity(t.m1.rank, nvars, field),
         ]),
-        degree=a_t,
+        degree=t.split_degree or 0,
     )
-    if not (v @ u - phi).is_zero():
+    return brick, v
+
+
+def homotopy_decomposition(phi, homotopy=None, bound=None):
+    """Factor a null-homotopic chain map through the target's brick.
+
+    When no homotopy is supplied one is searched for; failure to find
+    one raises, since the decomposition only exists for null-homotopic
+    maps.  A supplied homotopy must bound phi exactly.
+
+    The brick and the projection v from it depend on the target alone:
+    they are built, v checked as a chain map, once per target and kept
+    (``_brick_projection``, at most _BRICK_PROJECTIONS targets).  The map
+    u into the brick is checked on every call, and so is v @ u == phi.
+    """
+    s, t = phi.source, phi.target
+    if homotopy is None:
+        homotopy, definitive = solve_null_homotopy(phi, bound)
+        if homotopy is None:
+            if definitive:
+                raise UsageError("map is not null-homotopic")
+            raise UsageError(
+                "no null-homotopy found within the bound; pass a larger one"
+            )
+    elif homotopy.boundary() != phi:
+        raise UsageError("supplied homotopy does not bound the map")
+    brick, v = _brick_projection(t)
+    u = MfMorphism(
+        source=s,
+        target=brick,
+        f0=vstack([homotopy.t0, phi.f0]),
+        f1=vstack([homotopy.t1, phi.f1]),
+        degree=phi.degree - v.degree,
+    )
+    if v @ u != phi:
         raise MfcatError("brick decomposition failed to recompose the map")
     return BrickDecomposition(brick=brick, into_brick=u, from_brick=v)
 

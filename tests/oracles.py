@@ -79,6 +79,27 @@ def mat_is_zero(A):
     return all(not e for row in A for e in row)
 
 
+def dense_product(A, B, ncols, p=None):
+    """A @ B for nested lists of {exponent: coefficient} dicts, entry by
+    entry over every index, B having ncols columns (B may have no rows).
+    Coefficients are Fractions, or ints reduced mod p when p is given."""
+    out = []
+    for i in range(len(A)):
+        row = []
+        for j in range(ncols):
+            acc = {}
+            for k in range(len(B)):
+                for ea, ca in A[i][k].items():
+                    for eb, cb in B[k][j].items():
+                        e = tuple(x + y for x, y in zip(ea, eb))
+                        acc[e] = acc.get(e, 0) + ca * cb
+            if p is not None:
+                acc = {e: c % p for e, c in acc.items()}
+            row.append({e: c for e, c in acc.items() if c})
+        out.append(row)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # dense rational row reduction
 
@@ -164,6 +185,16 @@ def poly_to_dict(p):
 
 def matrix_to_data(m):
     return [[poly_to_dict(e) for e in row] for row in m.entries]
+
+
+def matrix_to_field_data(m):
+    """Entries as {exponent: coefficient} dicts, F_p coefficients as their
+    int representatives (read off ``.val``), rationals as Fractions."""
+    return [
+        [{tuple(e): getattr(c, "val", c) for e, c in poly.terms.items()}
+         for poly in row]
+        for row in m.entries
+    ]
 
 
 def mf_to_data(mf):

@@ -1,0 +1,160 @@
+"""The polynomial-matrix product kernel against a naive dense product."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles as orc
+from mfcat import PolyMatrix, Polynomial
+from mfcat.errors import UsageError
+from mfcat.fields import QQ, PrimeField
+from mfcat.matrices import sum_of_products
+
+FIELDS = [QQ, PrimeField(7), PrimeField(2**31 - 1)]
+FIELD_IDS = ["Q", "F7", "F2^31-1"]
+
+
+def modulus(field):
+    return None if field.rational else field.p
+
+
+def random_poly(rng, nvars, field, density=0.5):
+    """Zero with probability 1 - density, else up to three terms of
+    exponent at most 2 and coefficient in -3..3."""
+    if rng.random() > density:
+        return Polynomial.zero(nvars, field)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        e = tuple(rng.randint(0, 2) for _ in range(nvars))
+        terms[e] = rng.randint(-3, 3)
+    return Polynomial(nvars, terms, field)
+
+
+def random_matrix(rng, nrows, ncols, nvars, field, density=0.5):
+    return PolyMatrix(
+        nrows, ncols, nvars, field,
+        tuple(tuple(random_poly(rng, nvars, field, density) for _ in range(ncols))
+              for _ in range(nrows)),
+    )
+
+
+def oracle_product(a, b):
+    return orc.dense_product(
+        orc.matrix_to_field_data(a), orc.matrix_to_field_data(b), b.ncols,
+        modulus(a.field))
+
+
+def oracle_sum(mats, p):
+    out = [[{} for _ in row] for row in mats[0]]
+    for m in mats:
+        for i, row in enumerate(m):
+            for j, entry in enumerate(row):
+                acc = dict(out[i][j])
+                for e, c in entry.items():
+                    acc[e] = acc.get(e, 0) + c
+                if p is not None:
+                    acc = {e: c % p for e, c in acc.items()}
+                out[i][j] = {e: c for e, c in acc.items() if c}
+    return out
+
+
+def assert_clean(m):
+    """No entry holds a zero coefficient."""
+    for row in m.entries:
+        for poly in row:
+            assert all(poly.terms.values()), poly.terms
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_matmul_against_dense_oracle(field):
+    rng = random.Random(5)
+    shapes = [(1, 1, 1), (2, 2, 2), (2, 3, 1), (3, 1, 2), (1, 4, 3), (3, 3, 3)]
+    # 0 x n and n x 0 factors: the zero factorization inside cones and sums
+    shapes += [(0, 2, 3), (2, 0, 3), (3, 2, 0), (0, 0, 2), (2, 0, 0)]
+    for nrows, inner, ncols in shapes:
+        for density in (0.0, 0.3, 1.0):
+            a = random_matrix(rng, nrows, inner, 2, field, density)
+            b = random_matrix(rng, inner, ncols, 2, field, density)
+            got = a @ b
+            assert (got.nrows, got.ncols, got.nvars, got.field) == (
+                nrows, ncols, 2, field)
+            assert orc.matrix_to_field_data(got) == oracle_product(a, b)
+            assert got == sum_of_products([(a, b)])
+            assert_clean(got)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_sum_of_products_against_dense_oracle(field):
+    rng = random.Random(11)
+    for nrows, ncols, inners in [(2, 2, (2, 2)), (1, 3, (2, 1, 3)),
+                                 (3, 1, (1, 0, 2)), (0, 2, (2, 2)),
+                                 (2, 0, (1, 3))]:
+        pairs = [
+            (random_matrix(rng, nrows, k, 2, field), random_matrix(rng, k, ncols, 2, field))
+            for k in inners
+        ]
+        got = sum_of_products(pairs)
+        want = oracle_sum([oracle_product(a, b) for a, b in pairs], modulus(field))
+        assert orc.matrix_to_field_data(got) == want
+        assert_clean(got)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_cancelling_products_drop_their_keys(field):
+    x = Polynomial.variable(0, 2, field)
+    y = Polynomial.variable(1, 2, field)
+    row = PolyMatrix.from_rows([[x, x + y]], 2, field)
+    col = PolyMatrix.from_rows([[y], [-y]], 2, field)
+    # x*y - (x + y)*y = -y^2: the x*y key cancels, the y^2 key stays
+    got = (row @ col)[0, 0]
+    assert got.terms == {(0, 2): field.coerce(-1)}
+    square = PolyMatrix.from_rows([[x, y], [y, x]], 2, field)
+    gone = sum_of_products([(square, square), (-square, square)])
+    assert all(not p.terms for r in gone.entries for p in r)
+    assert gone == PolyMatrix.zero(2, 2, 2, field)
+    # cancellation inside one product: (x + y)(x - y) = x^2 - y^2
+    diff = PolyMatrix.from_rows([[x + y]], 2, field) @ PolyMatrix.from_rows([[x - y]], 2, field)
+    assert diff[0, 0].terms == {(2, 0): field.one, (0, 2): field.coerce(-1)}
+
+
+def test_mismatches_raise_as_before():
+    x = Polynomial.variable(0, 2)
+    a = PolyMatrix.from_rows([[x, x, x], [x, x, x]], 2, QQ)
+    with pytest.raises(UsageError, match=r"^shape mismatch: 2x3 @ 2x3$"):
+        a @ a
+    one_var = PolyMatrix.from_rows([[Polynomial.variable(0, 1)]] * 3, 1, QQ)
+    with pytest.raises(UsageError, match=r"^variable counts differ: 2 vs 1$"):
+        a @ one_var
+    f7 = PrimeField(7)
+    mod7 = PolyMatrix.from_rows([[Polynomial.variable(0, 2, f7)]] * 3, 2, f7)
+    with pytest.raises(UsageError) as err:
+        a @ mod7
+    assert str(err.value) == f"coefficient fields differ: {QQ} vs {f7}"
+    col = PolyMatrix.from_rows([[x]] * 3, 2, QQ)
+    cell = PolyMatrix.from_rows([[x]], 2, QQ)
+    with pytest.raises(UsageError, match=r"^matrix shapes differ$"):
+        sum_of_products([(a, col), (cell, cell)])
+    with pytest.raises(UsageError, match=r"^sum of no products$"):
+        sum_of_products([])
+
+
+@st.composite
+def field_polys(draw, field, nvars=2):
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    terms = draw(st.dictionaries(exps, st.integers(-9, 9), max_size=4))
+    return Polynomial(nvars, terms, field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_sub_matches_add_of_negation(field, data):
+    a = data.draw(field_polys(field))
+    b = data.draw(field_polys(field))
+    got = a - b
+    assert got == a + (-b)
+    assert all(got.terms.values())
+    assert not (a - a).terms
+    assert b - Polynomial.zero(2, field) == b
+    assert Polynomial.zero(2, field) - b == -b

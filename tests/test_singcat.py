@@ -6,6 +6,7 @@ import pytest
 
 import suites
 from mfcat import (
+    Homotopy,
     MatrixFactorization,
     MfMorphism,
     PolyMatrix,
@@ -19,6 +20,7 @@ from mfcat import (
     random_chain_map,
     trivial_brick,
 )
+from mfcat import singcat
 from mfcat.errors import GradingError, MfcatError, UsageError
 from mfcat.singcat import (
     HypersurfaceModule,
@@ -177,8 +179,58 @@ def test_homotopy_decomposition_with_supplied_witness():
 
 def test_homotopy_decomposition_rejects_essential_maps():
     f1, _, _, _ = a2_modules()
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=r"^map is not null-homotopic$"):
         homotopy_decomposition(MfMorphism.identity(f1))
+
+
+def test_decompositions_share_one_checked_projection_per_target():
+    q = suites.quadric()
+    singcat._brick_projection.cache_clear()
+    decs = []
+    for seed in (31, 32, 33):
+        phi = suites.random_homotopy(q, q, 1, random.Random(seed)).boundary()
+        assert not phi.is_zero()
+        decs.append((phi, homotopy_decomposition(phi)))
+    first = decs[0][1]
+    assert first.brick == trivial_brick(q)
+    assert first.from_brick.source is first.brick
+    for phi, dec in decs:
+        assert dec.brick is first.brick and dec.from_brick is first.from_brick
+        assert dec.into_brick.target is first.brick
+        assert dec.into_brick.is_chain_map() and dec.from_brick.is_chain_map()
+        assert dec.composite() == phi
+    info = singcat._brick_projection.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+
+
+def test_projection_cache_is_bounded():
+    bound = singcat._BRICK_PROJECTIONS
+    assert singcat._brick_projection.cache_info().maxsize == bound == 64
+    f1, _, _, _ = a2_modules()
+    targets = [f1.degree_twist(c) for c in range(bound + 1)]
+    singcat._brick_projection.cache_clear()
+    brick, v = singcat._brick_projection(targets[0])
+    for t in targets[1:]:
+        singcat._brick_projection(t)
+        assert singcat._brick_projection.cache_info().currsize <= bound
+    # the first target was the least recently used and is gone: rebuilt equal
+    again = singcat._brick_projection(targets[0])
+    assert again[0] is not brick and again == (brick, v)
+    assert again[0] == trivial_brick(targets[0])
+    assert singcat._brick_projection.cache_info().currsize == bound
+
+
+def test_kept_projection_leaves_every_check_in_place():
+    q = suites.quadric()
+    t = suites.random_homotopy(q, q, 1, random.Random(23))
+    phi = t.boundary()
+    assert not phi.is_zero()
+    homotopy_decomposition(phi, homotopy=t)  # the target's projection is kept
+    wrong = Homotopy(q, q, t.t0.scale(2), t.t1.scale(2), t.degree)  # bounds 2 phi
+    with pytest.raises(UsageError, match=r"^supplied homotopy does not bound the map$"):
+        homotopy_decomposition(phi, homotopy=wrong)
+    with pytest.raises(UsageError, match=r"^map is not null-homotopic$"):
+        homotopy_decomposition(MfMorphism.identity(q))
 
 
 def test_cok_g_and_forgetting_commute():
