@@ -51,7 +51,7 @@ from .homotopy import (
     solve_null_homotopy,
     truncated_hom_space,
 )
-from .matrices import PolyMatrix, block, hstack, vstack
+from .matrices import PolyMatrix, hstack, vstack
 from .poly import (
     Polynomial,
     WeightSystem,
@@ -100,7 +100,6 @@ __all__ = [
     "UsageError",
     "WeightSystem",
     "Workspace",
-    "block",
     "brick_presentation_normal_form",
     "check_equivariant",
     "cok",

@@ -459,25 +459,6 @@ class Homotopy:
             degree=self.boundary().shift().degree,
         )
 
-    def grading_violations(self):
-        s, t = self.source, self.target
-        if s.weights is None or t.weights is None:
-            return []
-        a_s, a_t = s.split_degree, t.split_degree
-        if a_s is None or a_t is None:
-            return []
-        d = self.degree
-        dd = s.weights.degree
-        g0, g1 = s.m0.degrees, s.m1.degrees
-        h0, h1 = t.m0.degrees, t.m1.degrees
-        bad = _entry_degree_table(
-            self.t0, s.weights, lambda i, j: (d + a_t - dd) + g0[j] - h1[i]
-        )
-        bad += _entry_degree_table(
-            self.t1, s.weights, lambda i, j: (d - a_s) + g1[j] - h0[i]
-        )
-        return bad
-
 
 def zero_factorization(W, weights=None):
     empty = GradedFreeModule(0, ())

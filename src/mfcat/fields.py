@@ -207,6 +207,8 @@ class PrimeField:
     def parse(self, text: str):
         if "/" in text:
             num, _, den = text.partition("/")
+            if not int(den):
+                raise UsageError(f"bad rational literal {text!r}")
             return self.coerce(Fraction(int(num), int(den)))
         return FpElement(int(text), self.p)
 

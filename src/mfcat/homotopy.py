@@ -17,6 +17,15 @@ solver's witness fails the boundary check.  Totals over a degree window
 are certified only for a quasi-homogeneous potential with isolated
 critical point and a window containing the default one; everything else is
 reported window-truncated.
+
+Every sparse system of the package is built by one assembler: ``_unknowns``
+lists the unknowns slot by slot, a stencil per slot says where a monomial
+in it goes, and ``_equations`` and ``_images`` turn the two into sparse
+rows and columns, solved by ``_solve`` or eliminated by ``linalg``.  Its
+users are the hom-complex blocks, the null-homotopy and equivalence
+systems, the Jacobian test here, and the module-map lifts and
+two-periodicity pieces of ``singcat``.  A hom-complex block is assembled
+for its degree's answer and not kept; the answer is.
 """
 
 from __future__ import annotations
@@ -50,10 +59,6 @@ _POTENTIAL_CACHE = 256
 _KEPT_SYSTEMS = 64
 
 
-def _eadd(a, b):
-    return tuple(map(add, a, b))
-
-
 @lru_cache(maxsize=_POTENTIAL_CACHE)
 def has_isolated_singularity(W, weights):
     """Exact finiteness test for the Jacobian quotient of W.
@@ -66,26 +71,19 @@ def has_isolated_singularity(W, weights):
     """
     if W.homogeneous_weighted_degree(weights) != weights.degree:
         raise GradingError("potential is not quasi-homogeneous of the declared degree")
-    grads = [W.partial(i) for i in range(W.nvars)]
+    w = weights.weights
+    partials = [W.partial(i).terms for i in range(W.nvars)]
+    # the unknowns of slot (i,) are the multipliers of the i-th partial
+    stencils = {(i,): [((), g)] for i, g in enumerate(partials) if g}
     sb = weights.socle_bound()
-    maxw = max(weights.weights)
-    field = W.field
-    for d in range(sb + 1, sb + maxw + 1):
-        cols = monomials_of_weighted_degree(weights.weights, d)
+    for d in range(sb + 1, sb + max(w) + 1):
+        cols = monomials_of_weighted_degree(w, d)
         if not cols:
             continue
-        col_index = {e: k for k, e in enumerate(cols)}
-        rows = []
-        for i, g in enumerate(grads):
-            if g.is_zero():
-                continue
-            md = d - (weights.degree - weights.weights[i])
-            for m in monomials_of_weighted_degree(weights.weights, md):
-                row = {}
-                for e2, c in g.terms.items():
-                    row[col_index[_eadd(m, e2)]] = c
-                rows.append(row)
-        if linalg.rank(rows, len(cols), field) < len(cols):
+        uids = _unknowns(list(stencils), lambda slot: monomials_of_weighted_degree(
+            w, d - weights.degree + w[slot[0]]))
+        rows = _images(uids, stencils, {(e,): k for k, e in enumerate(cols)})
+        if linalg.rank(rows, len(cols), W.field) < len(cols):
             return False
     return True
 
@@ -151,24 +149,24 @@ def _terms(poly, negate=False):
     return {e: -c for e, c in poly.terms.items()} if negate else poly.terms
 
 
-def _differential(s, t, kind, i, j, tag=()):
+def _differential(s, t, kind, i, j):
     """Where hom_complex_differential sends a monomial m in slot (i, j) of a
     map s -> t of the given kind: D(x) = p_t x - (-1)^|x| x p_s.
 
     Returns (head, terms) pairs, heads in the order of their slot kinds.
-    A head is tag + (kind, row, column) of a slot of D(x); m contributes
+    A head is the (kind, row, column) of a slot of D(x); m contributes
     c to coordinate head + (m * m2,) for each m2: c in terms.  The heads
     are distinct, so an unknown meets each equation at most once.
     """
     p, q = _PARITY[kind]
     after = (t.p0, t.p1)[p].entries  # Q_p -> Q_(1-p)
     before = (s.p1, s.p0)[q].entries[j]  # P_(1-q) -> P_q
-    head = tag + (_KIND[1 - p, q],)
+    head = (_KIND[1 - p, q],)
     left = [
         (head + (a, j), _terms(row[i])) for a, row in enumerate(after)
         if row[i].terms
     ]
-    head = tag + (_KIND[p, 1 - q], i)
+    head = (_KIND[p, 1 - q], i)
     right = [
         (head + (b,), _terms(poly, p == q)) for b, poly in enumerate(before)
         if poly.terms
@@ -249,12 +247,12 @@ class HomProblem:
     """Per-degree linear systems for maps between two fixed factorizations.
 
     Unknown ids are (kind, i, j, exponent) with kind "e0"/"e1" for the even
-    components and "t0"/"t1" for the odd ones.  Blocks are cached per
-    degree, and so is each degree's answer (``answer``): Z, B and the
-    coordinates of the representatives.  A problem shared between calls
-    (the pieces of one twist orbit in ``equivariant``) therefore assembles
-    and eliminates each block once.  The default window and the
-    isolated-singularity flag are computed once per problem.
+    components and "t0"/"t1" for the odd ones.  Each degree's answer
+    (``answer``) is kept: Z, B and the coordinates of the representatives.
+    Its block is assembled for that answer and not kept.  A problem shared
+    between calls (the pieces of one twist orbit in ``equivariant``)
+    therefore assembles and eliminates each block once.  The default window
+    and the isolated-singularity flag are computed once per problem.
     """
 
     def __init__(self, source, target):
@@ -266,7 +264,6 @@ class HomProblem:
         self._odd_slots = _slots(source, target, ODD)
         self._offset = _slot_offsets(source, target)
         self._stencils = _Stencils(source, target)
-        self._blocks = {}
         self._answers = {}
         self._piece = None  # (grade, unknowns by degree and grade, own grade)
 
@@ -310,12 +307,9 @@ class HomProblem:
         return by_grade.get(g, ((), ()))
 
     def degree_block(self, d):
-        blk = self._blocks.get(d)
-        if blk is not None:
-            return blk
+        """The _Block of degree d, assembled on every call."""
         even, odd = self._degree_unknowns(d)
         if not (even or odd):
-            self._blocks[d] = _EMPTY_BLOCK
             return _EMPTY_BLOCK
         even_uids = tuple(even)
         even_index = {u: k for k, u in enumerate(even_uids)}
@@ -329,22 +323,18 @@ class HomProblem:
                 "compatible with the structure" if self._piece else
                 "internal degree bookkeeping violation at %r"
             ) % (list(index)[len(even_index)],))
-        blk = _Block(even_uids, even_index, zrows, odd_uids, dvecs)
-        self._blocks[d] = blk
-        return blk
+        return _Block(even_uids, even_index, zrows, odd_uids, dvecs)
 
     def answer(self, d, want_reps):
         """(Z, B, reps) in degree d, reps a tuple of coordinate tuples
         ((kind, i, j, e), c), one per representative; None when not
-        wanted and H > 0.  Kept, so the block is eliminated once; once
-        the answer is complete the block is dropped (degree_block would
-        assemble it again)."""
+        wanted and H > 0.  The answer is kept and the block is not: a
+        later call wanting the representatives an earlier one skipped
+        assembles the block again."""
         ans = self._answers.get(d)
         if ans is None or (want_reps and ans[2] is None):
             ans = self._answers[d] = _block_answer(
                 self.degree_block(d), self.source.field, want_reps)
-            if ans[2] is not None:
-                del self._blocks[d]
         return ans
 
 
@@ -357,7 +347,7 @@ class _Pieces(dict):
 
     def __missing__(self, g):
         piece = self[g] = object.__new__(HomProblem)
-        piece.__dict__.update(vars(self.prob), _blocks={}, _answers={},
+        piece.__dict__.update(vars(self.prob), _answers={},
                               _piece=(self.grade, self.groups, g))
         return piece
 
@@ -840,7 +830,10 @@ def _equivalence_system(phi, support):
         slots = _slots(src, tgt, kinds)
         uids += [(tag,) + u for u in _unknowns(slots, support(src, tgt, degree))]
         for slot in slots:
-            stencils[(tag,) + slot] = _differential(src, tgt, *slot, (tag,))
+            stencils[(tag,) + slot] = [
+                ((tag,) + head, terms)
+                for head, terms in _differential(src, tgt, *slot)
+            ]
     # psi enters the b and c equations composed with phi
     for kind, f in zip(EVEN, (phi.f0, phi.f1)):
         for _, i, j in _slots(t, s, (kind,)):

@@ -132,12 +132,6 @@ class PolyMatrix:
             tuple(tuple(a * f for a in row) for row in self.entries),
         )
 
-    def map_entries(self, fn):
-        return PolyMatrix(
-            self.nrows, self.ncols, self.nvars, self.field,
-            tuple(tuple(fn(a) for a in row) for row in self.entries),
-        )
-
     def map_entries_indexed(self, fn):
         return PolyMatrix(
             self.nrows, self.ncols, self.nvars, self.field,
@@ -267,8 +261,3 @@ def vstack(blocks):
         sum(b.nrows for b in blocks), ncols, blocks[0].nvars, blocks[0].field,
         tuple(rows),
     )
-
-
-def block(grid):
-    """Assemble a matrix from a 2d grid of blocks."""
-    return vstack([hstack(row) for row in grid])

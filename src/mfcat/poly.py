@@ -91,11 +91,6 @@ class Polynomial:
         """Terms in descending graded-lex order."""
         return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]), reverse=True)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def weighted_degrees(self, weights) -> set:
         ws = getattr(weights, "weights", weights)
         return {sum(ei * wi for ei, wi in zip(e, ws)) for e in self.terms}
@@ -106,14 +101,6 @@ class Polynomial:
         if len(degs) != 1:
             return None
         return degs.pop()
-
-    def split_by_weighted_degree(self, weights) -> dict:
-        ws = getattr(weights, "weights", weights)
-        out: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            d = sum(ei * wi for ei, wi in zip(e, ws))
-            out.setdefault(d, {})[e] = c
-        return {d: Polynomial(self.nvars, t, self.field) for d, t in out.items()}
 
     def partial(self, i: int) -> "Polynomial":
         """Partial derivative with respect to variable i."""
@@ -334,7 +321,11 @@ def parse_poly(text: str, nvars: int, field=QQ, line: int | None = None) -> Poly
                     power = int(read_number(pos))
                 exps[idx - 1] += power
             elif ch.isdigit():
-                coeff = coeff * field.parse(read_number(pos))
+                at = pos
+                try:
+                    coeff = coeff * field.parse(read_number(pos))
+                except UsageError as exc:
+                    err(str(exc), at)
             else:
                 err(f"unexpected character {ch!r}", pos)
             saw_factor = True

@@ -18,13 +18,20 @@ from functools import lru_cache
 from . import linalg
 from .errors import GradingError, MfcatError, UsageError
 from .factorization import MatrixFactorization, MfMorphism, trivial_brick
-from .homotopy import hom_space, solve_null_homotopy
-from .matrices import PolyMatrix, hstack, vstack
-from .poly import (
-    Polynomial,
-    monomials_of_weighted_degree,
-    monomials_up_to_total_degree,
+from .homotopy import (
+    _equations,
+    _graded_support,
+    _images,
+    _slot_matrices,
+    _slot_offsets,
+    _slots,
+    _solve,
+    _unknowns,
+    hom_space,
+    solve_null_homotopy,
 )
+from .matrices import PolyMatrix, hstack, vstack
+from .poly import monomials_of_weighted_degree, monomials_up_to_total_degree
 
 
 @dataclass(frozen=True)
@@ -142,69 +149,39 @@ def lift_module_map(source, target, matrix, degree=0, bound=None):
     q = target.factorization
     if p.W != q.W:
         raise UsageError("modules live over different potentials")
-    field = p.field
-    nvars = p.nvars
     if matrix.nrows != q.m0.rank or matrix.ncols != p.m0.rank:
         raise UsageError("generator matrix has the wrong shape")
     graded = p.weights is not None and q.weights is not None
     if not graded and bound is None:
         raise UsageError("ungraded lift needs an explicit degree bound")
-    a_s = p.split_degree or 0
-    a_t = q.split_degree or 0
-    g1 = p.m1.degrees
-    h1 = q.m1.degrees
-    uids = []
-    by_source_gen = {}
-    for i in range(q.m1.rank):
-        for j in range(p.m1.rank):
-            if graded:
-                d = degree + (a_t - a_s) + g1[j] - h1[i]
-                mons = monomials_of_weighted_degree(p.weights.weights, d)
-            else:
-                mons = monomials_up_to_total_degree(nvars, bound)
-            for e in mons:
-                by_source_gen.setdefault(j, []).append((len(uids), i, e))
-                uids.append((i, j, e))
-    rhs_mat = matrix @ p.p1
-    rows_map = {}
-    for r in range(q.m0.rank):
-        for c in range(p.m1.rank):
-            for col, i, e in by_source_gen.get(c, ()):
-                f = q.p1.entries[r][i]
-                if f.is_zero():
-                    continue
-                for e1, coef in f.terms.items():
-                    key = (r, c, tuple(x + y for x, y in zip(e1, e)))
-                    row = rows_map.setdefault(key, {})
-                    row[col] = row.get(col, field.zero) + coef
-            for e2 in rhs_mat.entries[r][c].terms:
-                rows_map.setdefault((r, c, e2), {})
-    rows = []
-    rhs = []
-    for key in sorted(rows_map):
-        r, c, e2 = key
-        rows.append({cc: v for cc, v in rows_map[key].items() if v})
-        rhs.append(rhs_mat.entries[r][c].terms.get(e2, field.zero))
-    sol = linalg.solve(rows, rhs, len(uids), field)
+    if graded:
+        support = _graded_support(p.weights, _slot_offsets(p, q), degree)
+    else:
+        monos = monomials_up_to_total_degree(p.nvars, bound)
+
+        def support(slot):
+            return monos
+
+    slots = _slots(p, q, ("e1",))
+    uids = _unknowns(slots, support)
+    # X in slot (i, j) meets q1 @ X at (r, j) through q1[r][i]
+    stencils = {
+        (kind, i, j): [
+            (("e0", r, j), row[i].terms)
+            for r, row in enumerate(q.p1.entries) if row[i].terms
+        ]
+        for kind, i, j in slots
+    }
+    rhs = {
+        ("e0", r, c, e): v
+        for r, row in enumerate((matrix @ p.p1).entries)
+        for c, poly in enumerate(row)
+        for e, v in poly.terms.items()
+    }
+    sol = _solve(_equations(uids, stencils), rhs, len(uids), p.field)
     if sol is None:
         return None, graded
-    cells = [
-        [dict() for _ in range(p.m1.rank)] for _ in range(q.m1.rank)
-    ]
-    for col, (i, j, e) in enumerate(uids):
-        v = sol.get(col)
-        if v:
-            cells[i][j][e] = v
-    x = PolyMatrix(
-        q.m1.rank,
-        p.m1.rank,
-        nvars,
-        field,
-        tuple(
-            tuple(Polynomial(nvars, cell, field) for cell in row)
-            for row in cells
-        ),
-    )
+    x, = _slot_matrices(p, q, ("e1",), ((uids[col], c) for col, c in sol.items()))
     phi = MfMorphism(source=p, target=q, f0=matrix, f1=x, degree=degree)
     return phi, True
 
@@ -256,33 +233,6 @@ class TwoPeriodicityReport:
         }
 
 
-def _graded_piece_matrix(mat, row_degs, col_degs, weights, d_row, d_col, field):
-    """Matrix of a graded map between the indicated degree pieces."""
-    cols = []
-    for j, hj in enumerate(col_degs):
-        for e in monomials_of_weighted_degree(weights.weights, d_col - hj):
-            cols.append((j, e))
-    rows = []
-    for i, hi in enumerate(row_degs):
-        for e in monomials_of_weighted_degree(weights.weights, d_row - hi):
-            rows.append((i, e))
-    row_index = {u: k for k, u in enumerate(rows)}
-    out = [dict() for _ in cols]
-    for cidx, (j, e) in enumerate(cols):
-        for i in range(len(row_degs)):
-            f = mat.entries[i][j]
-            if f.is_zero():
-                continue
-            for e1, coef in f.terms.items():
-                e2 = tuple(x + y for x, y in zip(e1, e))
-                k = row_index.get((i, e2))
-                if k is None:
-                    raise MfcatError("graded piece fell outside its degree")
-                out[cidx][k] = out[cidx].get(k, field.zero) + coef
-    # columns of the map, as sparse vectors over row positions
-    return out, len(rows), len(cols)
-
-
 def two_periodicity_check(mf, window=None):
     """Exactness of the presentation sequence, degree by degree.
 
@@ -309,12 +259,26 @@ def two_periodicity_check(mf, window=None):
     elif isinstance(window, int):
         window = (lo0, lo0 + window)
     lo, hi = window
+    w = weights.weights
+    # the unknowns of slot (j,) are the degree-d piece of P1's j-th summand
+    stencils = {
+        (j,): [((i,), row[j].terms) for i, row in enumerate(mf.p1.entries)
+               if row[j].terms]
+        for j in range(mf.m1.rank)
+    }
     per = []
     all_inj = True
     for d in range(lo, hi + 1):
-        piece, nrows, ncols = _graded_piece_matrix(
-            mf.p1, h0, h1, weights, d, d - (dd - a), mf.field
-        )
+        index = {u: k for k, u in enumerate(_unknowns(
+            [(i,) for i in range(mf.m0.rank)],
+            lambda slot: monomials_of_weighted_degree(w, d - h0[slot[0]])))}
+        nrows = len(index)
+        uids = _unknowns(list(stencils), lambda slot: monomials_of_weighted_degree(
+            w, d - (dd - a) - h1[slot[0]]))
+        piece = _images(uids, stencils, index)
+        if len(index) != nrows:
+            raise MfcatError("graded piece fell outside its degree")
+        ncols = len(uids)
         # rank of the degree-d piece of p1: reduce its columns as rows
         r = linalg.rank([col for col in piece if col], nrows, mf.field)
         per.append(

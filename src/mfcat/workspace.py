@@ -329,6 +329,7 @@ def parse_workspace(text, validate=True, field_override=None):
             potential = parse_poly(
                 stripped[len("potential"):], nvars, field, line=line_no
             )
+            potential_line = line_no
         elif head == "weights":
             if nvars is None:
                 raise ParseError("'weights' before 'ring'", line_no)
@@ -349,6 +350,7 @@ def parse_workspace(text, validate=True, field_override=None):
                 weights = WeightSystem(wvals, dval)
             except UsageError as exc:
                 raise ParseError(str(exc), line_no)
+            weights_line = line_no
         elif head == "action":
             if nvars is None:
                 raise ParseError("'action' before 'ring'", line_no)
@@ -422,12 +424,16 @@ def parse_workspace(text, validate=True, field_override=None):
     if potential is None:
         raise ParseError("workspace has no 'potential' line")
     if weights is _AUTO:
-        weights = detect_weights(potential)
+        try:
+            weights = detect_weights(potential)
+        except UsageError as exc:
+            raise ParseError(str(exc), potential_line)
     elif weights is not None:
         mismatched = potential.weighted_degrees(weights) != {weights.degree}
         if mismatched:
             raise ParseError(
-                "potential is not quasi-homogeneous of the declared degree"
+                "potential is not quasi-homogeneous of the declared degree",
+                weights_line,
             )
     action = None
     if action_orders:

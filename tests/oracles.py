@@ -138,8 +138,8 @@ def dense_rref(rows, one=Fraction(1)):
     return mat, tuple(pivots)
 
 
-def dense_rank(rows):
-    return len(dense_rref(rows)[1])
+def dense_rank(rows, one=Fraction(1)):
+    return len(dense_rref(rows, one)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ import random
 
 import pytest
 
+import oracles as orc
 import suites
 from mfcat import (
+    QQ,
+    PrimeField,
     Homotopy,
     MatrixFactorization,
     MfMorphism,
@@ -159,8 +162,9 @@ def test_homotopy_decomposition_roundtrip():
         if mf is None:
             mf = a2_modules()[0]
         for seed in (17, 18, 19):
-            t = suites.random_homotopy(mf, mf, 0, random.Random(seed))
+            t = suites.random_homotopy(mf, mf, 1, random.Random(seed))
             phi = t.boundary()
+            assert not phi.is_zero(), (label, seed)
             dec = homotopy_decomposition(phi)
             assert dec.brick.verify()["ok"]
             assert dec.into_brick.is_chain_map(), (label, seed)
@@ -170,8 +174,9 @@ def test_homotopy_decomposition_roundtrip():
 
 def test_homotopy_decomposition_with_supplied_witness():
     q = suites.quadric()
-    t = suites.random_homotopy(q, q, 0, random.Random(23))
+    t = suites.random_homotopy(q, q, 1, random.Random(23))
     phi = t.boundary()
+    assert not phi.is_zero()
     dec = homotopy_decomposition(phi, homotopy=t)
     assert dec.composite() == phi
     assert dec.into_brick.f0.nrows == trivial_brick(q).m0.rank
@@ -262,3 +267,95 @@ def test_stable_hom_g():
             stable_hom_g(sts[0], e_tgt, shift=shift).total for e_tgt in sts)
         assert sums == stable_hom(m1, m1, shift=shift).total
     assert full == 1
+
+
+# The oracles below build every matrix densely from the oracles module's
+# monomials and products; they read only plain attributes of the package's
+# objects, and the field for its coefficients.
+
+
+def _degree_piece(mf, d):
+    """The degree-d piece of p1: P1 -> P0 as dense columns over the
+    monomial basis of the degree-d piece of P0, d a degree of P0."""
+    nvars, w = mf.W.nvars, mf.weights.weights
+    shift = mf.weights.degree - (mf.split_degree or 0)
+    field = mf.W.field
+    p1 = orc.matrix_to_field_data(mf.p1)
+    rows = [(i, e) for i, h in enumerate(mf.m0.degrees)
+            for e in orc.monomials_of_wdeg(nvars, w, d - h)]
+    pos = {r: k for k, r in enumerate(rows)}
+    cols = []
+    for j, h in enumerate(mf.m1.degrees):
+        for e in orc.monomials_of_wdeg(nvars, w, d - shift - h):
+            col = [field.zero] * len(rows)
+            for i, row in enumerate(p1):
+                for e2, c in orc.pmul(row[j], {e: 1}).items():
+                    col[pos[i, e2]] += field.coerce(c)
+            cols.append(col)
+    return cols, len(rows)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "F7"])
+def test_two_periodicity_ranks_match_dense_oracle(field):
+    checked = 0
+    for label, mf in suites.full_suite(field):
+        for row in two_periodicity_check(mf).per_degree:
+            cols, nrows = _degree_piece(mf, row.degree)
+            assert (row.domain_dim, row.target_dim) == (len(cols), nrows), label
+            assert row.rank == orc.dense_rank(cols, field.one), (label, row.degree)
+            checked += 1
+    assert checked > 50
+
+
+def _dense_lift_consistent(p, q, F, degree):
+    """Whether q1 @ X = F @ p1 has a solution X of the lift's degrees, by
+    dense row reduction of [A | b] over the field."""
+    nvars, w = p.W.nvars, p.weights.weights
+    field = p.W.field
+    off = (q.split_degree or 0) - (p.split_degree or 0)
+    unknowns = [(i, j, e)
+                for i, h in enumerate(q.m1.degrees)
+                for j, g in enumerate(p.m1.degrees)
+                for e in orc.monomials_of_wdeg(nvars, w, degree + off + g - h)]
+    q1 = orc.matrix_to_field_data(q.p1)
+    eqs = {}
+    for k, (i, j, e) in enumerate(unknowns):
+        for r, row in enumerate(q1):
+            for e2, c in orc.pmul(row[i], {e: 1}).items():
+                eqs.setdefault((r, j, e2), {})[k] = field.coerce(c)
+    rhs = {}
+    product = orc.dense_product(orc.matrix_to_field_data(F),
+                                orc.matrix_to_field_data(p.p1), p.m1.rank)
+    for r, row in enumerate(product):
+        for c, poly in enumerate(row):
+            for e, v in poly.items():
+                rhs[r, c, e] = field.coerce(v)
+    n = len(unknowns)
+    dense = [
+        [eqs.get(key, {}).get(k, field.zero) for k in range(n)]
+        + [rhs.get(key, field.zero)]
+        for key in sorted(set(eqs) | set(rhs))
+    ]
+    return n not in orc.dense_rref(dense, field.one)[1]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "F7"])
+def test_lift_exists_exactly_when_dense_system_is_consistent(field):
+    suite = dict(suites.full_suite(field))
+    pairs = [("x^4:k=1", "x^4:k=3"), ("x^5:k=2", "x^5:k=2"),
+             ("x^6:k=2", "x^6:k=4"), ("quadric", "quadric"),
+             ("fermat", "fermat")]
+    outcomes = set()
+    for la, lb in pairs:
+        p, q = suite[la], suite[lb]
+        for d in range(-1, 3):
+            rng = random.Random(f"{la}|{lb}|{d}")
+            F = suites.random_matrix(q.m0.rank, p.m0.rank, q.m0.degrees,
+                                     p.m0.degrees, d, p.weights, rng,
+                                     p.W.nvars, field)
+            for mat in (random_chain_map(p, q, d, rng).f0, F):
+                lift, definitive = lift_module_map(cok(p), cok(q), mat, d)
+                consistent = _dense_lift_consistent(p, q, mat, d)
+                assert definitive and (lift is not None) == consistent, (la, lb, d)
+                outcomes.add(consistent)
+    assert outcomes == {True, False}

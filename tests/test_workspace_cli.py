@@ -3,11 +3,14 @@
 import json
 import subprocess
 import sys
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfcat import Workspace, parse_workspace
 from mfcat.cli import main
+from mfcat.demos import DEMO_NAMES, run_demo
 from mfcat.errors import ParseError, UsageError
 from mfcat.fields import PrimeField
 
@@ -278,3 +281,70 @@ def test_other_demos_run(capsys):
     data = json.loads(out)
     assert data["structure_count"] == 3
     assert data["isotypic_sums_match"]
+
+
+@lru_cache(maxsize=None)
+def _demo_tokens(name):
+    """The rendered workspace of a demo, one token list per line."""
+    return tuple(tuple(line.split()) for line in run_demo(name)[0].splitlines())
+
+
+# words, numbers and punctuation of the workspace grammar, some of them
+# invalid where they land: zero or vanishing denominators, the zero
+# potential, comments that swallow the rest of a line
+_GRAMMAR_TOKENS = (
+    "ring", "over", "q", "p:7", "potential", "weights", "none", "degree",
+    "action", ":", "mf", "end", "p0", "p1", "deg0", "deg1", "chars0",
+    "chars1", "[", "]", ";", ",", "x1", "x2", "x3", "x1^2", "0", "1", "-1",
+    "2", "1/0", "1/2", "1/7", "(0)", "(1,1)", "+", "-", "*", "^", "#",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(DEMO_NAMES),
+    st.lists(
+        st.tuples(
+            st.sampled_from(("replace", "insert", "delete")),
+            # token positions; the first 20 cover the header lines
+            st.one_of(st.integers(0, 20), st.integers(0, 10**6)),
+            st.sampled_from(_GRAMMAR_TOKENS),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_mutated_workspaces_parse_or_fail_on_a_line(name, edits):
+    lines = [list(toks) for toks in _demo_tokens(name)]
+    for op, at, token in edits:
+        spots = [(i, k) for i, toks in enumerate(lines)
+                 for k in range(len(toks) + (op == "insert"))]
+        i, k = spots[at % len(spots)]
+        if op == "replace":
+            lines[i][k] = token
+        elif op == "insert":
+            lines[i].insert(k, token)
+        else:
+            del lines[i][k]
+    text = "\n".join(" ".join(toks) for toks in lines) + "\n"
+    try:
+        parse_workspace(text)
+    except ParseError as exc:
+        assert exc.line is not None, (str(exc), text)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("ring 1 over p:7\npotential x1^3 + 1/0*x1^3\n", 2),
+    ("ring 1 over q\npotential 1/0\n", 2),
+    ("ring 1 over q\npotential 0\n", 2),
+    ("ring 1 over q\npotential x1^3\nweights 1 degree 2\n", 3),
+])
+def test_bad_potentials_fail_on_their_line(text, line):
+    with pytest.raises(ParseError) as info:
+        parse_workspace(text)
+    assert info.value.line == line
+
+
+def test_zero_denominator_over_a_prime_field():
+    with pytest.raises(UsageError, match="bad rational literal"):
+        PrimeField(7).parse("1/0")
