@@ -113,14 +113,12 @@ def cmd_hom(args):
                 title = f"hom {args.source} -> {args.target} twist {label}"
                 print("\n".join(_hom_table_lines(title, pieces[chi].to_json())))
         return EXIT_OK if certified else EXIT_TRUNCATED
-    if args.shift:
-        tgt = tgt.shift()
     if graded:
-        hs = hom_space(src, tgt, _graded_window(args, src, tgt))
+        hs = hom_space(src, tgt, _graded_window(args, src, tgt), shift=args.shift)
     else:
         if args.window is None:
             raise UsageError("ungraded workspace: give --window")
-        hs = truncated_hom_space(src, tgt, args.window)
+        hs = truncated_hom_space(src, tgt.shift(args.shift), args.window)
     data = hs.to_json()
     data["source"] = args.source
     data["target"] = args.target

@@ -31,7 +31,9 @@ target's first character minus the source's.  The factorizations
 without characters that the problem needs are built only on a cache
 miss.  Each block of the orbit is graded, assembled and eliminated once;
 representatives are rebuilt on every call as maps between the caller's
-own structures.
+own structures.  The full space of ``isotypic_decompose`` is a plain hom
+space, read from the kept rank table of the factorization pair
+(``homotopy._rank_table``) that plain ``hom_space`` calls share.
 """
 
 from __future__ import annotations

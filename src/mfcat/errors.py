@@ -19,6 +19,7 @@ class ParseError(MfcatError):
     """Syntax error in a polynomial or workspace file."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        self.message = message
         self.line = line
         self.column = column
         where = ""

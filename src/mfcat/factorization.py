@@ -187,16 +187,22 @@ class MatrixFactorization:
         """Homological shift.  Two shifts give back the object on the nose."""
         out = self
         for _ in range(abs(int(n))):
-            out = MatrixFactorization(
-                W=out.W,
-                weights=out.weights,
-                m0=out.m1,
-                m1=out.m0,
-                p0=-out.p1,
-                p1=-out.p0,
-                validate=False,
-            )
+            out = out._shifted
         return out
+
+    @cached_property
+    def _shifted(self):
+        """The shift, built once per object and kept in the instance dict
+        like split_degree: hom spaces into a shift read it on every call."""
+        return MatrixFactorization(
+            W=self.W,
+            weights=self.weights,
+            m0=self.m1,
+            m1=self.m0,
+            p0=-self.p1,
+            p1=-self.p0,
+            validate=False,
+        )
 
     def degree_twist(self, c):
         """Shift all generator degrees by a constant; maps are untouched."""

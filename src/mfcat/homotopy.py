@@ -25,7 +25,26 @@ rows and columns, solved by ``_solve`` or eliminated by ``linalg``.  Its
 users are the hom-complex blocks, the null-homotopy and equivalence
 systems, the Jacobian test here, and the module-map lifts and
 two-periodicity pieces of ``singcat``.  A hom-complex block is assembled
-for its degree's answer and not kept; the answer is.
+for its degree's answer and not kept; its ranks are.
+
+Ranks are kept per ordered pair (X, Y) of factorizations up to characters,
+in one bounded LRU (``_rank_table``).  Per internal degree e it holds two
+half-ranks of the two-periodic complex Hom(X, Y): the even half (n0, rho_e),
+the even unknowns and the rank of the differential D on them, and the odd
+half (n1, rho_o) likewise.  Kept ranks are exact: a half fresh from a
+block carries a flag saying whether its rank is exact or only a rank mod
+p, and is kept once its degree is settled (``_settle``: Z_p == B_p, a full
+rank mod p, or one exact elimination).  Both parities read the same
+entry: with a the split degree of Y and D the degree of W,
+
+    Hom(X, Y)_d:    Z = n0(d) - rho_e(d),                  B = rho_o(d)
+    Hom(X, Y[1])_d: Z = n1(d + D - a) - rho_o(d + D - a),  B = rho_e(d - a)
+
+since the odd unknowns of Hom(X, Y[1]) in degree d are the even ones of
+Hom(X, Y) in degree d - a, its even unknowns are the odd ones in degree
+d + D - a, and the two differentials agree up to sign.  The halves of a
+degree missing from the table come from one assembled block of the
+complex being read, which gives both.
 """
 
 from __future__ import annotations
@@ -57,6 +76,11 @@ _POTENTIAL_CACHE = 256
 # Null-homotopy systems kept by _kept_system, one per source, target and
 # degree up to characters.
 _KEPT_SYSTEMS = 64
+
+# Rank tables kept by _rank_table, one per ordered pair of factorizations
+# up to characters; one pass of brick-stable fills 46, one of
+# equivariant-isotypic 55.
+_RANK_TABLES = 128
 
 
 @lru_cache(maxsize=_POTENTIAL_CACHE)
@@ -247,12 +271,15 @@ class HomProblem:
     """Per-degree linear systems for maps between two fixed factorizations.
 
     Unknown ids are (kind, i, j, exponent) with kind "e0"/"e1" for the even
-    components and "t0"/"t1" for the odd ones.  Each degree's answer
-    (``answer``) is kept: Z, B and the coordinates of the representatives.
-    Its block is assembled for that answer and not kept.  A problem shared
-    between calls (the pieces of one twist orbit in ``equivariant``)
-    therefore assembles and eliminates each block once.  The default window
-    and the isolated-singularity flag are computed once per problem.
+    components and "t0"/"t1" for the odd ones.  ``degree_block`` assembles
+    a degree's block on every call.  A plain problem keeps no answers:
+    ``hom_space`` puts the ranks of its blocks into the kept rank table of
+    its pair up to characters (``_rank_table``, read by ``_Reading``).
+    Every call on the pair or on a character twist of it reads that table,
+    at shift 0 and, through the problem of source -> target[1], at shift
+    1 (module docstring).  Only a piece (``pieces``) keeps its own
+    answers.  The default window and the isolated-singularity flag are
+    computed once per problem.
     """
 
     def __init__(self, source, target):
@@ -264,8 +291,6 @@ class HomProblem:
         self._odd_slots = _slots(source, target, ODD)
         self._offset = _slot_offsets(source, target)
         self._stencils = _Stencils(source, target)
-        self._answers = {}
-        self._piece = None  # (grade, unknowns by degree and grade, own grade)
 
     @cached_property
     def window(self):
@@ -287,24 +312,12 @@ class HomProblem:
         return _Pieces(self, grade)
 
     def _degree_unknowns(self, d):
-        """(even, odd) unknown ids of degree d; a piece's own only."""
+        """(even, odd) unknown ids of degree d."""
         support = _graded_support(self.ws, self._offset, d)
-        if self._piece is None:
-            return (_unknowns(self._even_slots, support),
-                    _unknowns(self._odd_slots, support))
-        grade, groups, g = self._piece
-        by_grade = groups.get(d)
-        if by_grade is None:
-            by_grade = groups[d] = {}
-            for side, slots in enumerate((self._even_slots, self._odd_slots)):
-                for slot in slots:
-                    for e in support(slot):
-                        key = grade(slot, e)
-                        uids = by_grade.get(key)
-                        if uids is None:
-                            uids = by_grade[key] = ([], [])
-                        uids[side].append(slot + (e,))
-        return by_grade.get(g, ((), ()))
+        return (_unknowns(self._even_slots, support),
+                _unknowns(self._odd_slots, support))
+
+    _LEAK = "internal degree bookkeeping violation at %r"
 
     def degree_block(self, d):
         """The _Block of degree d, assembled on every call."""
@@ -318,23 +331,46 @@ class HomProblem:
         index = dict(even_index)
         dvecs = tuple(_images(odd_uids, self._stencils, index))
         if len(index) != len(even_index):
-            raise MfcatError((
-                "boundary leaves its piece at %r; the grading is not "
-                "compatible with the structure" if self._piece else
-                "internal degree bookkeeping violation at %r"
-            ) % (list(index)[len(even_index)],))
+            raise MfcatError(self._LEAK % (list(index)[len(even_index)],))
         return _Block(even_uids, even_index, zrows, odd_uids, dvecs)
 
+
+class _Piece(HomProblem):
+    """One grade of a problem (``HomProblem.pieces``).  A piece's blocks
+    hold only its own unknowns, and it keeps its own degree answers."""
+
+    _LEAK = ("boundary leaves its piece at %r; the grading is not "
+             "compatible with the structure")
+
+    def _degree_unknowns(self, d):
+        """(even, odd) unknown ids of degree d of this piece's grade; the
+        unknowns of a degree are grouped by grade once for all pieces."""
+        grade, groups, g = self._piece
+        by_grade = groups.get(d)
+        if by_grade is None:
+            by_grade = groups[d] = {}
+            support = _graded_support(self.ws, self._offset, d)
+            for side, slots in enumerate((self._even_slots, self._odd_slots)):
+                for slot in slots:
+                    for e in support(slot):
+                        key = grade(slot, e)
+                        uids = by_grade.get(key)
+                        if uids is None:
+                            uids = by_grade[key] = ([], [])
+                        uids[side].append(slot + (e,))
+        return by_grade.get(g, ((), ()))
+
     def answer(self, d, want_reps):
-        """(Z, B, reps) in degree d, reps a tuple of coordinate tuples
-        ((kind, i, j, e), c), one per representative; None when not
-        wanted and H > 0.  The answer is kept and the block is not: a
-        later call wanting the representatives an earlier one skipped
-        assembles the block again."""
+        """(Z, B, reps) in degree d, as ``_settle`` gives them.  The
+        answer is kept and the block is not: a later call wanting the
+        representatives an earlier one skipped assembles the block again."""
         ans = self._answers.get(d)
         if ans is None or (want_reps and ans[2] is None):
-            ans = self._answers[d] = _block_answer(
-                self.degree_block(d), self.source.field, want_reps)
+            blk = self.degree_block(d)
+            field = self.source.field
+            ans = self._answers[d] = _settle(
+                _cycle_half(blk, field), _boundary_half(blk, field), blk,
+                None, want_reps, field)
         return ans
 
 
@@ -346,36 +382,137 @@ class _Pieces(dict):
         self.prob, self.grade, self.groups = prob, grade, {}
 
     def __missing__(self, g):
-        piece = self[g] = object.__new__(HomProblem)
+        piece = self[g] = object.__new__(_Piece)
         piece.__dict__.update(vars(self.prob), _answers={},
                               _piece=(self.grade, self.groups, g))
         return piece
 
 
-def _block_answer(blk, field, want_reps):
-    """HomProblem.answer of one degree block: each side is reduced at most
-    once, exactly only where the modular certificate leaves it open."""
-    uids, zrows, dvecs = blk.even_uids, blk.zrows, blk.dvecs
-    ncols = len(uids)
-    if ncols == 0:
-        return 0, 0, ()
-    if want_reps or any(dvecs):
-        zdim, bdim = linalg.certified_dims(zrows, dvecs, ncols, field)
-    else:
-        # no boundaries, so B = 0 and Z_p == B_p is the full-rank test
-        # that rank applies itself before its exact pass
-        zdim, bdim = ncols - linalg.rank(zrows, ncols, field), 0
-    if want_reps and (zdim is None or bdim is None or zdim > bdim):
-        # one exact elimination per side gives both dimensions
-        null_basis = linalg.nullspace(zrows, ncols, field)
-        bdim, vecs = _quotient_representatives(null_basis, dvecs, field)
-        reps = tuple(tuple((uids[col], c) for col, c in v.items()) for v in vecs)
-        return len(null_basis), bdim, reps
+@lru_cache(maxsize=_RANK_TABLES)
+def _rank_table(source, target):
+    """({e: even half}, {e: odd half}) of the maps source -> target, each
+    given by its _untwisted fields, so that every character twist of the
+    pair reads the same table.  A half is (n, r, exact): n unknowns of
+    that parity in degree e, and r the rank of D on them.  A kept half is
+    always exact; the flag lets it be read like a half fresh from a block,
+    whose r may be a rank mod p below the rank, or None.  Only ranks are
+    kept, no blocks."""
+    return {}, {}
+
+
+def _half(n, rows, ncols, field):
+    """(n, r, exact) of n unknowns of one parity whose images under D are
+    rows over ncols columns: r their rank as ``linalg.certified_rank``
+    gives it."""
+    if not ncols or not any(rows):
+        return n, 0, True
+    return (n, *linalg.certified_rank(rows, ncols, field))
+
+
+def _cycle_half(blk, field):
+    """The half of a block's even unknowns: D on them is its cycle rows."""
+    n = len(blk.even_uids)
+    return _half(n, blk.zrows, n, field)
+
+
+def _boundary_half(blk, field):
+    """The half of a block's odd unknowns: D on them is its boundaries."""
+    return _half(len(blk.odd_uids), blk.dvecs, len(blk.even_uids), field)
+
+
+def _settle(cycles, bounds, blk, assemble, want_reps, field):
+    """(Z, B, reps) of one degree of a complex from the half of its even
+    unknowns and the half of its odd unknowns; reps a tuple of coordinate
+    tuples ((kind, i, j, e), c), one per representative, or None when not
+    wanted and H > 0.
+
+    ``linalg.certified_dims`` settles what the ranks certify.  Where
+    representatives are wanted and H > 0, or a side is left open, the
+    degree's block (blk, or assemble() when blk is None) is eliminated
+    exactly: its nullspace and quotient give both sides at once, and a
+    side already settled that disagrees with them raises MfcatError;
+    without representatives an open side gets one exact rank.
+    """
+    n = cycles[0]
+    zdim, bdim = linalg.certified_dims(n, cycles[1:], bounds[1:])
+    exact = want_reps and (zdim is None or bdim is None or zdim > bdim)
+    if not exact and zdim is not None and bdim is not None:
+        return zdim, bdim, (() if zdim == bdim else None)
+    if blk is None:
+        blk = assemble()
+    if exact:
+        null_basis = linalg.nullspace(blk.zrows, n, field)
+        got, vecs = _quotient_representatives(null_basis, blk.dvecs, field)
+        if zdim not in (None, len(null_basis)) or bdim not in (None, got):
+            raise MfcatError(
+                "kept ranks (Z, B) = (%s, %s) disagree with the exact (%d, %d)"
+                % (zdim, bdim, len(null_basis), got))
+        reps = tuple(tuple((blk.even_uids[col], c) for col, c in v.items())
+                     for v in vecs)
+        return len(null_basis), got, reps
     if zdim is None:
-        zdim = ncols - linalg.rank(zrows, ncols, field)
+        zdim = n - linalg.rank(blk.zrows, n, field)
     if bdim is None:
-        bdim = linalg.rank(dvecs, ncols, field)
+        bdim = linalg.rank(blk.dvecs, n, field)
     return zdim, bdim, (() if zdim == bdim else None)
+
+
+class _Reading:
+    """The degree answers of maps source -> target[shift], read from the
+    kept rank table of (source, target).
+
+    Degree d reads the cycle half (parity, e) and the boundary half of
+    ``where``: the even and odd halves of d for shift 0, and for shift 1
+    the odd half of d + D - a and the even half of d - a (see the module
+    docstring).  Halves missing from the table come from the degree-d
+    block of ``problem``, the maps source -> target[shift], built on
+    first need; so does an exact elimination.  A block gives exactly the
+    two halves its degree reads, so they are kept only once ``_settle``
+    has made them exact.  A target whose shift does not have split degree
+    D - a (p0 or p1 zero) is read as a pair of its own.
+    """
+
+    def __init__(self, source, target, shift, problem):
+        if shift and problem is not None:
+            raise UsageError("a problem supplies the maps to an unshifted target")
+        _require_shared_grading(source, target)
+        self.source, self.target, self._problem = source, target, problem
+        self.where = ((0, 0), (1, 0))
+        if shift:
+            self.target = target.shift()
+            a, D = target.split_degree, source.weights.degree
+            if a is None or self.target.split_degree != D - a:
+                target = self.target
+            else:
+                self.where = ((1, D - a), (0, -a))
+        self.halves = _rank_table(_untwisted(source), _untwisted(target))
+
+    @property
+    def problem(self):
+        if self._problem is None:
+            self._problem = HomProblem(self.source, self.target)
+        return self._problem
+
+    def answer(self, d, want_reps):
+        (cp, ce), (bp, be) = self.where
+        ctab, btab = self.halves[cp], self.halves[bp]
+        cycles, bounds = ctab.get(d + ce), btab.get(d + be)
+        fresh = cycles is None, bounds is None
+        field = self.source.field
+        blk = None
+        if cycles is None or bounds is None:
+            blk = self.problem.degree_block(d)
+            if cycles is None:
+                cycles = _cycle_half(blk, field)
+            if bounds is None:
+                bounds = _boundary_half(blk, field)
+        ans = _settle(cycles, bounds, blk, lambda: self.problem.degree_block(d),
+                      want_reps, field)
+        if fresh[0]:
+            ctab[d + ce] = (cycles[0], cycles[0] - ans[0], True)
+        if fresh[1]:
+            btab[d + be] = (bounds[0], ans[1], True)
+        return ans
 
 
 @dataclass(frozen=True)
@@ -418,27 +555,38 @@ def _certified_potential(W, weights):
         return False
 
 
-def hom_space(source, target, window=None, *, problem=None, want_reps=True):
-    """Morphism space of the homotopy category, degree by degree.
+def hom_space(source, target, window=None, *, shift=0, problem=None,
+              want_reps=True):
+    """Morphism space of the homotopy category, degree by degree: maps
+    source -> target[shift], shift 0 or 1.
 
     Per-degree numbers are exact.  The certified flag asserts that the
     window provably contains all degrees with nonzero classes, which we
     claim only for isolated quasi-homogeneous potentials with a window at
-    least the default one.  A problem, such as a piece of
-    ``HomProblem.pieces``, supplies the degree answers, the default window
-    and the isolated-singularity flag; without one each call builds its
-    own.  Representatives are made from the kept coordinates on every
-    call, as maps source -> target.
+    least the default one.  Both shifts read the kept rank table of
+    (source, target) (``_Reading``).  A problem between source and target
+    supplies the blocks; a piece of ``HomProblem.pieces`` also supplies
+    its own degree answers, the default window and the
+    isolated-singularity flag.  Representatives are made on every call,
+    as maps source -> target[shift].
     """
+    if shift not in (0, 1):
+        raise UsageError("shift must be 0 or 1")
     _require_weights(source, target)
-    prob = problem if problem is not None else HomProblem(source, target)
-    dflt = prob.window
+    if isinstance(problem, _Piece):
+        answer, tgt = problem.answer, target
+        dflt, isolated = problem.window, problem.isolated
+    else:
+        reading = _Reading(source, target, shift, problem)
+        answer, tgt = reading.answer, reading.target
+        dflt = default_window(source, target)
+        isolated = _certified_potential(source.W, source.weights)
     lo, hi = dflt if window is None else (int(window[0]), int(window[1]))
-    certified = lo <= dflt[0] and hi >= dflt[1] and prob.isolated
+    certified = lo <= dflt[0] and hi >= dflt[1] and isolated
     per_degree = []
     total = 0
     for d in range(lo, hi + 1):
-        zdim, bdim, coords = prob.answer(d, want_reps)
+        zdim, bdim, coords = answer(d, want_reps)
         if zdim == 0 and bdim == 0:
             continue
         hdim = zdim - bdim
@@ -446,12 +594,12 @@ def hom_space(source, target, window=None, *, problem=None, want_reps=True):
         if want_reps:
             if len(coords) != hdim:
                 raise MfcatError("representative count disagrees with dimension")
-            reps = tuple(_morphism(source, target, c, d) for c in coords)
+            reps = tuple(_morphism(source, tgt, c, d) for c in coords)
         per_degree.append(DegreeData(d, zdim, bdim, hdim, reps))
         total += hdim
     return HomSpace(
         source=source,
-        target=target,
+        target=tgt,
         window=(lo, hi),
         per_degree=tuple(per_degree),
         total=total,

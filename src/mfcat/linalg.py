@@ -20,10 +20,10 @@ Over the rationals every rank is certified or exact:
 * full rank: the rows are reduced mod PRIME.  A minor that is nonzero
   mod p is nonzero over Q, so rank mod p <= rank over Q <= min(nonzero
   rows, columns), and a rank mod p that reaches that bound is exact.
-* Z_p == B_p: ``certified_dims`` ranks the cycle equations and the
-  boundaries of one degree of a complex (a hom-space block) mod PRIME;
-  since boundaries are cycles, B_p <= B <= Z <= Z_p, and equal ends
-  settle both.
+* Z_p == B_p: ``certified_dims`` reads one degree of a complex (a
+  hom-space block) from the ranks mod PRIME of its cycle equations and
+  of its boundaries (``certified_rank``); since boundaries are cycles,
+  B_p <= B <= Z <= Z_p, and equal ends settle both.
 * exact fallback: otherwise, or when a denominator is divisible by
   PRIME, ``_rref_qq`` runs the kernel exactly over Q, forward only for a
   rank.  ``rref``, ``nullspace`` and ``solve`` over the rationals always
@@ -74,32 +74,37 @@ def rank(rows, ncols, field):
     return len(_rref_qq(rows, ncols, False)[1])
 
 
-def certified_dims(cycle_rows, boundary_rows, ncols, field):
-    """(Z, B) of one degree of a complex, from ranks mod p; None for a side
-    only exact elimination can settle.
+def certified_rank(rows, ncols, field):
+    """(r, exact): the rank of rows when exact is True, else a lower bound
+    on it, or None.
 
-    Z is the dimension of the kernel of cycle_rows, B the rank of
-    boundary_rows, each a vector in that kernel.  Over F_p both ranks are
-    exact.  Over the rationals a rank mod PRIME never exceeds the rank
-    over Q, and boundaries are cycles, so B_p <= B <= Z <= Z_p: when
-    Z_p == B_p both are exact.  Otherwise a side whose rank mod p is full
-    (``_full_rank``) is exact on its own.  A denominator divisible by PRIME
-    leaves both open.
+    Over F_p the rank is exact.  Over the rationals r is the rank mod
+    PRIME, which never exceeds the rank over Q, and exact when it is full
+    (``_full_rank``); r is None when a denominator is divisible by PRIME.
     """
     if not field.rational:
-        return ncols - rank(cycle_rows, ncols, field), rank(boundary_rows, ncols, field)
+        return rank(rows, ncols, field), True
     try:
-        zrank = rank(cycle_rows, ncols, _GF_PRIME)
-        brank = rank(boundary_rows, ncols, _GF_PRIME)
+        r = rank(rows, ncols, _GF_PRIME)
     except UsageError:
-        return None, None
-    zdim = ncols - zrank
-    if zdim == brank:
-        return zdim, brank
-    return (
-        zdim if _full_rank(zrank, cycle_rows, ncols) else None,
-        brank if _full_rank(brank, boundary_rows, ncols) else None,
-    )
+        return None, False
+    return r, _full_rank(r, rows, ncols)
+
+
+def certified_dims(ncols, cycle_rank, boundary_rank):
+    """(Z, B) of one degree of a complex over ncols unknowns, from the
+    ``certified_rank`` of its cycle equations and of its boundaries; None
+    for a side only exact elimination can settle.
+
+    Z is ncols minus the rank of the cycle equations, B the rank of the
+    boundaries, each a vector in their kernel.  A side whose rank is
+    exact is settled on its own.  Boundaries are cycles, so B_p <= B <= Z
+    <= Z_p for the ranks mod p: when Z_p == B_p both are exact.
+    """
+    (zr, z_exact), (br, b_exact) = cycle_rank, boundary_rank
+    if zr is not None and br is not None and ncols - zr == br:
+        return br, br
+    return ncols - zr if z_exact else None, br if b_exact else None
 
 
 def _full_rank(r, rows, ncols):

@@ -318,7 +318,11 @@ def parse_poly(text: str, nvars: int, field=QQ, line: int | None = None) -> Poly
                 power = 1
                 if pos < n and text[pos] == "^":
                     pos += 1
-                    power = int(read_number(pos))
+                    at = pos
+                    power = read_number(pos)
+                    if "/" in power:
+                        err("an exponent must be a whole number", at)
+                    power = int(power)
                 exps[idx - 1] += power
             elif ch.isdigit():
                 at = pos

@@ -306,14 +306,11 @@ def stable_hom(source, target, shift=0, window=None):
 
     Computes the hom space from source's factorization to the shift of
     target's, and reads it as stable module homomorphisms under the
-    cokernel equivalence.
+    cokernel equivalence.  Both shifts read the kept ranks of the one
+    pair of factorizations (``hom_space``).
     """
-    if shift not in (0, 1):
-        raise UsageError("shift must be 0 or 1")
-    q = target.factorization
-    if shift:
-        q = q.shift()
-    return hom_space(source.factorization, q, window)
+    return hom_space(source.factorization, target.factorization, window,
+                     shift=shift)
 
 
 def stable_hom_g(e_source, e_target, shift=0, window=None, twist_char=None):

@@ -188,19 +188,37 @@ class Workspace:
             )
 
 
-def _parse_matrix(text, nvars, field, line):
+def _parse_at(text, start, segs, nvars, field):
+    """parse_poly of text, a fragment starting at character start of the
+    joined lines segs describes: (start in the join, line, column offset
+    of that start in the line) per line.  A ParseError names the line and
+    the column in that line."""
+    try:
+        return parse_poly(text, nvars, field)
+    except ParseError as exc:
+        k = start + exc.column - 1
+        at, line, col = max(seg for seg in segs if seg[0] <= k)
+        raise ParseError(exc.message, line, col + k - at + 1) from None
+
+
+def _parse_matrix(text, segs, nvars, field):
+    line = segs[0][1]
     s = text.strip()
     if not s.startswith("["):
         raise ParseError("expected '[' to open the matrix", line)
     if not s.endswith("]"):
         raise ParseError("matrix bracket never closes", line)
-    body = s[1:-1].strip()
-    if not body:
+    start = text.index("[") + 1
+    body = text[start:text.rindex("]")]
+    if not body.strip():
         raise ParseError("empty matrix", line)
     rows = []
     width = None
     for chunk in body.split(";"):
-        entries = [parse_poly(cell, nvars, field, line=line) for cell in chunk.split(",")]
+        entries = []
+        for cell in chunk.split(","):
+            entries.append(_parse_at(cell, start, segs, nvars, field))
+            start += len(cell) + 1
         if width is None:
             width = len(entries)
         elif len(entries) != width:
@@ -326,9 +344,9 @@ def parse_workspace(text, validate=True, field_override=None):
         elif head == "potential":
             if nvars is None:
                 raise ParseError("'potential' before 'ring'", line_no)
-            potential = parse_poly(
-                stripped[len("potential"):], nvars, field, line=line_no
-            )
+            raw = clean(lines[i - 1])
+            col = raw.index(head) + len(head)
+            potential = _parse_at(raw[col:], 0, [(0, line_no, col)], nvars, field)
             potential_line = line_no
         elif head == "weights":
             if nvars is None:
@@ -388,11 +406,16 @@ def parse_workspace(text, validate=True, field_override=None):
                     closed = True
                     break
                 if key in ("p0", "p1"):
-                    rest = bstripped[len(key):].strip()
+                    raw = clean(lines[i - 1])
+                    col = raw.index(key) + len(key)
+                    rest = raw[col:]
+                    segs = [(0, bline_no, col)]
                     while rest.count("[") > rest.count("]") and i < len(lines):
-                        rest += " " + clean(lines[i]).strip()
+                        rest += " "
+                        segs.append((len(rest), i + 1, 0))
+                        rest += clean(lines[i])
                         i += 1
-                    block[key] = (rest, bline_no)
+                    block[key] = (rest, segs)
                 elif key in ("deg0", "deg1"):
                     try:
                         block[key] = tuple(int(t) for t in btokens[1:])
@@ -448,10 +471,8 @@ def parse_workspace(text, validate=True, field_override=None):
     ws = Workspace(nvars, field, potential, weights, action)
     for block in mf_blocks:
         name = block["name"]
-        text0, line0 = block["p0"]
-        text1, line1 = block["p1"]
-        p0 = _parse_matrix(text0, nvars, field, line0)
-        p1 = _parse_matrix(text1, nvars, field, line1)
+        p0 = _parse_matrix(*block["p0"], nvars, field)
+        p1 = _parse_matrix(*block["p1"], nvars, field)
         if weights is not None:
             deg0 = block.get("deg0")
             deg1 = block.get("deg1")

@@ -142,6 +142,25 @@ def dense_rank(rows, one=Fraction(1)):
     return len(dense_rref(rows, one)[1])
 
 
+def dense_rank_mod(rows, p):
+    """Rank of a dense matrix of integers (or integral Fractions) mod p."""
+    mat = [[int(x) % p for x in r] for r in rows]
+    rank = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][c], -1, p)
+        mat[rank] = [x * inv % p for x in mat[rank]]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][c]
+            if f:
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
 # ---------------------------------------------------------------------------
 # monomial enumeration
 
@@ -180,7 +199,9 @@ def milnor_basis(powers):
 
 
 def poly_to_dict(p):
-    return {tuple(e): Fraction(c) for e, c in p.terms.items()}
+    """Coefficients as Fractions; an F_p coefficient as its integer
+    representative (read off ``.val``)."""
+    return {tuple(e): Fraction(getattr(c, "val", c)) for e, c in p.terms.items()}
 
 
 def matrix_to_data(m):
@@ -213,6 +234,17 @@ def mf_to_data(mf):
     }
 
 
+def shift_data(t):
+    """mf_to_data of the shift of the factorization t describes: the two
+    modules swap, so do their generator degrees, the maps become -p1 and
+    -p0, and the split degree, the degree of the new p0, is D - a."""
+    out = dict(t)
+    out.update(r0=t["r1"], r1=t["r0"], g0=t["g1"], g1=t["g0"], a=t["D"] - t["a"],
+               p0=[[pneg(e) for e in row] for row in t["p1"]],
+               p1=[[pneg(e) for e in row] for row in t["p0"]])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # hom space dimensions, degree by degree, by dense linear algebra
 #
@@ -234,13 +266,13 @@ def _entry_coords(slots, nvars, weights):
     return coords
 
 
-def _rank_of_images(images):
+def _rank_of_images(images, p=None):
     images = [img for img in images if img]
     if not images:
         return 0
     keys = sorted(set().union(*images))
     rows = [[img.get(k, F0) for k in keys] for img in images]
-    return dense_rank(rows)
+    return dense_rank(rows) if p is None else dense_rank_mod(rows, p)
 
 
 def _add_image(vec, block, i, j, poly, sign=1):
@@ -253,10 +285,11 @@ def _add_image(vec, block, i, j, poly, sign=1):
             vec.pop(key, None)
 
 
-def hom_dims(s, t, lo, hi):
+def hom_dims(s, t, lo, hi, p=None):
     """Per-degree cycle, boundary and homology dimensions.
 
-    s and t are dicts from mf_to_data over the same graded ring.  Returns
+    s and t are dicts from mf_to_data over the same graded ring, over the
+    rationals, or over F_p when p is given.  Returns
     {d: {"Z": int, "B": int, "H": int}} for lo <= d <= hi.
     """
     if s["weights"] != t["weights"] or s["D"] != t["D"]:
@@ -312,8 +345,8 @@ def hom_dims(s, t, lo, hi):
                     _add_image(vec, "f1", r, j, pmul(q0[r][i], m))
             d_images.append(vec)
 
-        z = len(fcoords) - _rank_of_images(c_images)
-        b = _rank_of_images(d_images)
+        z = len(fcoords) - _rank_of_images(c_images, p)
+        b = _rank_of_images(d_images, p)
         if b > z:
             raise AssertionError("boundary rank exceeds cycle dimension")
         out[d] = {"Z": z, "B": b, "H": z - b}

@@ -59,6 +59,14 @@ def fermat_cubic(field=QQ):
     return koszul_factorization(pairs, ws)
 
 
+def quadric_plus_cube(field=QQ):
+    """x^2 + y^2 + z^3, weights (3, 3, 2) and degree 6, as the Koszul
+    factorization of the pairs (x, x), (y, y), (z, z^2)."""
+    ws = WeightSystem((3, 3, 2), 6)
+    x, y, z = (Polynomial.variable(i, 3, field) for i in range(3))
+    return koszul_factorization([(x, x), (y, y), (z, z * z)], ws)
+
+
 def fermat_action():
     return cyclic_action(3, (1, 1, 1), 3)
 

@@ -501,7 +501,10 @@ def test_hom_tables_survive_entries_the_prime_divides():
     # scaling p0 by a unit c of Q gives an equivalent category: (f0, f1)
     # stays a chain map and homotopies rescale.  With c = 2^31 - 1 the
     # systems' entries vanish mod p, with c = 1/(2^31 - 1) they have no
-    # residue, so every hom table here needs the exact fallback
+    # residue, so every hom table here needs the exact fallback.  Shift 1
+    # is then read from the warm rank table of the pair: its halves in
+    # degrees shift 0 did not reach take the fallback too, without and
+    # with representatives
     P = 2**31 - 1
     for n in (2, 3, 4):
         ws = WeightSystem((1,), n)
@@ -516,3 +519,7 @@ def test_hom_tables_survive_entries_the_prime_divides():
                     assert hom_space(scaled[a], scaled[b]).to_json()["per_degree"] == want
                     got = hom_space(scaled[a], scaled[b], want_reps=False)
                     assert got.to_json()["per_degree"] == want, (n, c, a, b)
+                    want = hom_space(plain[a], plain[b].shift()).to_json()["per_degree"]
+                    for reps in (False, True):
+                        got = hom_space(scaled[a], scaled[b], shift=1, want_reps=reps)
+                        assert got.to_json()["per_degree"] == want, (n, c, a, b, reps)

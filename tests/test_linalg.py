@@ -227,12 +227,19 @@ def test_prime_field_rref_matches_dense_oracle():
 def test_certified_dims_leave_a_rank_drop_open():
     # the cycle equation 2^31 - 1 vanishes mod p: Z_p = 2 but Z = 1, so
     # only the boundary side (full rank mod p) may be settled; with no
-    # residue neither side is, and Z_p == B_p settles both
+    # residue the cycle side has no rank mod p and the boundary side is
+    # still settled by its own, and Z_p == B_p settles both
+    def dims(zrows, dvecs):
+        return linalg.certified_dims(2, linalg.certified_rank(zrows, 2, QQ),
+                                     linalg.certified_rank(dvecs, 2, QQ))
+
     zrows = [{0: Fraction(P)}]
     dvecs = [{1: Fraction(1)}]
-    assert linalg.certified_dims(zrows, dvecs, 2, QQ) == (None, 1)
-    assert linalg.certified_dims([{0: Fraction(1, P)}], dvecs, 2, QQ) == (None, None)
-    assert linalg.certified_dims([{0: Fraction(1)}], dvecs, 2, QQ) == (1, 1)
+    assert linalg.certified_rank(zrows, 2, QQ) == (0, False)
+    assert linalg.certified_rank([{0: Fraction(1, P)}], 2, QQ) == (None, False)
+    assert dims(zrows, dvecs) == (None, 1)
+    assert dims([{0: Fraction(1, P)}], dvecs) == (None, 1)
+    assert dims([{0: Fraction(1)}], dvecs) == (1, 1)
 
 
 def sparse_system(rng, nrows, ncols, density=0.1):

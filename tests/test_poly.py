@@ -54,6 +54,10 @@ def test_parse_rejects_garbage():
         parse_poly("x5", 2)
     with pytest.raises(ParseError):
         parse_poly("", 1)
+    # a fractional exponent is a parse error at the exponent, not a crash
+    with pytest.raises(ParseError) as exc:
+        parse_poly("x1^1/2", 1)
+    assert exc.value.column == 4
 
 
 def test_format_fixed_point():

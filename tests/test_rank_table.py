@@ -1,0 +1,158 @@
+"""The kept rank table of a factorization pair, read at both shifts.
+
+Hom(X, Y[1]) is read from the half-ranks kept for the pair (X, Y); see the
+module docstring of mfcat.homotopy.  The dense oracle computes the shifted
+hom tables from its own description of Y[1], with no library solver code.
+"""
+
+import pytest
+
+from mfcat import QQ, MfcatError, PrimeField, cok, enumerate_structures, stable_hom
+from mfcat.equivariant import isotypic_decompose
+from mfcat.homotopy import _RANK_TABLES, _rank_table, default_window, hom_space
+from mfcat import homotopy
+
+import oracles as orc
+import suites
+
+
+def small_suite_pairs(field):
+    """(source, target, top) for every same-potential pair of x^2..x^5 and
+    the quadric, and the endomorphisms of x^2 + y^2 + z^3 and the Fermat
+    cubic.  The dense oracle is cubic in the block size, so for the two
+    three-variable objects it stops at degree top, past the shifted
+    classes: the blocks above have hundreds of unknowns (Z = B = 81 in
+    degree 1 of the Fermat cubic); elsewhere top is None, the whole
+    default window."""
+    objs = [mf for n in range(2, 6) for _, mf in sorted(suites.an_objects(n, field).items())]
+    objs.append(suites.quadric(field))
+    pairs = [(a, b, None) for a in objs for b in objs if a.W == b.W]
+    pairs.append((suites.quadric_plus_cube(field),) * 2 + (1,))
+    pairs.append((suites.fermat_cubic(field),) * 2 + (0,))
+    return pairs
+
+
+def table(hs):
+    return {p.degree: (p.cycles, p.boundaries, p.dim) for p in hs.per_degree}
+
+
+def reps(hs):
+    """The representatives of a hom space with their terms in stored order."""
+    def terms(mat):
+        return [[list(f.terms.items()) for f in row] for row in mat.entries]
+
+    return [(p.degree, [(r.target, terms(r.f0), terms(r.f1)) for r in p.representatives])
+            for p in hs.per_degree]
+
+
+SHIFT_ROUTES = {
+    "shift argument": lambda a, b, w: hom_space(a, b, w, shift=1),
+    "shifted target": lambda a, b, w: hom_space(a, b.shift(), w),
+    "stable hom": lambda a, b, w: stable_hom(cok(a), cok(b), 1, w),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_shift_one_matches_the_dense_oracle_cold_and_warm(field):
+    p = None if field.rational else field.p
+    pairs = small_suite_pairs(field)
+    assert len(pairs) == 33
+    for a, b, top in pairs:
+        lo, hi = default_window(a, b)
+        window = (lo, hi if top is None else top)
+        dense = orc.hom_dims(orc.mf_to_data(a), orc.shift_data(orc.mf_to_data(b)),
+                             *window, p)
+        want = {d: (v["Z"], v["B"], v["H"]) for d, v in dense.items() if v["Z"] or v["B"]}
+        for warm in (False, True):
+            for route, call in SHIFT_ROUTES.items():
+                _rank_table.cache_clear()
+                if warm:
+                    hom_space(a, b, want_reps=False)
+                hs = call(a, b, window)
+                assert table(hs) == want, (route, warm)
+                assert hs.window == window and hs.certified == (top is None)
+                for pd in hs.per_degree:
+                    for rep in pd.representatives:
+                        assert rep.target == b.shift() and rep.is_chain_map()
+        if top is not None:
+            # no class of the whole window lies above top
+            full = hom_space(a, b, shift=1, want_reps=False)
+            assert full.certified
+            assert all(pd.dim == 0 for pd in full.per_degree if pd.degree > top)
+
+
+def test_both_shifts_and_every_twist_read_one_entry(monkeypatch):
+    act = suites.an_action(4)
+    s0, s1 = enumerate_structures(suites.an_objects(4)[1], act)[:2]
+    x, y = s0.factorization, s1.factorization
+    _rank_table.cache_clear()
+    want = [hom_space(x, y, shift=k).to_json() for k in (0, 1)]
+    info = _rank_table.cache_info()
+    assert info.currsize == 1
+
+    def no_block(self, d):
+        raise AssertionError("a warm read assembled a block")
+
+    # without representatives, every twist reads both shifts from the
+    # kept ranks alone
+    with monkeypatch.context() as m:
+        m.setattr(homotopy.HomProblem, "degree_block", no_block)
+        for c in act.characters():
+            t = s1.twist(c).factorization
+            assert t != y or c == act.zero_char()
+            assert [hom_space(x, t, shift=k, want_reps=False).to_json()
+                    for k in (0, 1)] == want
+    # the full space of an isotypic decomposition reads the same entry
+    isotypic_decompose(s0, s1)
+    assert _rank_table.cache_info().misses == info.misses
+    assert _rank_table.cache_info().currsize == 1
+
+
+def test_the_store_is_bounded_and_an_evicted_pair_comes_back_equal():
+    objs = suites.an_objects(4)
+    a, b = objs[1], objs[3]
+    assert _rank_table.cache_info().maxsize == _RANK_TABLES
+    _rank_table.cache_clear()
+    first = [hom_space(a, b, shift=k).to_json() for k in (0, 1)]
+    # degree twists move the generator degrees, so each is a pair of its own
+    for k in range(1, _RANK_TABLES + 2):
+        hom_space(a, b.degree_twist(k), (0, 0))
+        assert _rank_table.cache_info().currsize <= _RANK_TABLES
+    assert _rank_table.cache_info().currsize == _RANK_TABLES
+    misses = _rank_table.cache_info().misses
+    assert [hom_space(a, b, shift=k).to_json() for k in (0, 1)] == first
+    assert _rank_table.cache_info().misses == misses + 1
+
+
+def test_representatives_from_a_warm_store_equal_a_fresh_problem():
+    objs = suites.an_objects(5)
+    pairs = [(suites.quadric(), suites.quadric()), (objs[2], objs[3]),
+             (objs[1], objs[1]), (suites.fermat_cubic(), suites.fermat_cubic())]
+    for a, b in pairs:
+        for shift in (0, 1):
+            _rank_table.cache_clear()
+            fresh = hom_space(a, b, shift=shift)
+            assert any(p.representatives for p in fresh.per_degree)
+            _rank_table.cache_clear()
+            for k in (0, 1):
+                hom_space(a, b, shift=k, want_reps=False)
+            warm = hom_space(a, b, shift=shift)
+            assert warm == fresh
+            assert reps(warm) == reps(fresh)
+
+
+def test_kept_ranks_that_disagree_with_the_representatives_raise(monkeypatch):
+    q = suites.quadric()
+    _rank_table.cache_clear()
+    for k in (0, 1):
+        hom_space(q, q, shift=k, want_reps=False)
+    quotient = homotopy._quotient_representatives
+
+    def one_boundary_more(null_basis, boundary_rows, field):
+        bdim, vecs = quotient(null_basis, boundary_rows, field)
+        return bdim + 1, vecs[1:]
+
+    monkeypatch.setattr(homotopy, "_quotient_representatives", one_boundary_more)
+    for k in (0, 1):
+        with pytest.raises(MfcatError, match="disagree"):
+            hom_space(q, q, shift=k)

@@ -331,6 +331,10 @@ def test_mutated_workspaces_parse_or_fail_on_a_line(name, edits):
         parse_workspace(text)
     except ParseError as exc:
         assert exc.line is not None, (str(exc), text)
+        if exc.column is not None:
+            # a column lies in its line, or just past its end
+            line = text.splitlines()[exc.line - 1]
+            assert 1 <= exc.column <= len(line) + 1, (str(exc), text)
 
 
 @pytest.mark.parametrize("text, line", [
@@ -343,6 +347,21 @@ def test_bad_potentials_fail_on_their_line(text, line):
     with pytest.raises(ParseError) as info:
         parse_workspace(text)
     assert info.value.line == line
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("ring 1 over q\npotential 1/0\n", 2, 11),
+    ("ring 1 over q\n  potential x1^2 + 1/0  # tail\n", 2, 20),
+    (BASIC.replace("      x2, x1]", "      x2, x1 + 1/0]"), 8, 16),
+    (BASIC.replace("p1 [x1, x2; -x2, x1]", "p1 [x1, x2; -x2, x3]"), 9, 20),
+])
+def test_parse_errors_name_the_column_in_the_line(text, line, column):
+    # the potential and each matrix cell are parsed as fragments; an error
+    # names the column in the workspace line, also on a continuation line
+    with pytest.raises(ParseError) as info:
+        parse_workspace(text)
+    assert (info.value.line, info.value.column) == (line, column)
+    assert f"(line {line}, column {column})" in str(info.value)
 
 
 def test_zero_denominator_over_a_prime_field():
