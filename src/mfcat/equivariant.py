@@ -26,14 +26,18 @@ bounded cache whose key takes, per structure, the fields every twist
 shares (W, the weights, the generator degrees, p0 and p1; twists share
 the matrix objects, and polynomial and matrix hashes are memoized) and
 the characters relative to the structure's first one, plus the action.
-The piece of character chi is the split's piece chi - need0, need0 the
-target's first character minus the source's.  The factorizations
-without characters that the problem needs are built only on a cache
-miss.  Each block of the orbit is graded, assembled and eliminated once;
-representatives are rebuilt on every call as maps between the caller's
-own structures.  The full space of ``isotypic_decompose`` is a plain hom
-space, read from the kept rank table of the factorization pair
-(``homotopy._rank_table``) that plain ``hom_space`` calls share.
+The relative characters come from a bounded memo keyed by the generator
+characters and the group orders.  The piece of character chi is the
+split's piece chi - need0, need0 the target's first character minus the
+source's.  The factorizations without characters that the problem needs
+are built only on a cache miss.  Each block of the orbit is graded,
+assembled and eliminated once, and each piece keeps the answer table of
+its default window (``_Piece.table``).  What calls share is that table's
+(f0, f1) pairs of immutable ``PolyMatrix`` objects, never an
+``MfMorphism``: representatives are made on every call as maps between
+the caller's own structures.  The full space of ``isotypic_decompose`` is
+a plain hom space, read from the kept rank table of the factorization
+pair (``homotopy._rank_table``) that plain ``hom_space`` calls share.
 """
 
 from __future__ import annotations
@@ -58,6 +62,11 @@ from .homotopy import (
 # Twist orbits kept by _orbit_split, one per pair of structures up to
 # twisting; one pass of equivariant-isotypic fills 55.
 _ORBIT_CACHE = 128
+
+# Relative characters kept by _chars_relative, one per pair of generator
+# character tuples and group orders; one pass of equivariant-isotypic
+# fills 70.
+_RELATIVE_CHARS = 256
 
 
 def check_equivariant(mf, action):
@@ -314,13 +323,19 @@ def _relative_chars(st):
     """(base, (chars0 - base, chars1 - base)) of a structure, base its
     first generator character (zero without generators).  Twisting the
     structure moves base only."""
-    act = st.action
-    first = st.chars0 or st.chars1
+    return _chars_relative(st.chars0, st.chars1, st.action.orders)
+
+
+@lru_cache(maxsize=_RELATIVE_CHARS)
+def _chars_relative(chars0, chars1, orders):
+    """``_relative_chars`` of the generator characters chars0, chars1
+    under cyclic factors of the given orders."""
+    first = chars0 or chars1
     if not first:
-        return act.zero_char(), ((), ())
-    base, orders = first[0], act.orders
+        return (0,) * len(orders), ((), ())
+    base = first[0]
     return base, tuple(tuple(char_sub(c, base, orders) for c in chars)
-                       for chars in (st.chars0, st.chars1))
+                       for chars in (chars0, chars1))
 
 
 @lru_cache(maxsize=_ORBIT_CACHE)
@@ -398,14 +413,15 @@ def isotypic_decompose(e_src, e_tgt, window=None):
                        problem=split[char_sub(chi, need0, act.orders)])
         for chi in act.characters()
     }
-    full_dims = full.dims_by_degree()
-    piece_dims = [hs.dims_by_degree() for hs in pieces.values()]
-    for d in range(window[0], window[1] + 1):
-        want = full_dims.get(d, 0)
-        got = sum(dims.get(d, 0) for dims in piece_dims)
-        if want != got:
+    want = full.dims_by_degree()
+    got = {}
+    for hs in pieces.values():
+        for p in hs.per_degree:
+            got[p.degree] = got.get(p.degree, 0) + p.dim
+    for d in sorted(want.keys() | got.keys()):
+        if want.get(d, 0) != got.get(d, 0):
             raise MfcatError(
                 "isotypic pieces of degree %d sum to %d, expected %d"
-                % (d, got, want)
+                % (d, got.get(d, 0), want.get(d, 0))
             )
     return pieces

@@ -278,8 +278,9 @@ class HomProblem:
     Every call on the pair or on a character twist of it reads that table,
     at shift 0 and, through the problem of source -> target[1], at shift
     1 (module docstring).  Only a piece (``pieces``) keeps its own
-    answers.  The default window and the isolated-singularity flag are
-    computed once per problem.
+    answers, and the answer table of its default window.  The default
+    window and the isolated-singularity flag are computed once per
+    problem.
     """
 
     def __init__(self, source, target):
@@ -337,7 +338,8 @@ class HomProblem:
 
 class _Piece(HomProblem):
     """One grade of a problem (``HomProblem.pieces``).  A piece's blocks
-    hold only its own unknowns, and it keeps its own degree answers."""
+    hold only its own unknowns.  It keeps its own degree answers and, per
+    want_reps value, the answer table of its default window (``table``)."""
 
     _LEAK = ("boundary leaves its piece at %r; the grading is not "
              "compatible with the structure")
@@ -373,6 +375,17 @@ class _Piece(HomProblem):
                 None, want_reps, field)
         return ans
 
+    def table(self, want_reps):
+        """The rows (``_rows``) of the default window, made once per
+        want_reps value from the degree answers.  The matrix pairs are
+        maps between the piece's factorizations without characters; they
+        are immutable, so every call shares them."""
+        tab = self._tables.get(want_reps)
+        if tab is None:
+            tab = self._tables[want_reps] = _rows(
+                self.answer, *self.window, want_reps, self.source, self.target)
+        return tab
+
 
 class _Pieces(dict):
     """The pieces of a problem by grade, made on first use."""
@@ -383,7 +396,7 @@ class _Pieces(dict):
 
     def __missing__(self, g):
         piece = self[g] = object.__new__(_Piece)
-        piece.__dict__.update(vars(self.prob), _answers={},
+        piece.__dict__.update(vars(self.prob), _answers={}, _tables={},
                               _piece=(self.grade, self.groups, g))
         return piece
 
@@ -473,8 +486,6 @@ class _Reading:
     """
 
     def __init__(self, source, target, shift, problem):
-        if shift and problem is not None:
-            raise UsageError("a problem supplies the maps to an unshifted target")
         _require_shared_grading(source, target)
         self.source, self.target, self._problem = source, target, problem
         self.where = ((0, 0), (1, 0))
@@ -565,15 +576,20 @@ def hom_space(source, target, window=None, *, shift=0, problem=None,
     claim only for isolated quasi-homogeneous potentials with a window at
     least the default one.  Both shifts read the kept rank table of
     (source, target) (``_Reading``).  A problem between source and target
-    supplies the blocks; a piece of ``HomProblem.pieces`` also supplies
-    its own degree answers, the default window and the
-    isolated-singularity flag.  Representatives are made on every call,
-    as maps source -> target[shift].
+    supplies the blocks, and only at shift 0; a piece of
+    ``HomProblem.pieces`` also supplies its own degree answers, the
+    default window and the isolated-singularity flag, and over its
+    default window its kept table (``_Piece.table``).  The (f0, f1)
+    matrix pairs of a piece's table are shared between calls; the
+    representatives, maps source -> target[shift], are made on every call.
     """
     if shift not in (0, 1):
         raise UsageError("shift must be 0 or 1")
+    if shift and problem is not None:
+        raise UsageError("a problem supplies the maps to an unshifted target")
     _require_weights(source, target)
-    if isinstance(problem, _Piece):
+    piece = isinstance(problem, _Piece)
+    if piece:
         answer, tgt = problem.answer, target
         dflt, isolated = problem.window, problem.isolated
     else:
@@ -582,21 +598,19 @@ def hom_space(source, target, window=None, *, shift=0, problem=None,
         dflt = default_window(source, target)
         isolated = _certified_potential(source.W, source.weights)
     lo, hi = dflt if window is None else (int(window[0]), int(window[1]))
+    if piece and (lo, hi) == dflt:
+        rows = problem.table(want_reps)
+    else:
+        rows = _rows(answer, lo, hi, want_reps, source, tgt)
     certified = lo <= dflt[0] and hi >= dflt[1] and isolated
     per_degree = []
     total = 0
-    for d in range(lo, hi + 1):
-        zdim, bdim, coords = answer(d, want_reps)
-        if zdim == 0 and bdim == 0:
-            continue
-        hdim = zdim - bdim
-        reps = ()
-        if want_reps:
-            if len(coords) != hdim:
-                raise MfcatError("representative count disagrees with dimension")
-            reps = tuple(_morphism(source, tgt, c, d) for c in coords)
-        per_degree.append(DegreeData(d, zdim, bdim, hdim, reps))
-        total += hdim
+    for d, zdim, bdim, pairs in rows:
+        reps = pairs and tuple(
+            MfMorphism(source, tgt, f0, f1, d, validate=False)
+            for f0, f1 in pairs)
+        per_degree.append(DegreeData(d, zdim, bdim, zdim - bdim, reps))
+        total += zdim - bdim
     return HomSpace(
         source=source,
         target=tgt,
@@ -605,6 +619,26 @@ def hom_space(source, target, window=None, *, shift=0, problem=None,
         total=total,
         certified=certified,
     )
+
+
+def _rows(answer, lo, hi, want_reps, source, target):
+    """((d, Z, B, pairs), ...) over the degrees lo..hi where Z or B is
+    nonzero, from answer(d, want_reps) = (Z, B, coordinates); pairs holds
+    the (f0, f1) matrices of the representatives of maps source -> target
+    when want_reps, and is empty otherwise."""
+    out = []
+    for d in range(lo, hi + 1):
+        zdim, bdim, coords = answer(d, want_reps)
+        if zdim == 0 and bdim == 0:
+            continue
+        pairs = ()
+        if want_reps:
+            if len(coords) != zdim - bdim:
+                raise MfcatError("representative count disagrees with dimension")
+            pairs = tuple(tuple(_slot_matrices(source, target, EVEN, c))
+                          for c in coords)
+        out.append((d, zdim, bdim, pairs))
+    return tuple(out)
 
 
 def _require_shared_grading(source, target):
@@ -663,16 +697,6 @@ def _slot_matrices(s, t, kinds, coords):
         _poly_matrix(tabs[kind], *_shape(s, t, kind), s.nvars, s.field)
         for kind in kinds
     ]
-
-
-def _morphism(source, target, coords, degree):
-    """The even map source -> target of the given degree with the nonzero
-    coordinates coords, ((kind, i, j, e), c) pairs."""
-    f0, f1 = _slot_matrices(source, target, EVEN, coords)
-    return MfMorphism(
-        source=source, target=target, f0=f0, f1=f1, degree=degree,
-        validate=False,
-    )
 
 
 def _bounds(h, f0, f1):
@@ -1046,8 +1070,9 @@ def random_chain_map(source, target, degree=0, rng=None):
                 combo[col] = nv
             elif cur is not None:
                 del combo[col]
-    return _morphism(source, target, ((uids[col], c) for col, c in combo.items()),
-                     degree)
+    f0, f1 = _slot_matrices(source, target, EVEN,
+                            ((uids[col], c) for col, c in combo.items()))
+    return MfMorphism(source, target, f0, f1, degree, validate=False)
 
 
 def truncated_hom_space(source, target, bound):

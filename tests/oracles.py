@@ -13,7 +13,7 @@ of polynomials are nested lists of such dicts.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 F0 = Fraction(0)
 
@@ -448,3 +448,50 @@ def literal_reynolds_order2(block, src_chars, tgt_chars, exps, twist=0):
             new_row.append(pscale(padd(p, moved), half))
         out.append(new_row)
     return out
+
+
+# ---------------------------------------------------------------------------
+# stabilized residue fields of diagonal potentials
+
+
+def residue_field_even_table(weights, degree, exponents, order, twist=0):
+    """{(character,): {internal degree: dimension}} of the even maps of
+    transformation character `character` from the stabilized residue field
+    k = (x_1 | x_1^(r_1 - 1)) ⊗ ... ⊗ (x_n | x_n^(r_n - 1)) of the diagonal
+    potential W = x_1^r_1 + ... + x_n^r_n, with one equivariant structure,
+    to k with that structure twisted by `twist`.  W has degree `degree`
+    under the weights (so r_i * w_i = degree), every r_i is at least 3,
+    and Z/order acts on x_i by exponents[i].  Every character
+    0..order-1 is a key; a piece without classes maps to {}.
+
+    The table comes from the subsets S of the variables alone.  Write
+    k = S ⊗ Λ(θ_1..θ_n) with the Koszul differential
+    δ = Σ_i (x_i θ_i∧ + x_i^(r_i - 1) ι_i), ι_i the contraction with θ_i,
+    so δ² = W.  Graded commutators give [δ, θ_i∧] = x_i^(r_i - 1) and
+    [δ, ι_i] = x_i, hence η_i = θ_i∧ - x_i^(r_i - 2) ι_i is a closed odd
+    endomorphism, with η_i² = -x_i^(r_i - 2) and η_i η_j = -η_j η_i for
+    i != j.  Since W lies in m³, End(k) is the exterior algebra on the
+    classes of the η_i (Dyckerhoff, 0904.4713), so the even classes are
+    η_S = Π_{i∈S} η_i, one for each S of even size, and none other.
+
+    Degree: η_S² = ±Π_{i∈S} x_i^(r_i - 2), and x_i^(r_i - 2) has degree
+    degree - 2 w_i, so 2 deg η_S = Σ_{i∈S} (degree - 2 w_i), that is
+    deg η_S = |S| degree / 2 - Σ_{i∈S} w_i (for x^r + y^r and S = {x, y}:
+    r - 2, not w_x + w_y).
+
+    Character: δ(1) = Σ_i x_i θ_i, so in an equivariant structure θ_i has
+    the character of the generator 1 plus that of x_i, and η_S(1) = θ_S.
+    A map has transformation character χ when each entry from a generator
+    g to a generator h has character χ(h) - χ(g) - χ, so the constant
+    entry from 1 to θ_S gives χ(η_S) = Σ_{i∈S} exponents[i]; the twist of
+    the target adds `twist`.
+    """
+    n = len(weights)
+    table = {(c,): {} for c in range(order)}
+    for size in range(0, n + 1, 2):
+        for subset in combinations(range(n), size):
+            d = (size * degree) // 2 - sum(weights[i] for i in subset)
+            chi = (twist + sum(exponents[i] for i in subset)) % order
+            piece = table[chi,]
+            piece[d] = piece.get(d, 0) + 1
+    return table

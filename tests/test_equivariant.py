@@ -12,6 +12,8 @@ import oracles as orc
 import suites
 from mfcat import (
     EquivariantStructure,
+    HomProblem,
+    Polynomial,
     check_equivariant,
     cyclic_action,
     elementary_factorization,
@@ -28,7 +30,8 @@ from mfcat import (
     twist_orbits,
     WeightSystem,
 )
-from mfcat.equivariant import _ORBIT_CACHE, _orbit_split
+from mfcat.action import char_sub
+from mfcat.equivariant import _ORBIT_CACHE, _orbit_split, _twist_orbit
 from mfcat.errors import GradingError, MfcatError, UsageError
 
 
@@ -400,3 +403,102 @@ def test_equal_structures_share_one_orbit_entry():
     misses = _orbit_split.cache_info().misses
     isotypic_decompose(d0, d1)
     assert _orbit_split.cache_info().misses == misses + 1
+
+
+def test_a_problem_refuses_a_shifted_target():
+    # a piece holds the maps to the unshifted target only, so shift 1
+    # is refused rather than answered with the shift-0 table
+    mf = suites.an_objects(4)[1]
+    act = suites.an_action(4)
+    e = enumerate_structures(mf, act)[0]
+    _, split, need0 = _twist_orbit(e, e)
+    piece = split[char_sub(act.zero_char(), need0, act.orders)]
+    src = e.factorization
+    for problem in (piece, HomProblem(src, src)):
+        with pytest.raises(UsageError, match="^a problem supplies the maps "
+                                             "to an unshifted target$"):
+            hom_space(src, src, shift=1, problem=problem)
+    assert hom_space(src, src, problem=piece) == equivariant_hom_space(e, e)
+
+
+def test_warm_tables_equal_cold_answers():
+    # per source structure and twist orbit of targets, over x^2..x^6:
+    # answers read from kept tables equal those of a run on an emptied
+    # orbit cache, made in the reverse order so that another caller builds
+    # each table; every representative has its own caller's endpoints
+    for n in range(2, 7):
+        act = suites.an_action(n)
+        chars = act.characters()
+        structs = [st for mf in suites.an_objects(n).values()
+                   for st in enumerate_structures(mf, act)]
+        orbits = twist_orbits(structs)
+        assert sum(map(len, orbits)) == len(structs)
+        for e_src in structs:
+            for orbit in orbits:
+                calls = []
+                for t in orbit:
+                    calls.append((t, lambda t=t: isotypic_decompose(e_src, t)))
+                    calls += [(t, lambda t=t, chi=chi: {chi: equivariant_hom_space(
+                        e_src, t, twist_char=chi)}) for chi in chars]
+                isotypic_decompose(e_src, orbit[0])
+                warm = [call() for _, call in calls]
+                _orbit_split.cache_clear()
+                cold = [call() for _, call in reversed(calls)][::-1]
+                for (t, _), got, want in zip(calls, warm, cold):
+                    assert list(got) == list(want)
+                    for chi, hs in got.items():
+                        assert fingerprint(hs) == fingerprint(want[chi])
+                        for p in hs.per_degree:
+                            for rep in p.representatives:
+                                assert rep.source is e_src.factorization
+                                assert rep.target is t.factorization
+
+
+def test_explicit_windows_keep_no_tables():
+    # a piece keeps one table per want_reps value, for its default window
+    # only; other windows read the degree answers and equal a fresh
+    # problem's
+    act = suites.an_action(4)
+    objs = suites.an_objects(4)
+    e_src = enumerate_structures(objs[1], act)[0]
+    e_tgt = enumerate_structures(objs[3], act)[1]
+    src, tgt = e_src.factorization, e_tgt.factorization
+    windows = [(lo, lo + k) for lo in range(-10, 10) for k in range(10)]
+    assert len(set(windows)) == 200
+    _, split, need0 = _twist_orbit(e_src, e_tgt)
+    chi = (1,)
+    piece = split[char_sub(chi, need0, act.orders)]
+    hom_space(src, tgt, problem=piece, want_reps=False)
+    got = [hom_space(src, tgt, w, problem=piece) for w in windows]
+    assert len(piece._tables) <= 2
+    for w, hs in zip(windows, got):
+        _orbit_split.cache_clear()
+        assert hs == equivariant_hom_space(e_src, e_tgt, w, twist_char=chi)
+    assert any(p.representatives for hs in got for p in hs.per_degree)
+
+
+def test_residue_field_tables_match_the_exterior_algebra():
+    # End of the stabilized residue field of x^r + y^r is the exterior
+    # algebra on two odd classes; its even part, split by character,
+    # against tests/oracles.py, for Z/r acting by (1, -1) and by (1, 1)
+    for r in range(3, 7):
+        ws = WeightSystem((1, 1), r)
+        x, y = (Polynomial.variable(i, 2) for i in range(2))
+        k = koszul_factorization([(x, x ** (r - 1)), (y, y ** (r - 1))], ws)
+        for exps in ((1, -1), (1, 1)):
+            act = cyclic_action(r, exps, 2)
+            structures = enumerate_structures(k, act)
+            assert len(structures) == r
+            e = structures[0]
+            tables = {}
+            for (tau,) in act.characters():
+                iso = isotypic_decompose(e, e.twist((tau,)))
+                assert all(hs.certified for hs in iso.values())
+                tables[tau] = {chi: {p.degree: p.dim for p in hs.per_degree if p.dim}
+                               for chi, hs in iso.items()}
+                assert tables[tau] == orc.residue_field_even_table(
+                    (1, 1), r, exps, r, twist=tau), (r, exps, tau)
+            # Λ^0 and Λ^2 both invariant exactly for a group in SL(2)
+            lambda2_invariant = sum(tables[0][(0,)].values()) == 2
+            assert act.is_special_linear() == lambda2_invariant, (r, exps)
+            assert lambda2_invariant == (exps == (1, -1))
