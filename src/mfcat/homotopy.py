@@ -28,14 +28,15 @@ two-periodicity pieces of ``singcat``.  A hom-complex block is assembled
 for its degree's answer and not kept; its ranks are.
 
 Ranks are kept per ordered pair (X, Y) of factorizations up to characters,
-in one bounded LRU (``_rank_table``).  Per internal degree e it holds two
-half-ranks of the two-periodic complex Hom(X, Y): the even half (n0, rho_e),
-the even unknowns and the rank of the differential D on them, and the odd
-half (n1, rho_o) likewise.  Kept ranks are exact: a half fresh from a
-block carries a flag saying whether its rank is exact or only a rank mod
-p, and is kept once its degree is settled (``_settle``: Z_p == B_p, a full
-rank mod p, or one exact elimination).  Both parities read the same
-entry: with a the split degree of Y and D the degree of W,
+in one bounded LRU (``_rank_table``).  Per internal degree e, for at most
+_KEPT_DEGREES degrees, it holds two half-ranks of the two-periodic complex
+Hom(X, Y): the even half (n0, rho_e), the even unknowns and the rank of
+the differential D on them, and the odd half (n1, rho_o) likewise.  Kept
+ranks are exact: a half fresh from a block carries a flag saying whether
+its rank is exact or only a rank mod p, and is kept once its degree is
+settled (``_settle``: Z_p == B_p, a full rank mod p, or one exact
+elimination).  Both parities read the same entry: with a the split
+degree of Y and D the degree of W,
 
     Hom(X, Y)_d:    Z = n0(d) - rho_e(d),                  B = rho_o(d)
     Hom(X, Y[1])_d: Z = n1(d + D - a) - rho_o(d + D - a),  B = rho_e(d - a)
@@ -49,6 +50,7 @@ complex being read, which gives both.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add
@@ -73,14 +75,24 @@ from .poly import (
 # one pass of every perfbench workload in one process fills 16.
 _POTENTIAL_CACHE = 256
 
-# Null-homotopy systems kept by _kept_system, one per source, target and
-# degree up to characters.
-_KEPT_SYSTEMS = 64
+# Total weight of the null-homotopy systems in _kept_systems, one per
+# source, target and degree up to characters: a system met once weighs its
+# odd unknowns, a kept solver its unknowns plus its E entries.  One pass of
+# witness-certify keeps 297 solvers of weight 9,243 in all (3,719 unknowns
+# and 5,524 E entries), the heaviest 717.
+_KEPT_WEIGHT = 2**16
 
 # Rank tables kept by _rank_table, one per ordered pair of factorizations
 # up to characters; one pass of brick-stable fills 46, one of
 # equivariant-isotypic 55.
 _RANK_TABLES = 128
+
+# Degrees kept by each per-degree store: each half of a rank table, each
+# piece's answers and each problem's unknowns grouped by grade.  Past it a
+# degree is answered but not kept.  The most degrees any store of any pair
+# keeps over the perfbench workloads and the demos is 24, a brick-stable
+# rank half read at both shifts.
+_KEPT_DEGREES = 64
 
 
 @lru_cache(maxsize=_POTENTIAL_CACHE)
@@ -338,8 +350,9 @@ class HomProblem:
 
 class _Piece(HomProblem):
     """One grade of a problem (``HomProblem.pieces``).  A piece's blocks
-    hold only its own unknowns.  It keeps its own degree answers and, per
-    want_reps value, the answer table of its default window (``table``)."""
+    hold only its own unknowns.  It keeps its own degree answers, of at
+    most _KEPT_DEGREES degrees, and, per want_reps value, the answer table
+    of its default window (``table``)."""
 
     _LEAK = ("boundary leaves its piece at %r; the grading is not "
              "compatible with the structure")
@@ -350,7 +363,7 @@ class _Piece(HomProblem):
         grade, groups, g = self._piece
         by_grade = groups.get(d)
         if by_grade is None:
-            by_grade = groups[d] = {}
+            by_grade = {}
             support = _graded_support(self.ws, self._offset, d)
             for side, slots in enumerate((self._even_slots, self._odd_slots)):
                 for slot in slots:
@@ -360,19 +373,24 @@ class _Piece(HomProblem):
                         if uids is None:
                             uids = by_grade[key] = ([], [])
                         uids[side].append(slot + (e,))
+            if len(groups) < _KEPT_DEGREES:
+                groups[d] = by_grade
         return by_grade.get(g, ((), ()))
 
     def answer(self, d, want_reps):
         """(Z, B, reps) in degree d, as ``_settle`` gives them.  The
-        answer is kept and the block is not: a later call wanting the
-        representatives an earlier one skipped assembles the block again."""
-        ans = self._answers.get(d)
+        answer is kept, within _KEPT_DEGREES degrees, and the block is not:
+        a later call wanting the representatives an earlier one skipped
+        assembles the block again."""
+        answers = self._answers
+        ans = answers.get(d)
         if ans is None or (want_reps and ans[2] is None):
             blk = self.degree_block(d)
             field = self.source.field
-            ans = self._answers[d] = _settle(
-                _cycle_half(blk, field), _boundary_half(blk, field), blk,
-                None, want_reps, field)
+            ans = _settle(_cycle_half(blk, field), _boundary_half(blk, field),
+                          blk, None, want_reps, field)
+            if d in answers or len(answers) < _KEPT_DEGREES:
+                answers[d] = ans
         return ans
 
     def table(self, want_reps):
@@ -409,7 +427,7 @@ def _rank_table(source, target):
     that parity in degree e, and r the rank of D on them.  A kept half is
     always exact; the flag lets it be read like a half fresh from a block,
     whose r may be a rank mod p below the rank, or None.  Only ranks are
-    kept, no blocks."""
+    kept, no blocks, and each half keeps at most _KEPT_DEGREES degrees."""
     return {}, {}
 
 
@@ -481,7 +499,8 @@ class _Reading:
     block of ``problem``, the maps source -> target[shift], built on
     first need; so does an exact elimination.  A block gives exactly the
     two halves its degree reads, so they are kept only once ``_settle``
-    has made them exact.  A target whose shift does not have split degree
+    has made them exact, and only while the half holds fewer than
+    _KEPT_DEGREES degrees.  A target whose shift does not have split degree
     D - a (p0 or p1 zero) is read as a pair of its own.
     """
 
@@ -519,9 +538,9 @@ class _Reading:
                 bounds = _boundary_half(blk, field)
         ans = _settle(cycles, bounds, blk, lambda: self.problem.degree_block(d),
                       want_reps, field)
-        if fresh[0]:
+        if fresh[0] and len(ctab) < _KEPT_DEGREES:
             ctab[d + ce] = (cycles[0], cycles[0] - ans[0], True)
-        if fresh[1]:
+        if fresh[1] and len(btab) < _KEPT_DEGREES:
             btab[d + be] = (bounds[0], ans[1], True)
         return ans
 
@@ -755,41 +774,75 @@ def _from_untwisted(fields):
         GradedFreeModule(len(deg1), deg1), p0, p1, validate=False)
 
 
-class _FirstSighting(Exception):
-    """Raised by _kept_system for a system it is not to keep yet."""
+class _KeptSystems:
+    """The null-homotopy systems met lately, least recently used first,
+    under one budget: their weights sum to at most _KEPT_WEIGHT.
 
+    A system is D(h) = phi in the degree-d odd unknowns h of maps
+    source -> target, one equation per even coordinate (kind, i, j, e)
+    that D reaches; its key is (source, target, d), each side given by
+    its _untwisted fields.  An entry is (weight, odd unknowns, solve), and
+    the equations themselves are not kept:
 
-# Keys of null-homotopy systems met once and not kept, oldest first.
-_seen_once = {}
+    * a system met for the first time gets a marker, solve None, weighing
+      its unknowns.  The caller solves that right-hand side exactly, so a
+      one-off system builds no [A | I].
+    * met again, its ``linalg.solver`` is built and takes the marker's
+      place, weighing its unknowns plus the entries of its E rows.
+    * a solver heavier than the whole budget serves the call that built
+      it and is not kept; its marker stays, solve False, and the system
+      is solved exactly from then on.
 
-
-@lru_cache(maxsize=_KEPT_SYSTEMS)
-def _kept_system(source, target, d):
-    """(odd unknowns, linalg.solver) of the degree-d null-homotopy system
-    of maps source -> target, each given by its _untwisted fields:
-    D(h) = phi in the degree-d odd unknowns h, one equation per even
-    coordinate (kind, i, j, e) that D reaches.  The equations themselves
-    are not kept.
-
-    A system is kept only when it comes back.  On its first sighting the
-    key goes into _seen_once, which drops its oldest key beyond
-    _KEPT_SYSTEMS, and _FirstSighting is raised; lru_cache keeps no raised
-    call, so the caller solves that one right-hand side exactly instead,
-    and a one-off system neither pays for [A | I] nor evicts a kept one.
-    A key met again while still in _seen_once is built and kept.
+    An insertion evicts the least recently used entries until the weights
+    fit; an entry heavier than the budget on its own is not inserted.
     """
-    key = source, target, d
-    if key in _seen_once:
-        del _seen_once[key]
-    else:
-        _seen_once[key] = None
-        while len(_seen_once) > _KEPT_SYSTEMS:
-            del _seen_once[next(iter(_seen_once))]
-        raise _FirstSighting
-    s, t = _from_untwisted(source), _from_untwisted(target)
-    support = _graded_support(s.weights, _slot_offsets(s, t), d)
-    uids = tuple(_unknowns(_slots(s, t, ODD), support))
-    return uids, linalg.solver(_equations(uids, _Stencils(s, t)), len(uids), s.field)
+
+    def __init__(self):
+        self.entries = OrderedDict()
+        self.weight = 0
+        self.hits = 0
+
+    def clear(self):
+        self.entries.clear()
+        self.weight = self.hits = 0
+
+    def lookup(self, key, s, t, support, stencils):
+        """(odd unknowns, solve) of the system key of maps s -> t, solve
+        None when the caller is to solve it exactly.  A system not kept
+        has the odd unknowns of support (``_graded_support``) and the
+        equations that _equations gives them with stencils."""
+        entry = self.entries.get(key)
+        if entry is None:
+            uids = tuple(_unknowns(_slots(s, t, ODD), support))
+            self._insert(key, len(uids), uids, None)
+            return uids, None
+        weight, uids, solve = entry
+        if solve is False:
+            self.entries.move_to_end(key)
+            return uids, None
+        if solve is not None:
+            self.entries.move_to_end(key)
+            self.hits += 1
+            return uids, solve
+        del self.entries[key]
+        self.weight -= weight
+        solve, size = linalg.solver(_equations(uids, stencils), len(uids), s.field)
+        if weight + size > _KEPT_WEIGHT:
+            self._insert(key, weight, uids, False)
+        else:
+            self._insert(key, weight + size, uids, solve)
+        return uids, solve
+
+    def _insert(self, key, weight, uids, solve):
+        if weight > _KEPT_WEIGHT:
+            return
+        self.entries[key] = weight, uids, solve
+        self.weight += weight
+        while self.weight > _KEPT_WEIGHT:
+            self.weight -= self.entries.popitem(last=False)[1][0]
+
+
+_kept_systems = _KeptSystems()
 
 
 def solve_null_homotopy(phi, bound=None):
@@ -812,13 +865,14 @@ def _null_homotopy_graded(phi):
     """(homotopy, True) or (None, True): entry degrees are forced, so each
     degree d of phi is one finite system in the degree-d odd unknowns.
 
-    A system met for the first time (``_kept_system`` raises
-    _FirstSighting) is assembled and solved exactly for phi alone, and no
-    solution there is the answer "no".  A system met again is served by
-    its kept solver, one substitution per degree.  A found homotopy is
-    checked to bound phi.  When it does not, the kept solvers' systems
-    are assembled again and solved exactly: "no" means that solve found no
-    solution too, and a solution a kept solver missed raises MfcatError.
+    Each degree's system is looked up in ``_kept_systems``.  A system met
+    for the first time, or one whose solver outweighs the store's budget,
+    is assembled and solved exactly for phi alone, and no solution there
+    is the answer "no".  A system met again is served by its kept solver,
+    one substitution per degree.  A found homotopy is checked to bound
+    phi.  When it does not, the kept solvers' systems are assembled again
+    and solved exactly: "no" means that solve found no solution too, and
+    a solution a kept solver missed raises MfcatError.
     """
     s, t = phi.source, phi.target
     if phi.is_zero():
@@ -841,10 +895,8 @@ def _null_homotopy_graded(phi):
     coords = []
     kept = []
     for d, rhs, support in pieces:
-        try:
-            uids, solve = _kept_system(*keys, d)
-        except _FirstSighting:
-            uids = _unknowns(_slots(s, t, ODD), support)
+        uids, solve = _kept_systems.lookup(keys + (d,), s, t, support, stencils)
+        if solve is None:
             sol = _solve(_equations(uids, stencils), rhs, len(uids), s.field)
             if sol is None:
                 return None, True

@@ -161,9 +161,10 @@ def solve(rows, rhs, ncols, field):
 
 
 def solver(rows, ncols, field):
-    """A kept solver for the keyed system {key: sparse row}: a function
-    from a right-hand side {key: value} to the solution ``solve`` gives,
-    for every right-hand side the system can meet.
+    """(substitute, size): a kept solver for the keyed system {key: sparse
+    row}.  substitute is a function from a right-hand side {key: value} to
+    the solution ``solve`` gives, for every right-hand side the system can
+    meet; size is the number of (key, entry) pairs it holds.
 
     [A | I] is reduced once, one tag column per equation past ncols, so
     only the columns of A pivot.  For each pivot column of A the row of
@@ -198,7 +199,7 @@ def solver(rows, ncols, field):
                 sol[pcol] = v
         return sol
 
-    return substitute
+    return substitute, sum(len(erow) for _, erow in kept)
 
 
 def feasible_nonneg(rows, rhs):

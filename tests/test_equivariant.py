@@ -32,6 +32,7 @@ from mfcat import (
 )
 from mfcat.action import char_sub
 from mfcat.equivariant import _ORBIT_CACHE, _orbit_split, _twist_orbit
+from mfcat.homotopy import _KEPT_DEGREES, _rank_table, _untwisted
 from mfcat.errors import GradingError, MfcatError, UsageError
 
 
@@ -475,6 +476,42 @@ def test_explicit_windows_keep_no_tables():
         _orbit_split.cache_clear()
         assert hs == equivariant_hom_space(e_src, e_tgt, w, twist_char=chi)
     assert any(p.representatives for hs in got for p in hs.per_degree)
+
+
+def test_a_wide_window_keeps_at_most_the_capped_degrees_per_piece():
+    # on (x | x^3) under Z/4, 4,001 degrees are answered; each piece keeps
+    # at most _KEPT_DEGREES degree answers, the problem as many groupings
+    # of unknowns by grade and the full space's rank table as many halves,
+    # and the answers equal a fresh problem's and the default window's
+    act = suites.an_action(4)
+    e = enumerate_structures(suites.an_objects(4)[1], act)[0]
+    wide = (-2000, 2000)
+    key = _untwisted(e.factorization)
+
+    def answers():
+        return [isotypic_decompose(e, e, wide)] + [
+            equivariant_hom_space(e, e, wide, twist_char=chi)
+            for chi in act.characters()]
+
+    _orbit_split.cache_clear()
+    _rank_table.cache_clear()
+    got = [answers() for _ in range(2)]
+    _, split, _ = _twist_orbit(e, e)
+    assert 0 < len(split.groups) <= _KEPT_DEGREES
+    assert all(0 < len(piece._answers) <= _KEPT_DEGREES for piece in split.values())
+    assert all(len(half) <= _KEPT_DEGREES for half in _rank_table(key, key))
+    _orbit_split.cache_clear()
+    _rank_table.cache_clear()
+    fresh = answers()
+    assert got[0] == got[1] == fresh
+    default = isotypic_decompose(e, e)
+    assert any(p.representatives for hs in default.values() for p in hs.per_degree)
+    lo, hi = default[act.zero_char()].window
+    for chi, hs in fresh[0].items():
+        inside = [p for p in hs.per_degree if lo <= p.degree <= hi]
+        assert tuple(inside) == default[chi].per_degree and hs.certified
+        assert all(p.dim == 0 for p in hs.per_degree if not lo <= p.degree <= hi)
+        assert fresh[1 + act.characters().index(chi)].per_degree == hs.per_degree
 
 
 def test_residue_field_tables_match_the_exterior_algebra():

@@ -36,9 +36,8 @@ from mfcat import (
 from mfcat import homotopy, linalg
 from mfcat.errors import MfcatError
 from mfcat.homotopy import (
-    _KEPT_SYSTEMS,
     HomProblem,
-    _kept_system,
+    _kept_systems,
     default_window,
     has_isolated_singularity,
     hom_complex_differential,
@@ -140,8 +139,7 @@ def test_w_multiple_is_null_homotopic_with_witness():
 
 
 def _forget_kept_systems():
-    _kept_system.cache_clear()
-    homotopy._seen_once.clear()
+    _kept_systems.clear()
 
 
 @pytest.fixture
@@ -175,11 +173,11 @@ def test_identity_is_not_null_homotopic(monkeypatch, solver_builds):
             builds.append(len(solver_builds))
             solver_builds.clear()
         assert builds == [0, 1, 0]
-        assert _kept_system.cache_info().hits == 1
+        assert _kept_systems.hits == 1
     assert is_null_homotopic(MfMorphism.identity(m)) is False
     # the Fermat cubic's identity meets a system with unknowns
     key = homotopy._untwisted(fermat)
-    assert _kept_system(key, key, 0)[0]
+    assert _kept_systems.entries[key, key, 0][1]
 
 
 def _terms_of(x):
@@ -226,10 +224,11 @@ def test_kept_solvers_give_the_witnesses_of_fresh_ones(field, solver_builds):
             assert [query() for query in queries] == fresh
             assert [query() for query in queries] == fresh
             assert solver_builds
-            built, hits = len(solver_builds), _kept_system.cache_info().hits
+            built, hits = len(solver_builds), _kept_systems.hits
             assert [query() for query in queries] == fresh
             assert len(solver_builds) == built
-            assert _kept_system.cache_info().hits > hits
+            assert _kept_systems.hits > hits
+            _kept_weights()
             solver_builds.clear()
 
 
@@ -237,7 +236,8 @@ def test_a_witness_the_kept_solver_misses_raises(monkeypatch):
     # a kept solver that finds nothing must not turn into a certified no:
     # the first call is solved exactly, and on the second the exact solve
     # finds the witness the kept solver missed, and that is a fault
-    monkeypatch.setattr(linalg, "solver", lambda rows, ncols, field: lambda rhs: {})
+    monkeypatch.setattr(linalg, "solver",
+                        lambda rows, ncols, field: (lambda rhs: {}, 0))
     _forget_kept_systems()
     try:
         q = suites.quadric()
@@ -252,9 +252,23 @@ def test_a_witness_the_kept_solver_misses_raises(monkeypatch):
         _forget_kept_systems()
 
 
-def test_kept_systems_stay_within_their_bound(solver_builds):
+def _kept_weights():
+    """The weights of the kept entries, least recently used first; they
+    sum to the store's weight, which stays within its budget."""
+    weights = [w for w, _, _ in _kept_systems.entries.values()]
+    assert sum(weights) == _kept_systems.weight <= homotopy._KEPT_WEIGHT
+    return weights
+
+
+def _kept_solvers():
+    """How many kept entries hold a solver."""
+    return sum(1 for _, _, solve in _kept_systems.entries.values() if solve)
+
+
+def test_kept_systems_stay_within_their_bound(monkeypatch, solver_builds):
     # x^(k+2) id is null-homotopic on (x | x), since x id is the boundary
-    # of t0 = t1 = 1/2; each degree is a system of its own
+    # of t0 = t1 = 1/2; each degree is a system of its own, all of one
+    # weight
     ws = WeightSystem((1,), 2)
     m = elementary_factorization(parse_poly("x1", 1), parse_poly("x1", 1), ws)
     ident = MfMorphism.identity(m)
@@ -267,27 +281,77 @@ def test_kept_systems_stay_within_their_bound(solver_builds):
     def witness(k):
         return _terms_of(find_homotopy(multiple(k)))
 
-    count = 2 * _KEPT_SYSTEMS + 1
-    # met once each: solved exactly, and only the latest keys are remembered
+    def degrees():
+        return [key[2] - 2 for key in _kept_systems.entries]
+
     _forget_kept_systems()
-    first = [witness(k) for k in range(count)]
+    witness(0)
+    (marker,) = _kept_weights()
+    witness(0)
+    (solver,) = _kept_weights()
+    assert solver > marker
+    solver_builds.clear()
+    # a budget of 8 solvers
+    monkeypatch.setattr(homotopy, "_KEPT_WEIGHT", 8 * solver)
+    markers = 8 * solver // marker
+    count = 2 * markers + 1
+    # met once each: solved exactly, and only the latest markers are kept
+    _forget_kept_systems()
+    first = []
+    for k in range(count):
+        first.append(witness(k))
+        assert set(_kept_weights()) == {marker}
     assert not solver_builds
-    assert len(homotopy._seen_once) == _KEPT_SYSTEMS
-    assert _kept_system.cache_info().currsize == 0
+    assert degrees() == list(range(count - markers, count))
+    assert _kept_solvers() == 0
     # met twice each: kept on the second call, the oldest evicted
     _forget_kept_systems()
     for k in range(count):
         assert witness(k) == first[k]
         assert witness(k) == first[k]
+        assert sum(_kept_weights()) <= 8 * solver
     assert len(solver_builds) == count
-    info = _kept_system.cache_info()
-    assert info.currsize == info.maxsize == _KEPT_SYSTEMS
-    assert len(homotopy._seen_once) <= _KEPT_SYSTEMS
+    assert set(_kept_weights()) == {solver}
+    assert degrees() == list(range(count - 8, count))
+    assert _kept_solvers() == 8
     # the evicted first system is solved exactly again, then rebuilt
     assert witness(0) == first[0]
     assert len(solver_builds) == count
     assert witness(0) == first[0]
     assert len(solver_builds) == count + 1
+    assert degrees()[-1] == 0 and _kept_solvers() == 8
+
+
+def test_a_solver_heavier_than_the_budget_is_never_kept(monkeypatch, solver_builds):
+    # with a budget that holds the system's marker but not its solver, the
+    # solver is built once and not kept; with one that holds neither, none
+    # is built; every witness is the exact solve's of a first sighting
+    q = suites.quadric()
+    phi = random_chain_map(q, q, rng=random.Random(8))
+    wphi = MfMorphism(q, q, phi.f0.poly_mul(q.W), phi.f1.poly_mul(q.W),
+                      degree=phi.degree + q.weights.degree)
+
+    def witness():
+        return _terms_of(find_homotopy(wphi))
+
+    _forget_kept_systems()
+    want = witness()
+    (marker,) = _kept_weights()
+    h = find_homotopy(wphi)
+    assert h.boundary() == wphi and _terms_of(h) == want
+    (solver,) = _kept_weights()
+    assert solver > marker and _kept_solvers() == 1
+    for budget, builds, kept in ((solver - 1, 1, [marker]), (marker - 1, 0, [])):
+        monkeypatch.setattr(homotopy, "_KEPT_WEIGHT", budget)
+        _forget_kept_systems()
+        solver_builds.clear()
+        for _ in range(4):
+            assert witness() == want
+            assert _kept_solvers() == 0
+        assert _kept_weights() == kept
+        assert len(solver_builds) == builds
+        assert _kept_systems.hits == 0
+    _forget_kept_systems()
 
 
 def test_contractibility():

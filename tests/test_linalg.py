@@ -99,7 +99,7 @@ def test_kept_solver_matches_solve():
             if rows and rng.random() < 0.5:  # a dependent equation
                 rows.append({c: v + v for c, v in rows[0].items()})
             keyed = {("eq", i): row for i, row in enumerate(rows)}
-            substitute = linalg.solver(keyed, ncols, field)
+            substitute, _ = linalg.solver(keyed, ncols, field)
             for _ in range(3):
                 x = {c: field.coerce(rng.randint(-3, 3)) for c in range(ncols)}
                 rhs = [sum((v * x[c] for c, v in row.items()), field.zero)
@@ -278,8 +278,9 @@ def test_exact_elimination_of_larger_sparse_systems():
 
 
 def test_kept_solver_of_overdetermined_sparse_systems():
-    # [A | I] pivots on A's columns only, its rows are E with E A = R, and
-    # on consistent right-hand sides the kept solver gives solve's answer
+    # [A | I] pivots on A's columns only, its rows are E with E A = R, the
+    # kept solver's size counts E's entries, and on consistent right-hand
+    # sides it gives solve's answer
     rng = random.Random(41)
     for trial in range(8):
         ncols = rng.randint(24, 32)
@@ -294,7 +295,9 @@ def test_kept_solver_of_overdetermined_sparse_systems():
                      for j in range(ncols)]
             assert combo == want == [got.get(j, Fraction(0)) for j in range(ncols)]
         keyed = {("eq", i): row for i, row in enumerate(rows)}
-        substitute = linalg.solver(keyed, ncols, QQ)
+        substitute, size = linalg.solver(keyed, ncols, QQ)
+        # the solver reports the E entries it holds
+        assert size == sum(1 for row in red for c in row if c >= ncols)
         for _ in range(3):
             x = {c: Fraction(rng.randint(-3, 3)) for c in range(ncols)}
             rhs = [sum((v * x[c] for c, v in row.items()), Fraction(0)) for row in rows]

@@ -9,7 +9,13 @@ import pytest
 
 from mfcat import QQ, MfcatError, PrimeField, cok, enumerate_structures, stable_hom
 from mfcat.equivariant import isotypic_decompose
-from mfcat.homotopy import _RANK_TABLES, _rank_table, default_window, hom_space
+from mfcat.homotopy import (
+    _KEPT_DEGREES,
+    _RANK_TABLES,
+    _rank_table,
+    default_window,
+    hom_space,
+)
 from mfcat import homotopy
 
 import oracles as orc
@@ -122,6 +128,34 @@ def test_the_store_is_bounded_and_an_evicted_pair_comes_back_equal():
     misses = _rank_table.cache_info().misses
     assert [hom_space(a, b, shift=k).to_json() for k in (0, 1)] == first
     assert _rank_table.cache_info().misses == misses + 1
+
+
+def test_a_wide_window_keeps_at_most_the_capped_degrees():
+    # 4,001 degrees are answered and at most _KEPT_DEGREES kept per half;
+    # the answers equal a fresh table's and, inside the default window,
+    # the default window's, whether that was read before the wide one, and
+    # so kept, or after it, and not kept
+    mf = suites.an_objects(4)[1]
+    key = homotopy._untwisted(mf)
+    wide = (-2000, 2000)
+    for shift in (0, 1):
+        _rank_table.cache_clear()
+        default = hom_space(mf, mf, shift=shift)
+        assert any(p.representatives for p in default.per_degree)
+        for default_first in (True, False):
+            _rank_table.cache_clear()
+            if default_first:
+                assert hom_space(mf, mf, shift=shift) == default
+            got = [hom_space(mf, mf, wide, shift=shift) for _ in range(2)]
+            assert all(len(half) <= _KEPT_DEGREES for half in _rank_table(key, key))
+            assert hom_space(mf, mf, shift=shift) == default
+            _rank_table.cache_clear()
+            fresh = hom_space(mf, mf, wide, shift=shift)
+            assert got[0] == got[1] == fresh
+            lo, hi = default.window
+            inside = [p for p in fresh.per_degree if lo <= p.degree <= hi]
+            assert tuple(inside) == default.per_degree and fresh.certified
+            assert all(p.dim == 0 for p in fresh.per_degree if not lo <= p.degree <= hi)
 
 
 def test_representatives_from_a_warm_store_equal_a_fresh_problem():
