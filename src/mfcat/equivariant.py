@@ -353,13 +353,9 @@ def _orbit_split(source, target, action):
     prob = HomProblem(_from_untwisted(source[0]), _from_untwisted(target[0]))
     orders = action.orders
     need = _slot_characters(source[1], target[1], orders)
-    char_of = {}
 
     def grade(slot, e):
-        c = char_of.get(e)
-        if c is None:
-            c = char_of[e] = action.char_of_monomial(e)
-        return char_sub(need[slot], c, orders)
+        return char_sub(need[slot], action.char_of_monomial(e), orders)
 
     return prob, prob.pieces(grade)
 

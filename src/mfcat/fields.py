@@ -1,7 +1,9 @@
 """Coefficient fields: exact rationals (the default) and odd prime fields.
 
 Every computation in the package is exact; floating point is never used.
-Rational coefficients are plain ``fractions.Fraction`` values.  Prime-field
+A rational coefficient is stored as a plain ``int`` when it is integral and
+as a ``fractions.Fraction`` otherwise, so the integer coefficients that
+almost every factorization carries multiply and add at C speed.  Prime-field
 coefficients are ``FpElement`` wrappers that keep values reduced mod p and
 support the same operator set, so the polynomial layer stays
 field-agnostic.
@@ -102,16 +104,32 @@ class FpElement:
 
 
 class RationalField:
-    """The field of exact rationals."""
+    """The field of exact rationals.
+
+    ``coerce`` gives an integral value as an ``int`` and any other as a
+    ``Fraction``; ``parse`` and, through it, JSON go the same way, and so
+    does exact elimination (``linalg``).  Three invariants keep the two
+    forms interchangeable:
+
+    * ``zero`` and ``one`` stay ``Fraction(0)`` and ``Fraction(1)``, since
+      callers divide by them, and ``one / x`` must not give a float.
+    * Nothing applies ``/`` to raw coefficients: code that divides builds
+      Fractions first (``feasible_nonneg``, ``detect_weights``).
+    * A fast path may still leave a ``Fraction`` whose denominator is 1.
+      It equals the int, hashes the same and prints the same, so no
+      answer and no output byte depends on which form a value has.
+    """
 
     name = "q"
     rational = True
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
+        if type(x) is int:
             return x
+        if isinstance(x, Fraction):
+            return x.numerator if x.denominator == 1 else x
         if isinstance(x, int):
-            return Fraction(x)
+            return int(x)  # a bool, or another subclass of int
         if isinstance(x, FpElement):
             raise UsageError("cannot mix F_p coefficients into a rational polynomial")
         raise UsageError(f"cannot coerce {x!r} into the rational field")
@@ -119,7 +137,7 @@ class RationalField:
     def parse(self, text: str):
         # accepts "3", "-3", "1/2"
         try:
-            return Fraction(text)
+            return self.coerce(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad rational literal {text!r}") from exc
 

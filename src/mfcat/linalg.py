@@ -13,7 +13,11 @@ stops after the forward pass; ``rref`` also back-substitutes.  Columns
 past ncols are carried along but never pivot, which is how ``solver``
 tags the equations of [A | I].  Over F_p, ``rref``, ``rank``,
 ``nullspace`` and ``solve`` turn the entries into ints once on the way in
-and back into F_p elements once on the way out.
+and back into F_p elements once on the way out.  Over the rationals the
+entries go in as (num, den) pairs and come out in the field's stored form
+(``mfcat.fields``): an int when the denominator is 1, a Fraction otherwise,
+so ``rref``, ``nullspace``, ``solve`` and ``solver`` hand integral answers
+back as ints.
 
 Over the rationals every rank is certified or exact:
 
@@ -127,7 +131,7 @@ def nullspace(rows, ncols, field):
     """
     red, pivots = rref(rows, ncols, field)
     pivot_set = set(pivots)
-    one = field.one
+    one = field.coerce(1)
     basis = {free: {free: one} for free in range(ncols) if free not in pivot_set}
     # a reduced row holds its pivot and free columns only
     for row, pcol in zip(red, pivots):
@@ -175,7 +179,7 @@ def solver(rows, ncols, field):
     vector, which is no solution: callers check it.
     """
     keys = list(rows)
-    one = field.one
+    one = field.coerce(1)
     aug = []
     for i, row in enumerate(rows.values()):
         r = dict(row)
@@ -281,7 +285,8 @@ def _rref_qq(rows, ncols, reduce):
     red, pivots = _eliminate(work, ncols, None, reduce)
     if not reduce:
         return red, pivots
-    return [{c: Fraction(n, d) for c, (n, d) in row.items()} for row in red], pivots
+    return [{c: n if d == 1 else Fraction(n, d) for c, (n, d) in row.items()}
+            for row in red], pivots
 
 
 def _residues(rows, p):
@@ -294,7 +299,10 @@ def _residues(rows, p):
     for row in rows:
         r = {}
         for c, v in row.items():
-            if type(v) is FpElement:
+            t = type(v)
+            if t is int:
+                x = v % p
+            elif t is FpElement:
                 x = v.val
             else:
                 d = v.denominator

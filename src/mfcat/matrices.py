@@ -14,6 +14,8 @@ sum or negated copy is built on the way.  ``@`` is the one-pair case, and
 a homotopy's boundary and a chain-map square are one call each.  The
 matrices this library multiplies are tiny (mostly 1x1 to 2x2, about one
 term per entry), so the cost lies in intermediate objects, not arithmetic.
+Integral rational coefficients are plain ints (``mfcat.fields``), so their
+products and sums run on C-level int arithmetic and build no Fraction.
 """
 
 from __future__ import annotations

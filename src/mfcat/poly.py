@@ -452,8 +452,11 @@ def _monomials_rec(weights: tuple, d: int) -> tuple:
         return ()
     if not weights:
         return ((),) if d == 0 else ()
-    out = []
     w0 = weights[0]
+    if len(weights) == 1:
+        # the last exponent is fixed by what is left of d
+        return ((d // w0,),) if d % w0 == 0 else ()
+    out = []
     e = 0
     while e * w0 <= d:
         for rest in _monomials_rec(weights[1:], d - e * w0):

@@ -514,6 +514,21 @@ def test_a_wide_window_keeps_at_most_the_capped_degrees_per_piece():
         assert fresh[1 + act.characters().index(chi)].per_degree == hs.per_degree
 
 
+def test_grading_keeps_no_store_per_monomial():
+    # the grade of an orbit split reads each monomial's character afresh:
+    # after a 4,001-degree window on (x | x^3) under Z/4, nothing its
+    # closure holds has more entries than the problem has slots
+    act = suites.an_action(4)
+    e = enumerate_structures(suites.an_objects(4)[1], act)[0]
+    _orbit_split.cache_clear()
+    equivariant_hom_space(e, e, window=(-2000, 2000))
+    prob, split, _ = _twist_orbit(e, e)
+    held = [cell.cell_contents for cell in split.grade.__closure__]
+    slots = len(prob._even_slots) + len(prob._odd_slots)
+    assert all(len(x) <= slots for x in held if hasattr(x, "__len__"))
+    assert 0 < len(split.groups) <= _KEPT_DEGREES
+
+
 def test_residue_field_tables_match_the_exterior_algebra():
     # End of the stabilized residue field of x^r + y^r is the exterior
     # algebra on two odd classes; its even part, split by character,

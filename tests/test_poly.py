@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from mfcat import (
 )
 from mfcat.errors import ParseError, UsageError
 from mfcat.fields import QQ, PrimeField, field_from_name
+from mfcat.poly import _monomials_rec, grlex_key
 
 
 def coeffs():
@@ -204,6 +206,27 @@ def test_monomial_enumeration_against_oracle(weights, d):
     assert got == want
     for mono in got:
         assert orc.wdeg(mono, weights) == d
+
+
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=3), st.integers(-3, 30))
+@settings(max_examples=200, deadline=None)
+def test_monomial_enumeration_against_brute_force(weights, d):
+    # every exponent tuple in the box e_i <= d / w_i, kept when its weighted
+    # degree is d, in descending graded-lex order
+    weights = tuple(weights)
+    box = product(*(range(d // w + 1) if d >= 0 else () for w in weights))
+    want = sorted((e for e in box if orc.wdeg(e, weights) == d),
+                  key=grlex_key, reverse=True)
+    assert list(monomials_of_weighted_degree(weights, d)) == want
+
+
+def test_one_weight_left_costs_one_step():
+    # the last exponent is read off the degree that is left, so one
+    # variable costs one call whatever the degree
+    _monomials_rec.cache_clear()
+    assert monomials_of_weighted_degree((3,), 3 * 10**6) == ((10**6,),)
+    assert monomials_of_weighted_degree((3,), 3 * 10**6 + 1) == ()
+    assert _monomials_rec.cache_info().misses == 2
 
 
 def test_prime_field_arithmetic():
