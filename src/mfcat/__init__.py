@@ -37,7 +37,6 @@ from .factorization import (
 )
 from .fields import QQ, PrimeField, field_from_name
 from .homotopy import (
-    HomProblem,
     HomSpace,
     default_window,
     find_homotopy,
@@ -85,7 +84,6 @@ __all__ = [
     "GradedFreeModule",
     "GradingError",
     "GroupAction",
-    "HomProblem",
     "HomSpace",
     "Homotopy",
     "HypersurfaceModule",

@@ -20,24 +20,25 @@ system of its own (``HomProblem.pieces``).
 
 Twisting a structure shifts all its generator characters by the same
 amount, so the character pieces of a twisted pair are those of the
-untwisted pair relabelled by a fixed offset.  One hom problem and one
-character split therefore serve a whole twist orbit.  They are kept in a
-bounded cache whose key takes, per structure, the fields every twist
-shares (W, the weights, the generator degrees, p0 and p1; twists share
-the matrix objects, and polynomial and matrix hashes are memoized) and
-the characters relative to the structure's first one, plus the action.
-The relative characters come from a bounded memo keyed by the generator
-characters and the group orders.  The piece of character chi is the
-split's piece chi - need0, need0 the target's first character minus the
-source's.  The factorizations without characters that the problem needs
-are built only on a cache miss.  Each block of the orbit is graded,
-assembled and eliminated once, and each piece keeps the answer table of
-its default window (``_Piece.table``).  What calls share is that table's
-(f0, f1) pairs of immutable ``PolyMatrix`` objects, never an
+untwisted pair relabelled by a fixed offset.  One character split
+therefore serves a whole twist orbit.  It is kept in a bounded cache whose
+key takes, per structure, the fields every twist shares (W, the weights,
+the generator degrees, p0 and p1; twists share the matrix objects, and
+polynomial and matrix hashes are memoized) and the characters relative to
+the structure's first one, plus the action.  The relative characters come
+from a bounded memo keyed by the generator characters and the group
+orders.  The piece of character chi is the split's piece chi - need0,
+need0 the target's first character minus the source's.  The
+factorizations without characters that the split needs are built only on
+a cache miss.  A piece is read like a factorization pair
+(``homotopy._Reading``): it keeps the exact half-ranks of its degrees and
+the rows of its default window (``_Piece.table``), so each block of the
+orbit is graded, assembled and eliminated once.  What calls share is
+those rows' (f0, f1) pairs of immutable ``PolyMatrix`` objects, never an
 ``MfMorphism``: representatives are made on every call as maps between
 the caller's own structures.  The full space of ``isotypic_decompose`` is
-a plain hom space, read from the kept rank table of the factorization
-pair (``homotopy._rank_table``) that plain ``hom_space`` calls share.
+read from the kept rank table of the factorization pair
+(``homotopy._rank_table``) that plain ``hom_space`` calls share.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .homotopy import (
     _PARITY,
     HomProblem,
     _from_untwisted,
+    _hom_space,
     _require_shared_grading,
     _require_weights,
     _untwisted,
@@ -340,10 +342,11 @@ def _chars_relative(chars0, chars1, orders):
 
 @lru_cache(maxsize=_ORBIT_CACHE)
 def _orbit_split(source, target, action):
-    """(the hom problem between two structures without their characters,
-    its split by character relative to need0); source and target are each
-    (``_untwisted`` fields, ``_relative_chars`` relative characters) of a
-    structure, so every twist of the pair has the same key.
+    """The character split (``HomProblem.pieces``) of the maps between two
+    structures without their characters, relative to need0; source and
+    target are each (``_untwisted`` fields, ``_relative_chars`` relative
+    characters) of a structure, so every twist of the pair has the same
+    key.
 
     An unknown (kind, i, j, e) has character need[kind, i, j] - char(e)
     (``_slot_characters``), and need[kind, i, j] is need0 plus the same
@@ -357,19 +360,24 @@ def _orbit_split(source, target, action):
     def grade(slot, e):
         return char_sub(need[slot], action.char_of_monomial(e), orders)
 
-    return prob, prob.pieces(grade)
+    return prob.pieces(grade)
 
 
 def _twist_orbit(e_src, e_tgt):
-    """(problem, split, need0) shared by the twist orbit of the pair: the
-    maps of transformation character chi are split[chi - need0], need0 the
+    """(split, need0) shared by the twist orbit of the pair: the maps of
+    transformation character chi are split[chi - need0], need0 the
     target's first character minus the source's."""
     act = e_src.action
     base_src, rel_src = _relative_chars(e_src)
     base_tgt, rel_tgt = _relative_chars(e_tgt)
-    prob, split = _orbit_split((_untwisted(e_src.factorization), rel_src),
-                               (_untwisted(e_tgt.factorization), rel_tgt), act)
-    return prob, split, char_sub(base_tgt, base_src, act.orders)
+    split = _orbit_split((_untwisted(e_src.factorization), rel_src),
+                         (_untwisted(e_tgt.factorization), rel_tgt), act)
+    return split, char_sub(base_tgt, base_src, act.orders)
+
+
+def _piece_space(src, tgt, window, piece):
+    """The HomSpace of maps src -> tgt that the piece holds."""
+    return _hom_space(src, tgt, window, piece.window, piece.isolated, piece.rows)
 
 
 def equivariant_hom_space(e_src, e_tgt, window=None, twist_char=None):
@@ -385,9 +393,8 @@ def equivariant_hom_space(e_src, e_tgt, window=None, twist_char=None):
     )
     src, tgt = e_src.factorization, e_tgt.factorization
     _require_weights(src, tgt)
-    _, split, need0 = _twist_orbit(e_src, e_tgt)
-    piece = split[char_sub(chi, need0, act.orders)]
-    return hom_space(src, tgt, window, problem=piece)
+    split, need0 = _twist_orbit(e_src, e_tgt)
+    return _piece_space(src, tgt, window, split[char_sub(chi, need0, act.orders)])
 
 
 def isotypic_decompose(e_src, e_tgt, window=None):
@@ -400,13 +407,10 @@ def isotypic_decompose(e_src, e_tgt, window=None):
     src, tgt = e_src.factorization, e_tgt.factorization
     _require_shared_grading(src, tgt)
     act = _shared_action(e_src, e_tgt)
-    prob, split, need0 = _twist_orbit(e_src, e_tgt)
-    if window is None:
-        window = prob.window
-    full = hom_space(src, tgt, window, problem=prob, want_reps=False)
+    split, need0 = _twist_orbit(e_src, e_tgt)
+    full = hom_space(src, tgt, window, want_reps=False)
     pieces = {
-        chi: hom_space(src, tgt, window,
-                       problem=split[char_sub(chi, need0, act.orders)])
+        chi: _piece_space(src, tgt, window, split[char_sub(chi, need0, act.orders)])
         for chi in act.characters()
     }
     want = full.dims_by_degree()

@@ -27,16 +27,20 @@ systems, the Jacobian test here, and the module-map lifts and
 two-periodicity pieces of ``singcat``.  A hom-complex block is assembled
 for its degree's answer and not kept; its ranks are.
 
-Ranks are kept per ordered pair (X, Y) of factorizations up to characters,
-in one bounded LRU (``_rank_table``).  Per internal degree e, for at most
-_KEPT_DEGREES degrees, it holds two half-ranks of the two-periodic complex
-Hom(X, Y): the even half (n0, rho_e), the even unknowns and the rank of
-the differential D on them, and the odd half (n1, rho_o) likewise.  Kept
-ranks are exact: a half fresh from a block carries a flag saying whether
-its rank is exact or only a rank mod p, and is kept once its degree is
-settled (``_settle``: Z_p == B_p, a full rank mod p, or one exact
-elimination).  Both parities read the same entry: with a the split
-degree of Y and D the degree of W,
+Every degree of a hom complex is answered by one reader, ``_Reading``,
+from kept ranks.  They are kept per ordered pair (X, Y) of factorizations
+up to characters, in one bounded LRU (``_rank_table``), and per character
+piece of a pair (``HomProblem.pieces``) in the piece itself.  Per internal
+degree e, for at most _KEPT_DEGREES degrees, a store holds two half-ranks
+of the two-periodic complex Hom(X, Y): the even half (n0, rho_e), the even
+unknowns and the rank of the differential D on them, and the odd half
+(n1, rho_o) likewise.  Kept ranks are exact: a half fresh from a block
+carries a flag saying whether its rank is exact or only a rank mod p, and
+is kept once its degree is settled (``_Reading._settle``: Z_p == B_p, a
+full rank mod p, or one exact elimination), and only when the degree read
+lies in the default window of the complex read, so a wide window leaves
+no far-off degrees behind.  A piece is read at shift 0; both parities
+read a pair's entry: with a the split degree of Y and D the degree of W,
 
     Hom(X, Y)_d:    Z = n0(d) - rho_e(d),                  B = rho_o(d)
     Hom(X, Y[1])_d: Z = n1(d + D - a) - rho_o(d + D - a),  B = rho_e(d - a)
@@ -44,8 +48,9 @@ degree of Y and D the degree of W,
 since the odd unknowns of Hom(X, Y[1]) in degree d are the even ones of
 Hom(X, Y) in degree d - a, its even unknowns are the odd ones in degree
 d + D - a, and the two differentials agree up to sign.  The halves of a
-degree missing from the table come from one assembled block of the
-complex being read, which gives both.
+degree missing from a store come from one assembled block of the complex
+being read, which gives both.  A pair's block is the direct sum of its
+pieces' blocks, so the pieces' halves of a degree add up to the pair's.
 """
 
 from __future__ import annotations
@@ -71,8 +76,8 @@ from .poly import (
 )
 
 
-# Entries kept by each cache of the potential tests, one per (W, weights);
-# one pass of every perfbench workload in one process fills 16.
+# Entries kept by the isolated-singularity test, one per (W, weights); one
+# pass of every perfbench workload in one process fills 16.
 _POTENTIAL_CACHE = 256
 
 # Total weight of the null-homotopy systems in _kept_systems, one per
@@ -87,11 +92,11 @@ _KEPT_WEIGHT = 2**16
 # equivariant-isotypic 55.
 _RANK_TABLES = 128
 
-# Degrees kept by each per-degree store: each half of a rank table, each
-# piece's answers and each problem's unknowns grouped by grade.  Past it a
-# degree is answered but not kept.  The most degrees any store of any pair
-# keeps over the perfbench workloads and the demos is 24, a brick-stable
-# rank half read at both shifts.
+# Degrees kept by each per-degree store: each half of a rank table or of a
+# piece, and each split's unknowns grouped by grade.  Past it a degree is
+# answered but not kept.  The most degrees any store of any pair keeps over
+# the perfbench workloads and the demos is 24, a brick-stable rank half
+# read at both shifts.
 _KEPT_DEGREES = 64
 
 
@@ -284,15 +289,10 @@ class HomProblem:
 
     Unknown ids are (kind, i, j, exponent) with kind "e0"/"e1" for the even
     components and "t0"/"t1" for the odd ones.  ``degree_block`` assembles
-    a degree's block on every call.  A plain problem keeps no answers:
-    ``hom_space`` puts the ranks of its blocks into the kept rank table of
-    its pair up to characters (``_rank_table``, read by ``_Reading``).
-    Every call on the pair or on a character twist of it reads that table,
-    at shift 0 and, through the problem of source -> target[1], at shift
-    1 (module docstring).  Only a piece (``pieces``) keeps its own
-    answers, and the answer table of its default window.  The default
-    window and the isolated-singularity flag are computed once per
-    problem.
+    a degree's block on every call; a problem keeps no ranks.  A plain
+    problem supplies the blocks of a ``_Reading`` of the pair, whose ranks
+    go to its kept rank table (``_rank_table``); a piece (``pieces``) keeps
+    its own halves.
     """
 
     def __init__(self, source, target):
@@ -304,14 +304,6 @@ class HomProblem:
         self._odd_slots = _slots(source, target, ODD)
         self._offset = _slot_offsets(source, target)
         self._stencils = _Stencils(source, target)
-
-    @cached_property
-    def window(self):
-        return default_window(self.source, self.target)
-
-    @cached_property
-    def isolated(self):
-        return _certified_potential(self.source.W, self.ws)
 
     def pieces(self, grade):
         """{g: the piece of this problem whose blocks hold only the unknowns
@@ -350,9 +342,12 @@ class HomProblem:
 
 class _Piece(HomProblem):
     """One grade of a problem (``HomProblem.pieces``).  A piece's blocks
-    hold only its own unknowns.  It keeps its own degree answers, of at
-    most _KEPT_DEGREES degrees, and, per want_reps value, the answer table
-    of its default window (``table``)."""
+    hold only its own unknowns, so each is a direct summand of the pair's
+    block.  Like a pair's entry of ``_rank_table`` it keeps the exact
+    halves of its degrees (``halves``), read by a ``_Reading`` at shift 0.
+    It also keeps the rows of its default window with representatives
+    (``table``).  The window, the isolated-singularity flag and the table
+    are computed once per piece."""
 
     _LEAK = ("boundary leaves its piece at %r; the grading is not "
              "compatible with the structure")
@@ -377,32 +372,29 @@ class _Piece(HomProblem):
                 groups[d] = by_grade
         return by_grade.get(g, ((), ()))
 
-    def answer(self, d, want_reps):
-        """(Z, B, reps) in degree d, as ``_settle`` gives them.  The
-        answer is kept, within _KEPT_DEGREES degrees, and the block is not:
-        a later call wanting the representatives an earlier one skipped
-        assembles the block again."""
-        answers = self._answers
-        ans = answers.get(d)
-        if ans is None or (want_reps and ans[2] is None):
-            blk = self.degree_block(d)
-            field = self.source.field
-            ans = _settle(_cycle_half(blk, field), _boundary_half(blk, field),
-                          blk, None, want_reps, field)
-            if d in answers or len(answers) < _KEPT_DEGREES:
-                answers[d] = ans
-        return ans
+    @cached_property
+    def window(self):
+        return default_window(self.source, self.target)
 
-    def table(self, want_reps):
-        """The rows (``_rows``) of the default window, made once per
-        want_reps value from the degree answers.  The matrix pairs are
-        maps between the piece's factorizations without characters; they
-        are immutable, so every call shares them."""
-        tab = self._tables.get(want_reps)
-        if tab is None:
-            tab = self._tables[want_reps] = _rows(
-                self.answer, *self.window, want_reps, self.source, self.target)
-        return tab
+    @cached_property
+    def isolated(self):
+        return _certified_potential(self.source.W, self.ws)
+
+    @cached_property
+    def table(self):
+        """The rows of the default window.  Their matrix pairs are maps
+        between the piece's factorizations without characters; they are
+        immutable, so every call shares them."""
+        return _Reading(self.source, self.target, piece=self).rows(*self.window, True)
+
+    def rows(self, lo, hi):
+        """``_Reading.rows`` over lo..hi with representatives; over the
+        default window, the kept table.  A reading refers to its piece, so
+        it is made per call and not kept, lest every piece be a reference
+        cycle left to the garbage collector."""
+        if (lo, hi) == self.window:
+            return self.table
+        return _Reading(self.source, self.target, piece=self).rows(lo, hi, True)
 
 
 class _Pieces(dict):
@@ -414,7 +406,7 @@ class _Pieces(dict):
 
     def __missing__(self, g):
         piece = self[g] = object.__new__(_Piece)
-        piece.__dict__.update(vars(self.prob), _answers={}, _tables={},
+        piece.__dict__.update(vars(self.prob), halves=({}, {}),
                               _piece=(self.grade, self.groups, g))
         return piece
 
@@ -427,7 +419,7 @@ def _rank_table(source, target):
     that parity in degree e, and r the rank of D on them.  A kept half is
     always exact; the flag lets it be read like a half fresh from a block,
     whose r may be a rank mod p below the rank, or None.  Only ranks are
-    kept, no blocks, and each half keeps at most _KEPT_DEGREES degrees."""
+    kept, no blocks (``_Reading``)."""
     return {}, {}
 
 
@@ -451,63 +443,30 @@ def _boundary_half(blk, field):
     return _half(len(blk.odd_uids), blk.dvecs, len(blk.even_uids), field)
 
 
-def _settle(cycles, bounds, blk, assemble, want_reps, field):
-    """(Z, B, reps) of one degree of a complex from the half of its even
-    unknowns and the half of its odd unknowns; reps a tuple of coordinate
-    tuples ((kind, i, j, e), c), one per representative, or None when not
-    wanted and H > 0.
-
-    ``linalg.certified_dims`` settles what the ranks certify.  Where
-    representatives are wanted and H > 0, or a side is left open, the
-    degree's block (blk, or assemble() when blk is None) is eliminated
-    exactly: its nullspace and quotient give both sides at once, and a
-    side already settled that disagrees with them raises MfcatError;
-    without representatives an open side gets one exact rank.
-    """
-    n = cycles[0]
-    zdim, bdim = linalg.certified_dims(n, cycles[1:], bounds[1:])
-    exact = want_reps and (zdim is None or bdim is None or zdim > bdim)
-    if not exact and zdim is not None and bdim is not None:
-        return zdim, bdim, (() if zdim == bdim else None)
-    if blk is None:
-        blk = assemble()
-    if exact:
-        null_basis = linalg.nullspace(blk.zrows, n, field)
-        got, vecs = _quotient_representatives(null_basis, blk.dvecs, field)
-        if zdim not in (None, len(null_basis)) or bdim not in (None, got):
-            raise MfcatError(
-                "kept ranks (Z, B) = (%s, %s) disagree with the exact (%d, %d)"
-                % (zdim, bdim, len(null_basis), got))
-        reps = tuple(tuple((blk.even_uids[col], c) for col, c in v.items())
-                     for v in vecs)
-        return len(null_basis), got, reps
-    if zdim is None:
-        zdim = n - linalg.rank(blk.zrows, n, field)
-    if bdim is None:
-        bdim = linalg.rank(blk.dvecs, n, field)
-    return zdim, bdim, (() if zdim == bdim else None)
-
-
 class _Reading:
-    """The degree answers of maps source -> target[shift], read from the
-    kept rank table of (source, target).
+    """The degree answers of maps source -> target[shift], read from kept
+    halves: those of a piece (shift 0 only) or else the rank table of
+    (source, target).
 
     Degree d reads the cycle half (parity, e) and the boundary half of
     ``where``: the even and odd halves of d for shift 0, and for shift 1
     the odd half of d + D - a and the even half of d - a (see the module
-    docstring).  Halves missing from the table come from the degree-d
-    block of ``problem``, the maps source -> target[shift], built on
-    first need; so does an exact elimination.  A block gives exactly the
-    two halves its degree reads, so they are kept only once ``_settle``
-    has made them exact, and only while the half holds fewer than
-    _KEPT_DEGREES degrees.  A target whose shift does not have split degree
-    D - a (p0 or p1 zero) is read as a pair of its own.
+    docstring).  Halves missing from the store come from the degree-d
+    block of ``problem``, the piece or else the maps source ->
+    target[shift], built on first need; so does an exact elimination.  A
+    block gives exactly the two halves its degree reads, so they are kept
+    only once ``_settle`` has made them exact, only for d in ``window``,
+    the default window of the complex read, and only while the half holds
+    fewer than _KEPT_DEGREES degrees.  A target whose shift does not have
+    split degree D - a (p0 or p1 zero) is read as a pair of its own.
     """
 
-    def __init__(self, source, target, shift, problem):
-        _require_shared_grading(source, target)
-        self.source, self.target, self._problem = source, target, problem
+    def __init__(self, source, target, shift=0, piece=None):
+        self.source, self.target, self._problem = source, target, piece
         self.where = ((0, 0), (1, 0))
+        if piece is not None:
+            self.window, self.halves = piece.window, piece.halves
+            return
         if shift:
             self.target = target.shift()
             a, D = target.split_degree, source.weights.degree
@@ -515,6 +474,7 @@ class _Reading:
                 target = self.target
             else:
                 self.where = ((1, D - a), (0, -a))
+        self.window = default_window(source, self.target)
         self.halves = _rank_table(_untwisted(source), _untwisted(target))
 
     @property
@@ -524,25 +484,82 @@ class _Reading:
         return self._problem
 
     def answer(self, d, want_reps):
+        """(Z, B, reps) in degree d, as ``_settle`` gives them."""
         (cp, ce), (bp, be) = self.where
         ctab, btab = self.halves[cp], self.halves[bp]
         cycles, bounds = ctab.get(d + ce), btab.get(d + be)
         fresh = cycles is None, bounds is None
-        field = self.source.field
         blk = None
         if cycles is None or bounds is None:
             blk = self.problem.degree_block(d)
+            field = self.source.field
             if cycles is None:
                 cycles = _cycle_half(blk, field)
             if bounds is None:
                 bounds = _boundary_half(blk, field)
-        ans = _settle(cycles, bounds, blk, lambda: self.problem.degree_block(d),
-                      want_reps, field)
-        if fresh[0] and len(ctab) < _KEPT_DEGREES:
-            ctab[d + ce] = (cycles[0], cycles[0] - ans[0], True)
-        if fresh[1] and len(btab) < _KEPT_DEGREES:
-            btab[d + be] = (bounds[0], ans[1], True)
+        ans = self._settle(d, cycles, bounds, blk, want_reps)
+        lo, hi = self.window
+        if lo <= d <= hi:
+            if fresh[0] and len(ctab) < _KEPT_DEGREES:
+                ctab[d + ce] = (cycles[0], cycles[0] - ans[0], True)
+            if fresh[1] and len(btab) < _KEPT_DEGREES:
+                btab[d + be] = (bounds[0], ans[1], True)
         return ans
+
+    def _settle(self, d, cycles, bounds, blk, want_reps):
+        """(Z, B, reps) of degree d from the half of its even unknowns and
+        the half of its odd unknowns; reps a tuple of coordinate tuples
+        ((kind, i, j, e), c), one per representative, or None when not
+        wanted and H > 0.
+
+        ``linalg.certified_dims`` settles what the ranks certify.  Where
+        representatives are wanted and H > 0, or a side is left open, the
+        degree's block (blk, assembled when None) is eliminated exactly:
+        its nullspace and quotient give both sides at once, and a side
+        already settled that disagrees with them raises MfcatError;
+        without representatives an open side gets one exact rank.
+        """
+        n = cycles[0]
+        zdim, bdim = linalg.certified_dims(n, cycles[1:], bounds[1:])
+        exact = want_reps and (zdim is None or bdim is None or zdim > bdim)
+        if not exact and zdim is not None and bdim is not None:
+            return zdim, bdim, (() if zdim == bdim else None)
+        if blk is None:
+            blk = self.problem.degree_block(d)
+        field = self.source.field
+        if exact:
+            null_basis = linalg.nullspace(blk.zrows, n, field)
+            got, vecs = _quotient_representatives(null_basis, blk.dvecs, field)
+            if zdim not in (None, len(null_basis)) or bdim not in (None, got):
+                raise MfcatError(
+                    "kept ranks (Z, B) = (%s, %s) disagree with the exact (%d, %d)"
+                    % (zdim, bdim, len(null_basis), got))
+            reps = tuple(tuple((blk.even_uids[col], c) for col, c in v.items())
+                         for v in vecs)
+            return len(null_basis), got, reps
+        if zdim is None:
+            zdim = n - linalg.rank(blk.zrows, n, field)
+        if bdim is None:
+            bdim = linalg.rank(blk.dvecs, n, field)
+        return zdim, bdim, (() if zdim == bdim else None)
+
+    def rows(self, lo, hi, want_reps):
+        """((d, Z, B, pairs), ...) over the degrees lo..hi where Z or B is
+        nonzero; pairs holds the (f0, f1) matrices of the representatives
+        when want_reps, and is empty otherwise."""
+        out = []
+        for d in range(lo, hi + 1):
+            zdim, bdim, coords = self.answer(d, want_reps)
+            if zdim == 0 and bdim == 0:
+                continue
+            pairs = ()
+            if want_reps:
+                if len(coords) != zdim - bdim:
+                    raise MfcatError("representative count disagrees with dimension")
+                pairs = tuple(tuple(_slot_matrices(self.source, self.target, EVEN, c))
+                              for c in coords)
+            out.append((d, zdim, bdim, pairs))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -577,7 +594,6 @@ class HomSpace:
         }
 
 
-@lru_cache(maxsize=_POTENTIAL_CACHE)
 def _certified_potential(W, weights):
     try:
         return has_isolated_singularity(W, weights)
@@ -585,8 +601,7 @@ def _certified_potential(W, weights):
         return False
 
 
-def hom_space(source, target, window=None, *, shift=0, problem=None,
-              want_reps=True):
+def hom_space(source, target, window=None, *, shift=0, want_reps=True):
     """Morphism space of the homotopy category, degree by degree: maps
     source -> target[shift], shift 0 or 1.
 
@@ -594,70 +609,42 @@ def hom_space(source, target, window=None, *, shift=0, problem=None,
     window provably contains all degrees with nonzero classes, which we
     claim only for isolated quasi-homogeneous potentials with a window at
     least the default one.  Both shifts read the kept rank table of
-    (source, target) (``_Reading``).  A problem between source and target
-    supplies the blocks, and only at shift 0; a piece of
-    ``HomProblem.pieces`` also supplies its own degree answers, the
-    default window and the isolated-singularity flag, and over its
-    default window its kept table (``_Piece.table``).  The (f0, f1)
-    matrix pairs of a piece's table are shared between calls; the
-    representatives, maps source -> target[shift], are made on every call.
+    (source, target) (``_Reading``).
     """
     if shift not in (0, 1):
         raise UsageError("shift must be 0 or 1")
-    if shift and problem is not None:
-        raise UsageError("a problem supplies the maps to an unshifted target")
     _require_weights(source, target)
-    piece = isinstance(problem, _Piece)
-    if piece:
-        answer, tgt = problem.answer, target
-        dflt, isolated = problem.window, problem.isolated
-    else:
-        reading = _Reading(source, target, shift, problem)
-        answer, tgt = reading.answer, reading.target
-        dflt = default_window(source, target)
-        isolated = _certified_potential(source.W, source.weights)
+    _require_shared_grading(source, target)
+    reading = _Reading(source, target, shift)
+    return _hom_space(source, reading.target, window, reading.window,
+                      _certified_potential(source.W, source.weights),
+                      lambda lo, hi: reading.rows(lo, hi, want_reps))
+
+
+def _hom_space(source, target, window, dflt, isolated, rows):
+    """The HomSpace of maps source -> target over window, or over the
+    default window dflt when window is None, from rows(lo, hi) as
+    ``_Reading.rows`` gives them; certified when the potential is isolated
+    and the window contains dflt.  Representatives are made on every call,
+    as maps source -> target, from the rows' (f0, f1) matrix pairs, which
+    calls may share."""
     lo, hi = dflt if window is None else (int(window[0]), int(window[1]))
-    if piece and (lo, hi) == dflt:
-        rows = problem.table(want_reps)
-    else:
-        rows = _rows(answer, lo, hi, want_reps, source, tgt)
-    certified = lo <= dflt[0] and hi >= dflt[1] and isolated
     per_degree = []
     total = 0
-    for d, zdim, bdim, pairs in rows:
+    for d, zdim, bdim, pairs in rows(lo, hi):
         reps = pairs and tuple(
-            MfMorphism(source, tgt, f0, f1, d, validate=False)
+            MfMorphism(source, target, f0, f1, d, validate=False)
             for f0, f1 in pairs)
         per_degree.append(DegreeData(d, zdim, bdim, zdim - bdim, reps))
         total += zdim - bdim
     return HomSpace(
         source=source,
-        target=tgt,
+        target=target,
         window=(lo, hi),
         per_degree=tuple(per_degree),
         total=total,
-        certified=certified,
+        certified=lo <= dflt[0] and hi >= dflt[1] and isolated,
     )
-
-
-def _rows(answer, lo, hi, want_reps, source, target):
-    """((d, Z, B, pairs), ...) over the degrees lo..hi where Z or B is
-    nonzero, from answer(d, want_reps) = (Z, B, coordinates); pairs holds
-    the (f0, f1) matrices of the representatives of maps source -> target
-    when want_reps, and is empty otherwise."""
-    out = []
-    for d in range(lo, hi + 1):
-        zdim, bdim, coords = answer(d, want_reps)
-        if zdim == 0 and bdim == 0:
-            continue
-        pairs = ()
-        if want_reps:
-            if len(coords) != zdim - bdim:
-                raise MfcatError("representative count disagrees with dimension")
-            pairs = tuple(tuple(_slot_matrices(source, target, EVEN, c))
-                          for c in coords)
-        out.append((d, zdim, bdim, pairs))
-    return tuple(out)
 
 
 def _require_shared_grading(source, target):

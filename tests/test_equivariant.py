@@ -12,7 +12,6 @@ import oracles as orc
 import suites
 from mfcat import (
     EquivariantStructure,
-    HomProblem,
     Polynomial,
     check_equivariant,
     cyclic_action,
@@ -32,7 +31,8 @@ from mfcat import (
 )
 from mfcat.action import char_sub
 from mfcat.equivariant import _ORBIT_CACHE, _orbit_split, _twist_orbit
-from mfcat.homotopy import _KEPT_DEGREES, _rank_table, _untwisted
+from mfcat import homotopy
+from mfcat.homotopy import _KEPT_DEGREES, _rank_table, _untwisted, default_window
 from mfcat.errors import GradingError, MfcatError, UsageError
 
 
@@ -237,13 +237,25 @@ def cyclic_structure_pairs(top=6):
 
 def test_isotypic_pieces_split_cycles_and_boundaries():
     # Z and B of a degree block are the direct sums of their character
-    # pieces, and a piece's classes have its transformation character
+    # pieces, and a piece's classes have its transformation character;
+    # so, in every degree of the default window and at both parities, the
+    # (n, r) of the pieces' kept halves add up to those of the pair's
+    # rank table
     pairs = 0
     for act, e_src, e_tgt in cyclic_structure_pairs():
         pairs += 1
-        full = hom_space(e_src.factorization, e_tgt.factorization, want_reps=False)
+        src, tgt = e_src.factorization, e_tgt.factorization
+        full = hom_space(src, tgt, want_reps=False)
         iso = isotypic_decompose(e_src, e_tgt)
         assert sorted(iso) == sorted(act.characters())
+        split, _ = _twist_orbit(e_src, e_tgt)
+        assert len(split) == len(act.characters())
+        pair = _rank_table(_untwisted(src), _untwisted(tgt))
+        lo, hi = default_window(src, tgt)
+        for parity in (0, 1):
+            for d in range(lo, hi + 1):
+                got = [piece.halves[parity][d][:2] for piece in split.values()]
+                assert tuple(map(sum, zip(*got))) == pair[parity][d][:2], (d, parity)
         sums = {}
         for chi, hs in iso.items():
             for p in hs.per_degree:
@@ -406,22 +418,6 @@ def test_equal_structures_share_one_orbit_entry():
     assert _orbit_split.cache_info().misses == misses + 1
 
 
-def test_a_problem_refuses_a_shifted_target():
-    # a piece holds the maps to the unshifted target only, so shift 1
-    # is refused rather than answered with the shift-0 table
-    mf = suites.an_objects(4)[1]
-    act = suites.an_action(4)
-    e = enumerate_structures(mf, act)[0]
-    _, split, need0 = _twist_orbit(e, e)
-    piece = split[char_sub(act.zero_char(), need0, act.orders)]
-    src = e.factorization
-    for problem in (piece, HomProblem(src, src)):
-        with pytest.raises(UsageError, match="^a problem supplies the maps "
-                                             "to an unshifted target$"):
-            hom_space(src, src, shift=1, problem=problem)
-    assert hom_space(src, src, problem=piece) == equivariant_hom_space(e, e)
-
-
 def test_warm_tables_equal_cold_answers():
     # per source structure and twist orbit of targets, over x^2..x^6:
     # answers read from kept tables equal those of a run on an emptied
@@ -456,22 +452,24 @@ def test_warm_tables_equal_cold_answers():
 
 
 def test_explicit_windows_keep_no_tables():
-    # a piece keeps one table per want_reps value, for its default window
-    # only; other windows read the degree answers and equal a fresh
-    # problem's
+    # a piece keeps one table, of its default window, and halves of
+    # default-window degrees only; other windows read the halves and equal
+    # the answers on an emptied orbit cache
     act = suites.an_action(4)
     objs = suites.an_objects(4)
     e_src = enumerate_structures(objs[1], act)[0]
     e_tgt = enumerate_structures(objs[3], act)[1]
-    src, tgt = e_src.factorization, e_tgt.factorization
     windows = [(lo, lo + k) for lo in range(-10, 10) for k in range(10)]
     assert len(set(windows)) == 200
-    _, split, need0 = _twist_orbit(e_src, e_tgt)
     chi = (1,)
+    _orbit_split.cache_clear()
+    got = [equivariant_hom_space(e_src, e_tgt, w, twist_char=chi) for w in windows]
+    split, need0 = _twist_orbit(e_src, e_tgt)
     piece = split[char_sub(chi, need0, act.orders)]
-    hom_space(src, tgt, problem=piece, want_reps=False)
-    got = [hom_space(src, tgt, w, problem=piece) for w in windows]
-    assert len(piece._tables) <= 2
+    lo, hi = piece.window
+    assert all(lo <= d <= hi for half in piece.halves for d in half)
+    kept = set(vars(piece)) - set(vars(split.prob))
+    assert kept <= {"halves", "_piece", "window", "isolated", "table"}
     for w, hs in zip(windows, got):
         _orbit_split.cache_clear()
         assert hs == equivariant_hom_space(e_src, e_tgt, w, twist_char=chi)
@@ -479,10 +477,11 @@ def test_explicit_windows_keep_no_tables():
 
 
 def test_a_wide_window_keeps_at_most_the_capped_degrees_per_piece():
-    # on (x | x^3) under Z/4, 4,001 degrees are answered; each piece keeps
-    # at most _KEPT_DEGREES degree answers, the problem as many groupings
-    # of unknowns by grade and the full space's rank table as many halves,
-    # and the answers equal a fresh problem's and the default window's
+    # on (x | x^3) under Z/4, 4,001 degrees are answered; each half of a
+    # piece keeps default-window degrees only, the split at most
+    # _KEPT_DEGREES groupings of unknowns by grade and the full space's
+    # rank table as many halves, and the answers equal a fresh problem's
+    # and the default window's
     act = suites.an_action(4)
     e = enumerate_structures(suites.an_objects(4)[1], act)[0]
     wide = (-2000, 2000)
@@ -496,9 +495,11 @@ def test_a_wide_window_keeps_at_most_the_capped_degrees_per_piece():
     _orbit_split.cache_clear()
     _rank_table.cache_clear()
     got = [answers() for _ in range(2)]
-    _, split, _ = _twist_orbit(e, e)
+    split, _ = _twist_orbit(e, e)
+    lo, hi = default_window(e.factorization, e.factorization)
     assert 0 < len(split.groups) <= _KEPT_DEGREES
-    assert all(0 < len(piece._answers) <= _KEPT_DEGREES for piece in split.values())
+    assert all(set(half) == set(range(lo, hi + 1))
+               for piece in split.values() for half in piece.halves)
     assert all(len(half) <= _KEPT_DEGREES for half in _rank_table(key, key))
     _orbit_split.cache_clear()
     _rank_table.cache_clear()
@@ -514,6 +515,32 @@ def test_a_wide_window_keeps_at_most_the_capped_degrees_per_piece():
         assert fresh[1 + act.characters().index(chi)].per_degree == hs.per_degree
 
 
+def test_a_wide_window_leaves_default_piece_reads_warm(monkeypatch):
+    # after a wide window, a default isotypic decomposition assembles only
+    # the piece blocks whose classes need representatives, and the full
+    # space none; a second one assembles nothing
+    act = suites.an_action(4)
+    e = enumerate_structures(suites.an_objects(4)[1], act)[0]
+    _orbit_split.cache_clear()
+    _rank_table.cache_clear()
+    isotypic_decompose(e, e, (-2000, 2000))
+    assembled = []
+    block = homotopy.HomProblem.degree_block
+
+    def counted(self, d):
+        assembled.append(d)
+        return block(self, d)
+
+    monkeypatch.setattr(homotopy.HomProblem, "degree_block", counted)
+    spaces = isotypic_decompose(e, e)
+    assert sorted(assembled) == sorted(
+        p.degree for hs in spaces.values() for p in hs.per_degree if p.dim)
+    assert assembled
+    del assembled[:]
+    assert isotypic_decompose(e, e) == spaces
+    assert assembled == []
+
+
 def test_grading_keeps_no_store_per_monomial():
     # the grade of an orbit split reads each monomial's character afresh:
     # after a 4,001-degree window on (x | x^3) under Z/4, nothing its
@@ -522,9 +549,9 @@ def test_grading_keeps_no_store_per_monomial():
     e = enumerate_structures(suites.an_objects(4)[1], act)[0]
     _orbit_split.cache_clear()
     equivariant_hom_space(e, e, window=(-2000, 2000))
-    prob, split, _ = _twist_orbit(e, e)
+    split, _ = _twist_orbit(e, e)
     held = [cell.cell_contents for cell in split.grade.__closure__]
-    slots = len(prob._even_slots) + len(prob._odd_slots)
+    slots = len(split.prob._even_slots) + len(split.prob._odd_slots)
     assert all(len(x) <= slots for x in held if hasattr(x, "__len__"))
     assert 0 < len(split.groups) <= _KEPT_DEGREES
 

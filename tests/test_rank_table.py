@@ -158,6 +158,29 @@ def test_a_wide_window_keeps_at_most_the_capped_degrees():
             assert all(p.dim == 0 for p in fresh.per_degree if not lo <= p.degree <= hi)
 
 
+def test_a_wide_window_leaves_default_reads_warm(monkeypatch):
+    # the halves keep only degrees of the default window, so a wide window
+    # read first leaves them filled for it: a later default read without
+    # representatives assembles no block
+    mf = suites.an_objects(4)[1]
+    assembled = []
+    block = homotopy.HomProblem.degree_block
+
+    def counted(self, d):
+        assembled.append(d)
+        return block(self, d)
+
+    monkeypatch.setattr(homotopy.HomProblem, "degree_block", counted)
+    for shift in (0, 1):
+        _rank_table.cache_clear()
+        hom_space(mf, mf, (-2000, 2000), shift=shift)
+        assert len(assembled) == 4001
+        del assembled[:]
+        for _ in range(2):
+            hom_space(mf, mf, shift=shift, want_reps=False)
+        assert assembled == []
+
+
 def test_representatives_from_a_warm_store_equal_a_fresh_problem():
     objs = suites.an_objects(5)
     pairs = [(suites.quadric(), suites.quadric()), (objs[2], objs[3]),
