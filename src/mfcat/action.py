@@ -28,10 +28,6 @@ def char_sub(a, b, orders):
     return tuple((x - y) % m for x, y, m in zip(a, b, orders))
 
 
-def char_neg(a, orders):
-    return tuple((-x) % m for x, m in zip(a, orders))
-
-
 @dataclass(frozen=True)
 class GroupAction:
     """orders: cyclic factor sizes; exponents: one row per factor, one
@@ -60,13 +56,6 @@ class GroupAction:
     @property
     def nfactors(self):
         return len(self.orders)
-
-    @property
-    def group_order(self):
-        n = 1
-        for m in self.orders:
-            n *= m
-        return n
 
     def zero_char(self):
         return (0,) * len(self.orders)

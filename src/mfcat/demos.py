@@ -230,7 +230,7 @@ def demo_cone_axioms(field=QQ):
                     c.projection @ c.inclusion
                 ).is_zero(),
                 "splitting_homotopy_exact": (
-                    c.splitting_homotopy.boundary() == c.inclusion @ phi
+                    c.splitting_homotopy.bounds(c.inclusion @ phi)
                 ),
             }
             report["cones"].append(entry)

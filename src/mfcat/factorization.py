@@ -22,7 +22,7 @@ from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 from .errors import GradingError, MfcatError, UsageError
-from .matrices import PolyMatrix, hstack, sum_of_products, vstack
+from .matrices import PolyMatrix, hstack, products_equal, sum_of_products, vstack
 from .poly import Polynomial, WeightSystem
 
 
@@ -144,7 +144,8 @@ class MatrixFactorization:
             )
         wid0 = PolyMatrix.scalar(self.W, self.m0.rank)
         wid1 = PolyMatrix.scalar(self.W, self.m1.rank)
-        products = self.p1 @ self.p0 == wid0 and self.p0 @ self.p1 == wid1
+        products = (products_equal([(self.p1, self.p0)], wid0)
+                    and products_equal([(self.p0, self.p1)], wid1))
         if not products:
             problems.append("composites of p0 and p1 are not W times the identity")
         graded = None
@@ -320,8 +321,19 @@ class MfMorphism:
 
     def is_chain_map(self):
         s, t = self.source, self.target
-        return (self.f1 @ s.p0 == t.p0 @ self.f0
-                and self.f0 @ s.p1 == t.p1 @ self.f1)
+        return (products_equal([(self.f1, s.p0)], t.p0 @ self.f0)
+                and products_equal([(self.f0, s.p1)], t.p1 @ self.f1))
+
+    def is_composite(self, outer, inner):
+        """Whether self == outer @ inner; the products are compared in the
+        product kernel (``products_equal``), and the composite is not
+        built."""
+        if inner.target != outer.source:
+            raise UsageError("composition endpoints do not match")
+        return (inner.source == self.source and outer.target == self.target
+                and outer.degree + inner.degree == self.degree
+                and products_equal([(outer.f0, inner.f0)], self.f0)
+                and products_equal([(outer.f1, inner.f1)], self.f1))
 
     def grading_violations(self):
         s, t = self.source, self.target
@@ -444,17 +456,32 @@ class Homotopy:
         if self.t1.nrows != t.m0.rank or self.t1.ncols != s.m1.rank:
             raise UsageError("t1 must be a (rank Q0) x (rank P1) matrix")
 
+    def _boundary_products(self):
+        """The (a, b) pairs whose products sum to the boundary's f0 and f1."""
+        s, t = self.source, self.target
+        return ([(self.t1, s.p0), (t.p1, self.t0)],
+                [(t.p0, self.t1), (self.t0, s.p1)])
+
     def boundary(self):
         """The chain map this homotopy bounds."""
-        s, t = self.source, self.target
+        f0, f1 = self._boundary_products()
         return MfMorphism(
-            source=s,
-            target=t,
-            f0=sum_of_products([(self.t1, s.p0), (t.p1, self.t0)]),
-            f1=sum_of_products([(t.p0, self.t1), (self.t0, s.p1)]),
+            source=self.source,
+            target=self.target,
+            f0=sum_of_products(f0),
+            f1=sum_of_products(f1),
             degree=self.degree,
             validate=False,
         )
+
+    def bounds(self, phi):
+        """Whether self.boundary() == phi; the products are compared in the
+        product kernel (``products_equal``), and the boundary is not
+        built."""
+        f0, f1 = self._boundary_products()
+        return (phi.source == self.source and phi.target == self.target
+                and phi.degree == self.degree
+                and products_equal(f0, phi.f0) and products_equal(f1, phi.f1))
 
     def shift(self):
         return Homotopy(

@@ -37,7 +37,7 @@ Over the rationals every rank is certified or exact:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import UsageError
 from .fields import FpElement, PrimeField
@@ -190,6 +190,9 @@ def solver(rows, ncols, field):
         (pcol, [(keys[c - ncols], v) for c, v in row.items() if c >= ncols])
         for row, pcol in zip(red, pivots)
     ]
+    size = sum(len(erow) for _, erow in kept)
+    if field.rational:
+        return _substitute_qq(kept), size
 
     def substitute(rhs):
         sol = {}
@@ -203,7 +206,41 @@ def solver(rows, ncols, field):
                 sol[pcol] = v
         return sol
 
-    return substitute, sum(len(erow) for _, erow in kept)
+    return substitute, size
+
+
+def _substitute_qq(kept):
+    """``solver``'s substitute over the rationals.  Each E row is kept as
+    int numerators over one common denominator, so an integral right-hand
+    side is summed in ints and divided once; the value is an int when it
+    is integral, as the field stores it."""
+    rows = []
+    for pcol, erow in kept:
+        den = lcm(*(e.denominator for _, e in erow))
+        rows.append((pcol, den, [(key, e.numerator * (den // e.denominator))
+                                 for key, e in erow]))
+
+    def substitute(rhs):
+        sol = {}
+        for pcol, den, erow in rows:
+            v = 0
+            for key, e in erow:
+                b = rhs.get(key)
+                if b is not None:
+                    v = e * b + v
+            if v:
+                if type(v) is int:
+                    if den != 1:
+                        q, r = divmod(v, den)
+                        v = Fraction(v, den) if r else q
+                else:
+                    v /= den
+                    if v.denominator == 1:
+                        v = v.numerator
+                sol[pcol] = v
+        return sol
+
+    return substitute
 
 
 def feasible_nonneg(rows, rhs):

@@ -6,14 +6,18 @@ cone or direct sum.  Entries are Polynomial values over a common field,
 and, like every Polynomial, never hold a zero coefficient, so two matrices
 are equal exactly when their difference is zero.
 
-Products go through one kernel, ``sum_of_products``: the sum of a @ b over
-a list of (a, b) pairs, accumulated into one term dict per output entry.
-It walks only the nonzero entries of each row of b and builds each entry's
-Polynomial once, dropping the coefficients that cancel, so no product,
-sum or negated copy is built on the way.  ``@`` is the one-pair case, and
-a homotopy's boundary and a chain-map square are one call each.  The
-matrices this library multiplies are tiny (mostly 1x1 to 2x2, about one
-term per entry), so the cost lies in intermediate objects, not arithmetic.
+Products go through one kernel, ``_accumulate``: the sum of a @ b over a
+list of (a, b) pairs, accumulated into one term dict per output entry.
+It walks only the nonzero entries of each row of b, so no product, sum or
+negated copy is built on the way.  The kernel has two finishers.
+``sum_of_products`` builds each entry's Polynomial once, dropping the
+coefficients that cancel; ``@`` is its one-pair case, and a homotopy's
+boundary is one call.  ``products_equal`` compares each entry's term dict
+with a given matrix and builds nothing, so a check that a product equals
+a matrix (a witness's boundary, a chain-map square, p1 p0 = W id) costs
+the arithmetic alone.  The matrices this library multiplies are tiny
+(mostly 1x1 to 2x2, about one term per entry), so the cost lies in
+intermediate objects, not arithmetic.
 Integral rational coefficients are plain ints (``mfcat.fields``), so their
 products and sums run on C-level int arithmetic and build no Fraction.
 """
@@ -170,10 +174,60 @@ def sum_of_products(pairs):
     """The sum of a @ b over the (a, b) pairs, as one PolyMatrix.
 
     Every product must have the shape, the number of variables and the
-    field of the first one.  Each output entry accumulates one term dict,
-    and each nonzero entry a[i][k] meets only the nonzero entries of row k
-    of b; the coefficients that cancel are dropped when the entry's
-    Polynomial is built.
+    field of the first one.  The coefficients that cancel are dropped when
+    each entry's Polynomial is built from its term dict (``_accumulate``).
+    """
+    nrows, ncols, nvars, field, acc = _accumulate(pairs)
+    zero = Polynomial.zero(nvars, field)
+    rows = []
+    for out in acc:
+        row = []
+        for terms in out:
+            if terms is None:
+                row.append(zero)
+                continue
+            poly = Polynomial.__new__(Polynomial)
+            poly.nvars, poly.field = nvars, field
+            poly.terms = _cleaned(terms)
+            row.append(poly)
+        rows.append(tuple(row))
+    return PolyMatrix(nrows, ncols, nvars, field, tuple(rows))
+
+
+def products_equal(pairs, target):
+    """Whether sum_of_products(pairs) == target, with the same errors.
+
+    Each entry's term dict (``_accumulate``), its cancelled coefficients
+    dropped, is compared with the terms of target's entry; no Polynomial
+    or PolyMatrix is built.  A target of another shape, number of
+    variables or field is unequal, as for ``==``.
+    """
+    nrows, ncols, nvars, field, acc = _accumulate(pairs)
+    if (target.nrows != nrows or target.ncols != ncols or target.nvars != nvars
+            or (target.field is not field and target.field != field)):
+        return False
+    for out, row in zip(acc, target.entries):
+        for terms, poly in zip(out, row):
+            if terms is None:
+                if poly.terms:
+                    return False
+            elif _cleaned(terms) != poly.terms:
+                return False
+    return True
+
+
+def _cleaned(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def _accumulate(pairs):
+    """(nrows, ncols, nvars, field, acc) of the sum of a @ b over the (a, b)
+    pairs: acc[i][j] is the term dict of entry (i, j), None where no
+    product reaches it, and may hold coefficients that cancelled to zero.
+
+    Every product must have the shape, the number of variables and the
+    field of the first one.  Each nonzero entry a[i][k] meets only the
+    nonzero entries of row k of b.
     """
     if not pairs:
         raise UsageError("sum of no products")
@@ -210,20 +264,7 @@ def sum_of_products(pairs):
                             e = tuple(map(add, e1, e2))
                             cur = terms.get(e)
                             terms[e] = c1 * c2 if cur is None else cur + c1 * c2
-    zero = Polynomial.zero(nvars, field)
-    rows = []
-    for out in acc:
-        row = []
-        for terms in out:
-            if terms is None:
-                row.append(zero)
-                continue
-            poly = Polynomial.__new__(Polynomial)
-            poly.nvars, poly.field = nvars, field
-            poly.terms = {e: c for e, c in terms.items() if c}
-            row.append(poly)
-        rows.append(tuple(row))
-    return PolyMatrix(nrows, ncols, nvars, field, tuple(rows))
+    return nrows, ncols, nvars, field, acc
 
 
 def hstack(blocks):

@@ -30,7 +30,7 @@ from .homotopy import (
     hom_space,
     solve_null_homotopy,
 )
-from .matrices import PolyMatrix, hstack, vstack
+from .matrices import PolyMatrix, hstack, products_equal, vstack
 from .poly import monomials_of_weighted_degree, monomials_up_to_total_degree
 
 
@@ -292,7 +292,7 @@ def two_periodicity_check(mf, window=None):
         )
         if r != ncols:
             all_inj = False
-    witness = mf.p1 @ mf.p0 == PolyMatrix.scalar(mf.W, mf.m1.rank)
+    witness = products_equal([(mf.p1, mf.p0)], PolyMatrix.scalar(mf.W, mf.m1.rank))
     return TwoPeriodicityReport(
         window=(lo, hi),
         per_degree=tuple(per),
@@ -383,7 +383,8 @@ def homotopy_decomposition(phi, homotopy=None, bound=None):
     The brick and the projection v from it depend on the target alone:
     they are built, v checked as a chain map, once per target and kept
     (``_brick_projection``, at most _BRICK_PROJECTIONS targets).  The map
-    u into the brick is checked on every call, and so is v @ u == phi.
+    u into the brick is checked on every call, and so is v @ u == phi,
+    both in the product kernel (``matrices.products_equal``).
     """
     s, t = phi.source, phi.target
     if homotopy is None:
@@ -394,7 +395,7 @@ def homotopy_decomposition(phi, homotopy=None, bound=None):
             raise UsageError(
                 "no null-homotopy found within the bound; pass a larger one"
             )
-    elif homotopy.boundary() != phi:
+    elif not homotopy.bounds(phi):
         raise UsageError("supplied homotopy does not bound the map")
     brick, v = _brick_projection(t)
     u = MfMorphism(
@@ -404,7 +405,7 @@ def homotopy_decomposition(phi, homotopy=None, bound=None):
         f1=vstack([homotopy.t1, phi.f1]),
         degree=phi.degree - v.degree,
     )
-    if v @ u != phi:
+    if not phi.is_composite(v, u):
         raise MfcatError("brick decomposition failed to recompose the map")
     return BrickDecomposition(brick=brick, into_brick=u, from_brick=v)
 

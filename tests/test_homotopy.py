@@ -252,6 +252,38 @@ def test_a_witness_the_kept_solver_misses_raises(monkeypatch):
         _forget_kept_systems()
 
 
+def test_a_kept_solver_witness_off_by_one_raises(monkeypatch):
+    # the kept solver returns the right solution with one coefficient off
+    # by one: the boundary check inside the product kernel must reject
+    # it, and the exact solve then finds the witness the solver missed
+    real = linalg.solver
+
+    def off_by_one(rows, ncols, field):
+        substitute, size = real(rows, ncols, field)
+
+        def perturbed(rhs):
+            sol = substitute(rhs)
+            col = min(sol)
+            sol[col] = sol[col] + 1
+            return sol
+
+        return perturbed, size
+
+    monkeypatch.setattr(linalg, "solver", off_by_one)
+    _forget_kept_systems()
+    try:
+        q = suites.quadric()
+        phi = random_chain_map(q, q, rng=random.Random(8))
+        wphi = MfMorphism(q, q, phi.f0.poly_mul(q.W), phi.f1.poly_mul(q.W),
+                          degree=phi.degree + q.weights.degree)
+        h, definitive = solve_null_homotopy(wphi)
+        assert definitive and h.boundary() == wphi
+        with pytest.raises(MfcatError, match="missed a witness"):
+            solve_null_homotopy(wphi)
+    finally:
+        _forget_kept_systems()
+
+
 def _kept_weights():
     """The weights of the kept entries, least recently used first; they
     sum to the store's weight, which stays within its budget."""

@@ -9,7 +9,7 @@ import oracles as orc
 from mfcat import PolyMatrix, Polynomial
 from mfcat.errors import UsageError
 from mfcat.fields import QQ, PrimeField
-from mfcat.matrices import sum_of_products
+from mfcat.matrices import products_equal, sum_of_products
 
 FIELDS = [QQ, PrimeField(7), PrimeField(2**31 - 1)]
 FIELD_IDS = ["Q", "F7", "F2^31-1"]
@@ -137,6 +137,75 @@ def test_mismatches_raise_as_before():
         sum_of_products([(a, col), (cell, cell)])
     with pytest.raises(UsageError, match=r"^sum of no products$"):
         sum_of_products([])
+
+
+def perturbed(m, rng):
+    """m with one coefficient of one nonzero entry moved by one, or with a
+    term added to a zero matrix."""
+    spots = [(i, j) for i, row in enumerate(m.entries)
+             for j, poly in enumerate(row) if poly.terms]
+    if not spots:
+        if not (m.nrows and m.ncols):
+            return None
+        spots = [(0, 0)]
+    i, j = rng.choice(spots)
+    terms = dict(m.entries[i][j].terms)
+    e = rng.choice(sorted(terms)) if terms else (0,) * m.nvars
+    terms[e] = terms.get(e, 0) + 1
+    return m.map_entries_indexed(
+        lambda r, c, poly: Polynomial(m.nvars, terms, m.field) if (r, c) == (i, j) else poly)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_products_equal_agrees_with_the_built_sum(field):
+    # the right sum, a sum that cancels to zero, zero entries and a wrong
+    # target, each compared both ways
+    rng = random.Random(23)
+    x = Polynomial.variable(0, 2, field)
+    y = Polynomial.variable(1, 2, field)
+    square = PolyMatrix.from_rows([[x, y], [y, x]], 2, field)
+    cases = [[(square, square), (-square, square)]]
+    for nrows, ncols, inners in [(2, 2, (2, 2)), (1, 3, (2, 1, 3)),
+                                 (3, 1, (1, 0, 2)), (0, 2, (2, 2)),
+                                 (2, 0, (1, 3)), (2, 2, (1,))]:
+        for density in (0.0, 0.4, 1.0):
+            cases.append([
+                (random_matrix(rng, nrows, k, 2, field, density),
+                 random_matrix(rng, k, ncols, 2, field, density))
+                for k in inners])
+    seen = set()
+    for pairs in cases:
+        built = sum_of_products(pairs)
+        wrong = perturbed(built, rng)
+        targets = [built, PolyMatrix.zero(built.nrows, built.ncols, 2, field),
+                   PolyMatrix.zero(built.nrows + 1, built.ncols, 2, field),
+                   PolyMatrix.zero(built.nrows, built.ncols, 3, field)]
+        if wrong is not None:
+            targets.append(wrong)
+        for target in targets:
+            want = built == target
+            assert products_equal(pairs, target) is want
+            seen.add(want)
+        if wrong is not None:
+            assert not products_equal(pairs, wrong)
+    assert products_equal(cases[0], PolyMatrix.zero(2, 2, 2, field))
+    assert seen == {True, False}
+
+
+def test_products_equal_mismatches_raise_as_the_built_sum():
+    x = Polynomial.variable(0, 2)
+    a = PolyMatrix.from_rows([[x, x, x], [x, x, x]], 2, QQ)
+    one_var = PolyMatrix.from_rows([[Polynomial.variable(0, 1)]] * 3, 1, QQ)
+    f7 = PrimeField(7)
+    mod7 = PolyMatrix.from_rows([[Polynomial.variable(0, 2, f7)]] * 3, 2, f7)
+    col = PolyMatrix.from_rows([[x]] * 3, 2, QQ)
+    cell = PolyMatrix.from_rows([[x]], 2, QQ)
+    for pairs in ([(a, a)], [(a, one_var)], [(a, mod7)], [(a, col), (cell, cell)], []):
+        with pytest.raises(UsageError) as built:
+            sum_of_products(pairs)
+        with pytest.raises(UsageError) as compared:
+            products_equal(pairs, cell)
+        assert str(compared.value) == str(built.value)
 
 
 @st.composite
