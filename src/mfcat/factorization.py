@@ -324,17 +324,6 @@ class MfMorphism:
         return (products_equal([(self.f1, s.p0)], t.p0 @ self.f0)
                 and products_equal([(self.f0, s.p1)], t.p1 @ self.f1))
 
-    def is_composite(self, outer, inner):
-        """Whether self == outer @ inner; the products are compared in the
-        product kernel (``products_equal``), and the composite is not
-        built."""
-        if inner.target != outer.source:
-            raise UsageError("composition endpoints do not match")
-        return (inner.source == self.source and outer.target == self.target
-                and outer.degree + inner.degree == self.degree
-                and products_equal([(outer.f0, inner.f0)], self.f0)
-                and products_equal([(outer.f1, inner.f1)], self.f1))
-
     def grading_violations(self):
         s, t = self.source, self.target
         if s.weights is None or t.weights is None:

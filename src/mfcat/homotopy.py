@@ -52,15 +52,6 @@ degree missing from a store come from one assembled block of the complex
 being read, which gives both.  A pair's block is the direct sum of its
 pieces' blocks, so the pieces' halves of a degree add up to the pair's.
 
-Pairs keep rows as pieces do.  The rows of a default window, its
-(d, Z, B, representative matrices) tuples, are built once from the
-halves: a piece keeps the one table it is read with (``_Piece.table``),
-and a pair's entry keeps, beside its halves, one rows tuple per shift
-and want_reps (``_RankEntry.rows``).  A warm default read returns the
-kept tuple and answers no degree; only the HomSpace and its morphisms are
-built per call.  Other windows are answered degree by degree from the
-halves and keep no rows.
-
 A found witness is checked in the product kernel (``Homotopy.bounds``,
 ``matrices.products_equal``): its products with the structure maps are
 summed into term dicts and compared with the map, and no boundary is
@@ -425,18 +416,6 @@ class _Pieces(dict):
         return piece
 
 
-class _RankEntry(tuple):
-    """A pair's entry of ``_rank_table``: the tuple of its two halves, and
-    beside them ``rows``, {(where, want_reps): the rows of the default
-    window} as ``_Reading.rows`` gives them, at most one per shift and
-    want_reps."""
-
-    def __new__(cls):
-        entry = super().__new__(cls, ({}, {}))
-        entry.rows = {}
-        return entry
-
-
 @lru_cache(maxsize=_RANK_TABLES)
 def _rank_table(source, target):
     """({e: even half}, {e: odd half}) of the maps source -> target, each
@@ -444,9 +423,9 @@ def _rank_table(source, target):
     pair reads the same table.  A half is (n, r, exact): n unknowns of
     that parity in degree e, and r the rank of D on them.  A kept half is
     always exact; the flag lets it be read like a half fresh from a block,
-    whose r may be a rank mod p below the rank, or None.  Only ranks and
-    finished rows are kept, no blocks (``_Reading``)."""
-    return _RankEntry()
+    whose r may be a rank mod p below the rank, or None.  Only ranks are
+    kept, no blocks (``_Reading``)."""
+    return {}, {}
 
 
 def _half(n, rows, ncols, field):
@@ -485,9 +464,6 @@ class _Reading:
     the default window of the complex read, and only while the half holds
     fewer than _KEPT_DEGREES degrees.  A target whose shift does not have
     split degree D - a (p0 or p1 zero) is read as a pair of its own.
-
-    A pair's reading keeps the finished rows of its default window beside
-    the halves (``rows``); a piece keeps its own (``_Piece.table``).
     """
 
     def __init__(self, source, target, shift=0, piece=None):
@@ -495,7 +471,6 @@ class _Reading:
         self.where = ((0, 0), (1, 0))
         if piece is not None:
             self.window, self.halves = piece.window, piece.halves
-            self.kept_rows = None
             return
         if shift:
             self.target = target.shift()
@@ -506,7 +481,6 @@ class _Reading:
                 self.where = ((1, D - a), (0, -a))
         self.window = default_window(source, self.target)
         self.halves = _rank_table(_untwisted(source), _untwisted(target))
-        self.kept_rows = self.halves.rows
 
     @property
     def problem(self):
@@ -577,18 +551,7 @@ class _Reading:
     def rows(self, lo, hi, want_reps):
         """((d, Z, B, pairs), ...) over the degrees lo..hi where Z or B is
         nonzero; pairs holds the (f0, f1) matrices of the representatives
-        when want_reps, and is empty otherwise.
-
-        A pair keeps the rows of its default window, keyed by ``where``
-        and want_reps, and returns them from then on: the matrices are
-        immutable and shared by every call.
-        """
-        kept = self.kept_rows if (lo, hi) == self.window else None
-        key = self.where, want_reps
-        if kept is not None:
-            got = kept.get(key)
-            if got is not None:
-                return got
+        when want_reps, and is empty otherwise."""
         out = []
         for d in range(lo, hi + 1):
             zdim, bdim, coords = self.answer(d, want_reps)
@@ -601,10 +564,7 @@ class _Reading:
                 pairs = tuple(tuple(_slot_matrices(self.source, self.target, EVEN, c))
                               for c in coords)
             out.append((d, zdim, bdim, pairs))
-        out = tuple(out)
-        if kept is not None:
-            kept[key] = out
-        return out
+        return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -405,7 +405,10 @@ def homotopy_decomposition(phi, homotopy=None, bound=None):
         f1=vstack([homotopy.t1, phi.f1]),
         degree=phi.degree - v.degree,
     )
-    if not phi.is_composite(v, u):
+    if not (u.target == v.source and u.source == s and v.target == t
+            and u.degree + v.degree == phi.degree
+            and products_equal([(v.f0, u.f0)], phi.f0)
+            and products_equal([(v.f1, u.f1)], phi.f1)):
         raise MfcatError("brick decomposition failed to recompose the map")
     return BrickDecomposition(brick=brick, into_brick=u, from_brick=v)
 

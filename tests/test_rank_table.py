@@ -213,49 +213,3 @@ def test_kept_ranks_that_disagree_with_the_representatives_raise(monkeypatch):
     for k in (0, 1):
         with pytest.raises(MfcatError, match="disagree"):
             hom_space(q, q, shift=k)
-
-
-def test_a_second_default_read_returns_the_kept_rows(monkeypatch):
-    # the first default-window read at each shift, with and without
-    # representatives, answers its degrees and keeps its rows in the
-    # pair's entry; a second read answers no degree and equals the first,
-    # and so does every character twist and the stable hom of the
-    # cokernels.  A wide window keeps no rows, and an entry holds at most
-    # one rows tuple per shift and want_reps.
-    act = suites.an_action(4)
-    s0, s1 = enumerate_structures(suites.an_objects(4)[1], act)[:2]
-    x, y = s0.factorization, s1.factorization
-    key = homotopy._untwisted(x), homotopy._untwisted(y)
-    answered = []
-    answer = homotopy._Reading.answer
-
-    def counted(self, d, want_reps):
-        answered.append(d)
-        return answer(self, d, want_reps)
-
-    monkeypatch.setattr(homotopy._Reading, "answer", counted)
-    _rank_table.cache_clear()
-    for shift in (0, 1):
-        hom_space(x, y, (-2000, 2000), shift=shift)
-    assert answered and _rank_table(*key).rows == {}
-    reads = [(shift, want_reps) for shift in (0, 1) for want_reps in (True, False)]
-    first = {}
-    for shift, want_reps in reads:
-        del answered[:]
-        first[shift, want_reps] = hom_space(x, y, shift=shift, want_reps=want_reps)
-        assert answered
-    assert any(p.representatives for p in first[0, True].per_degree)
-    assert any(p.representatives for p in first[1, True].per_degree)
-    del answered[:]
-    for shift, want_reps in reads:
-        assert hom_space(x, y, shift=shift, want_reps=want_reps) == first[shift, want_reps]
-        for c in act.characters():
-            t = s1.twist(c).factorization
-            got = hom_space(x, t, shift=shift, want_reps=want_reps)
-            assert got.to_json() == first[shift, want_reps].to_json()
-            assert all(r.target == t.shift(shift) for p in got.per_degree
-                       for r in p.representatives)
-        assert stable_hom(cok(x), cok(y), shift) == first[shift, True]
-    assert answered == []
-    assert len(_rank_table(*key).rows) == 4
-    assert all(len(half) <= _KEPT_DEGREES for half in _rank_table(*key))
