@@ -60,10 +60,6 @@ class GroupAction:
     def zero_char(self):
         return (0,) * len(self.orders)
 
-    def elements(self):
-        """All group elements as exponent tuples, in lexicographic order."""
-        return tuple(product(*(range(m) for m in self.orders)))
-
     def characters(self):
         return tuple(product(*(range(m) for m in self.orders)))
 

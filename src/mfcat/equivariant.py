@@ -28,17 +28,19 @@ polynomial and matrix hashes are memoized) and the characters relative to
 the structure's first one, plus the action.  The relative characters come
 from a bounded memo keyed by the generator characters and the group
 orders.  The piece of character chi is the split's piece chi - need0,
-need0 the target's first character minus the source's.  The
-factorizations without characters that the split needs are built only on
-a cache miss.  A piece is read like a factorization pair
-(``homotopy._Reading``): it keeps the exact half-ranks of its degrees and
-the rows of its default window (``_Piece.table``), so each block of the
-orbit is graded, assembled and eliminated once.  What calls share is
-those rows' (f0, f1) pairs of immutable ``PolyMatrix`` objects, never an
+need0 the target's first character minus the source's.  A split is made
+on a cache miss from the kept problem of the factorization pair without
+characters (``homotopy._rank_table``), the one that plain ``hom_space``
+calls and the full space of ``isotypic_decompose`` read, so the split
+shares its slots and stencils.  There is one kind of kept hom complex: a
+piece is a problem like the pair's, read by the same reader
+(``homotopy._Reading``).  It inherits the pair's default window and
+isolated flag, and keeps the exact half-ranks of its degrees and the rows
+of its default window (``_Piece.table``), so each block of the orbit is
+graded, assembled and eliminated once.  What calls share is those rows'
+(f0, f1) pairs of immutable ``PolyMatrix`` objects, never an
 ``MfMorphism``: representatives are made on every call as maps between
-the caller's own structures.  The full space of ``isotypic_decompose`` is
-read from the kept rank table of the factorization pair
-(``homotopy._rank_table``) that plain ``hom_space`` calls share.
+the caller's own structures.
 """
 
 from __future__ import annotations
@@ -52,9 +54,8 @@ from .errors import MfcatError, UsageError
 from .factorization import Homotopy, MatrixFactorization, MfMorphism
 from .homotopy import (
     _PARITY,
-    HomProblem,
-    _from_untwisted,
     _hom_space,
+    _rank_table,
     _require_shared_grading,
     _require_weights,
     _untwisted,
@@ -342,8 +343,9 @@ def _chars_relative(chars0, chars1, orders):
 
 @lru_cache(maxsize=_ORBIT_CACHE)
 def _orbit_split(source, target, action):
-    """The character split (``HomProblem.pieces``) of the maps between two
-    structures without their characters, relative to need0; source and
+    """The character split (``HomProblem.pieces``) of the kept problem
+    (``homotopy._rank_table``) of the maps between two structures without
+    their characters, relative to need0; source and
     target are each (``_untwisted`` fields, ``_relative_chars`` relative
     characters) of a structure, so every twist of the pair has the same
     key.
@@ -353,7 +355,7 @@ def _orbit_split(source, target, action):
     difference taken between the relative characters; the split grades
     the unknown by that difference minus char(e).
     """
-    prob = HomProblem(_from_untwisted(source[0]), _from_untwisted(target[0]))
+    prob = _rank_table(source[0], target[0])
     orders = action.orders
     need = _slot_characters(source[1], target[1], orders)
 
@@ -375,11 +377,6 @@ def _twist_orbit(e_src, e_tgt):
     return split, char_sub(base_tgt, base_src, act.orders)
 
 
-def _piece_space(src, tgt, window, piece):
-    """The HomSpace of maps src -> tgt that the piece holds."""
-    return _hom_space(src, tgt, window, piece.window, piece.isolated, piece.rows)
-
-
 def equivariant_hom_space(e_src, e_tgt, window=None, twist_char=None):
     """Hom space of maps with a fixed transformation character.
 
@@ -394,7 +391,8 @@ def equivariant_hom_space(e_src, e_tgt, window=None, twist_char=None):
     src, tgt = e_src.factorization, e_tgt.factorization
     _require_weights(src, tgt)
     split, need0 = _twist_orbit(e_src, e_tgt)
-    return _piece_space(src, tgt, window, split[char_sub(chi, need0, act.orders)])
+    piece = split[char_sub(chi, need0, act.orders)]
+    return _hom_space(src, tgt, window, piece, piece.rows)
 
 
 def isotypic_decompose(e_src, e_tgt, window=None):
@@ -409,10 +407,10 @@ def isotypic_decompose(e_src, e_tgt, window=None):
     act = _shared_action(e_src, e_tgt)
     split, need0 = _twist_orbit(e_src, e_tgt)
     full = hom_space(src, tgt, window, want_reps=False)
-    pieces = {
-        chi: _piece_space(src, tgt, window, split[char_sub(chi, need0, act.orders)])
-        for chi in act.characters()
-    }
+    pieces = {}
+    for chi in act.characters():
+        piece = split[char_sub(chi, need0, act.orders)]
+        pieces[chi] = _hom_space(src, tgt, window, piece, piece.rows)
     want = full.dims_by_degree()
     got = {}
     for hs in pieces.values():

@@ -110,10 +110,6 @@ class MatrixFactorization:
     def rank(self):
         return self.m0.rank
 
-    @property
-    def has_chars(self):
-        return self.m0.chars is not None and self.m1.chars is not None
-
     @cached_property
     def split_degree(self):
         """Internal degree of p0, recovered from its first nonzero entry.
@@ -218,7 +214,7 @@ class MatrixFactorization:
         )
 
     def strip_chars(self):
-        if not self.has_chars and self.m0.chars is None and self.m1.chars is None:
+        if self.m0.chars is None and self.m1.chars is None:
             return self
         return MatrixFactorization(
             W=self.W,
@@ -320,9 +316,15 @@ class MfMorphism:
                 raise GradingError("; ".join(bad[:8]))
 
     def is_chain_map(self):
+        """Whether f1 p0 = p0 f0 and f0 p1 = p1 f1, each square summed in
+        the product kernel against zero: the kept shift of the target has
+        p1 = -p0 and p0 = -p1, so no product is built."""
         s, t = self.source, self.target
-        return (products_equal([(self.f1, s.p0)], t.p0 @ self.f0)
-                and products_equal([(self.f0, s.p1)], t.p1 @ self.f1))
+        ts, f0, f1 = t.shift(), self.f0, self.f1
+        return (products_equal([(f1, s.p0), (ts.p1, f0)],
+                               PolyMatrix.zero(t.m1.rank, s.m0.rank, s.nvars, s.field))
+                and products_equal([(f0, s.p1), (ts.p0, f1)],
+                                   PolyMatrix.zero(t.m0.rank, s.m1.rank, s.nvars, s.field)))
 
     def grading_violations(self):
         s, t = self.source, self.target
@@ -472,15 +474,6 @@ class Homotopy:
                 and phi.degree == self.degree
                 and products_equal(f0, phi.f0) and products_equal(f1, phi.f1))
 
-    def shift(self):
-        return Homotopy(
-            source=self.source.shift(),
-            target=self.target.shift(),
-            t0=-self.t1,
-            t1=-self.t0,
-            degree=self.boundary().shift().degree,
-        )
-
 
 def zero_factorization(W, weights=None):
     empty = GradedFreeModule(0, ())
@@ -623,6 +616,14 @@ def direct_sum(a, b):
     )
 
 
+def _join_chars(ca, cb):
+    """The characters of a module stacked from two: None unless both have
+    them."""
+    if ca is None or cb is None:
+        return None
+    return ca + cb
+
+
 @dataclass(frozen=True)
 class Cone:
     """Mapping cone of a morphism, with its triangle structure maps.
@@ -648,22 +649,15 @@ def cone(phi):
     off1 = (d - a_s) if a_s is not None else 0
     off0 = (d + a_t - dd) if a_t is not None else 0
 
-    def join_chars(ct, cs):
-        if ct is None and cs is None:
-            return None
-        if ct is None or cs is None:
-            return None
-        return ct + cs
-
     c_m0 = GradedFreeModule(
         t.m0.rank + s.m1.rank,
         t.m0.degrees + tuple(g + off1 for g in s.m1.degrees),
-        join_chars(t.m0.chars, s.m1.chars),
+        _join_chars(t.m0.chars, s.m1.chars),
     )
     c_m1 = GradedFreeModule(
         t.m1.rank + s.m0.rank,
         t.m1.degrees + tuple(g + off0 for g in s.m0.degrees),
-        join_chars(t.m1.chars, s.m0.chars),
+        _join_chars(t.m1.chars, s.m0.chars),
     )
     z_low0 = PolyMatrix.zero(s.m0.rank, t.m0.rank, nvars, field)
     c0 = vstack([hstack([t.p0, phi.f1]), hstack([z_low0, -s.p1])])
@@ -730,20 +724,15 @@ def trivial_brick(q):
     sh0 = (dd - 2 * a) if a is not None else 0
     shm = (-a) if a is not None else 0
 
-    def join(cx, cy):
-        if cx is None or cy is None:
-            return None
-        return cx + cy
-
     b_m0 = GradedFreeModule(
         q.m1.rank + q.m0.rank,
         tuple(g + sh0 for g in q.m1.degrees) + tuple(g + shm for g in q.m0.degrees),
-        join(q.m1.chars, q.m0.chars),
+        _join_chars(q.m1.chars, q.m0.chars),
     )
     b_m1 = GradedFreeModule(
         q.m0.rank + q.m1.rank,
         q.m0.degrees + tuple(g + shm for g in q.m1.degrees),
-        join(q.m0.chars, q.m1.chars),
+        _join_chars(q.m0.chars, q.m1.chars),
     )
     z10 = PolyMatrix.zero(q.m1.rank, q.m1.rank, nvars, field)
     b0 = vstack([

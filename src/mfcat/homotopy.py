@@ -28,26 +28,30 @@ two-periodicity pieces of ``singcat``.  A hom-complex block is assembled
 for its degree's answer and not kept; its ranks are.
 
 Every degree of a hom complex is answered by one reader, ``_Reading``,
-from kept ranks.  They are kept per ordered pair (X, Y) of factorizations
-up to characters, in one bounded LRU (``_rank_table``), and per character
-piece of a pair (``HomProblem.pieces``) in the piece itself.  Per internal
-degree e, for at most _KEPT_DEGREES degrees, a store holds two half-ranks
-of the two-periodic complex Hom(X, Y): the even half (n0, rho_e), the even
-unknowns and the rank of the differential D on them, and the odd half
-(n1, rho_o) likewise.  Kept ranks are exact: a half fresh from a block
-carries a flag saying whether its rank is exact or only a rank mod p, and
-is kept once its degree is settled (``_Reading._settle``: Z_p == B_p, a
-full rank mod p, or one exact elimination), and only when the degree read
-lies in the default window of the complex read, so a wide window leaves
-no far-off degrees behind.  A piece is read at shift 0; both parities
-read a pair's entry: with a the split degree of Y and D the degree of W,
+from the ranks a ``HomProblem`` keeps.  There is one kind of kept complex:
+the problem of each ordered pair (X, Y) of factorizations up to
+characters, kept in one bounded LRU (``_rank_table``), and each character
+piece of such a problem (``HomProblem.pieces``), which inherits the
+pair's default window and isolated-singularity flag and keeps halves of
+its own.  Per internal degree e, for at most _KEPT_DEGREES degrees, a
+problem's ``halves`` hold two half-ranks of the two-periodic complex
+Hom(X, Y): the even half (n0, rho_e), the even unknowns and the rank of
+the differential D on them, and the odd half (n1, rho_o) likewise.  Kept
+ranks are exact: a half fresh from a block carries a flag saying whether
+its rank is exact or only a rank mod p, and is kept once its degree is
+settled (``_Reading._settle``: Z_p == B_p, a full rank mod p, or one
+exact elimination), and only when the degree read lies in the default
+window, so a wide window leaves no far-off degrees behind.  A piece is
+read at shift 0; both parities read a pair's problem: with a the split
+degree of Y and D the degree of W,
 
     Hom(X, Y)_d:    Z = n0(d) - rho_e(d),                  B = rho_o(d)
     Hom(X, Y[1])_d: Z = n1(d + D - a) - rho_o(d + D - a),  B = rho_e(d - a)
 
 since the odd unknowns of Hom(X, Y[1]) in degree d are the even ones of
 Hom(X, Y) in degree d - a, its even unknowns are the odd ones in degree
-d + D - a, and the two differentials agree up to sign.  The halves of a
+d + D - a, and the two differentials agree up to sign.  The shift swaps
+Y's modules, so both parities share the default window.  The halves of a
 degree missing from a store come from one assembled block of the complex
 being read, which gives both.  A pair's block is the direct sum of its
 pieces' blocks, so the pieces' halves of a degree add up to the pair's.
@@ -294,10 +298,10 @@ class HomProblem:
 
     Unknown ids are (kind, i, j, exponent) with kind "e0"/"e1" for the even
     components and "t0"/"t1" for the odd ones.  ``degree_block`` assembles
-    a degree's block on every call; a problem keeps no ranks.  A plain
-    problem supplies the blocks of a ``_Reading`` of the pair, whose ranks
-    go to its kept rank table (``_rank_table``); a piece (``pieces``) keeps
-    its own halves.
+    a degree's block on every call; no block is kept.  A problem keeps the
+    exact halves of its degrees (``halves``, read by a ``_Reading``), its
+    default window (``window``) and whether its potential is isolated
+    (``isolated``).
     """
 
     def __init__(self, source, target):
@@ -305,6 +309,9 @@ class HomProblem:
         self.source = source
         self.target = target
         self.ws = source.weights
+        self.halves = {}, {}
+        self.window = default_window(source, target)
+        self.isolated = _certified_potential(source.W, self.ws)
         self._even_slots = _slots(source, target, EVEN)
         self._odd_slots = _slots(source, target, ODD)
         self._offset = _slot_offsets(source, target)
@@ -348,11 +355,9 @@ class HomProblem:
 class _Piece(HomProblem):
     """One grade of a problem (``HomProblem.pieces``).  A piece's blocks
     hold only its own unknowns, so each is a direct summand of the pair's
-    block.  Like a pair's entry of ``_rank_table`` it keeps the exact
-    halves of its degrees (``halves``), read by a ``_Reading`` at shift 0.
-    It also keeps the rows of its default window with representatives
-    (``table``).  The window, the isolated-singularity flag and the table
-    are computed once per piece."""
+    block.  It keeps halves of its own, read by a ``_Reading`` at shift 0,
+    and inherits the pair's window and isolated flag.  It also keeps the
+    rows of its default window with representatives (``table``)."""
 
     _LEAK = ("boundary leaves its piece at %r; the grading is not "
              "compatible with the structure")
@@ -378,19 +383,11 @@ class _Piece(HomProblem):
         return by_grade.get(g, ((), ()))
 
     @cached_property
-    def window(self):
-        return default_window(self.source, self.target)
-
-    @cached_property
-    def isolated(self):
-        return _certified_potential(self.source.W, self.ws)
-
-    @cached_property
     def table(self):
         """The rows of the default window.  Their matrix pairs are maps
         between the piece's factorizations without characters; they are
         immutable, so every call shares them."""
-        return _Reading(self.source, self.target, piece=self).rows(*self.window, True)
+        return _Reading(self).rows(*self.window, True)
 
     def rows(self, lo, hi):
         """``_Reading.rows`` over lo..hi with representatives; over the
@@ -399,7 +396,7 @@ class _Piece(HomProblem):
         cycle left to the garbage collector."""
         if (lo, hi) == self.window:
             return self.table
-        return _Reading(self.source, self.target, piece=self).rows(lo, hi, True)
+        return _Reading(self).rows(lo, hi, True)
 
 
 class _Pieces(dict):
@@ -418,14 +415,15 @@ class _Pieces(dict):
 
 @lru_cache(maxsize=_RANK_TABLES)
 def _rank_table(source, target):
-    """({e: even half}, {e: odd half}) of the maps source -> target, each
-    given by its _untwisted fields, so that every character twist of the
-    pair reads the same table.  A half is (n, r, exact): n unknowns of
-    that parity in degree e, and r the rank of D on them.  A kept half is
-    always exact; the flag lets it be read like a half fresh from a block,
-    whose r may be a rank mod p below the rank, or None.  Only ranks are
-    kept, no blocks (``_Reading``)."""
-    return {}, {}
+    """The HomProblem of the maps source -> target, each given by its
+    _untwisted fields, so that every character twist of the pair reads
+    the same problem and its halves ({e: even half}, {e: odd half}).  A
+    half is (n, r, exact): n unknowns of that parity in degree e, and r
+    the rank of D on them.  A kept half is always exact; the flag lets it
+    be read like a half fresh from a block, whose r may be a rank mod p
+    below the rank, or None.  Only ranks are kept, no blocks
+    (``_Reading``)."""
+    return HomProblem(_from_untwisted(source), _from_untwisted(target))
 
 
 def _half(n, rows, ncols, field):
@@ -437,50 +435,31 @@ def _half(n, rows, ncols, field):
     return (n, *linalg.certified_rank(rows, ncols, field))
 
 
-def _cycle_half(blk, field):
-    """The half of a block's even unknowns: D on them is its cycle rows."""
-    n = len(blk.even_uids)
-    return _half(n, blk.zrows, n, field)
-
-
-def _boundary_half(blk, field):
-    """The half of a block's odd unknowns: D on them is its boundaries."""
-    return _half(len(blk.odd_uids), blk.dvecs, len(blk.even_uids), field)
-
-
 class _Reading:
-    """The degree answers of maps source -> target[shift], read from kept
-    halves: those of a piece (shift 0 only) or else the rank table of
-    (source, target).
+    """The degree answers of maps prob.source -> prob.target[shift], read
+    from the halves prob keeps, a pair's problem (``_rank_table``) or a
+    piece (shift 0 only).
 
     Degree d reads the cycle half (parity, e) and the boundary half of
     ``where``: the even and odd halves of d for shift 0, and for shift 1
     the odd half of d + D - a and the even half of d - a (see the module
     docstring).  Halves missing from the store come from the degree-d
-    block of ``problem``, the piece or else the maps source ->
-    target[shift], built on first need; so does an exact elimination.  A
-    block gives exactly the two halves its degree reads, so they are kept
-    only once ``_settle`` has made them exact, only for d in ``window``,
-    the default window of the complex read, and only while the half holds
-    fewer than _KEPT_DEGREES degrees.  A target whose shift does not have
-    split degree D - a (p0 or p1 zero) is read as a pair of its own.
+    block of ``problem``: prob itself at shift 0, at shift 1 the maps
+    source -> target, built on first need; so does an exact elimination.
+    A block gives exactly the two halves its degree reads, so they are
+    kept only once ``_settle`` has made them exact, only for d in prob's
+    default window, and only while the half holds fewer than
+    _KEPT_DEGREES degrees.
     """
 
-    def __init__(self, source, target, shift=0, piece=None):
-        self.source, self.target, self._problem = source, target, piece
+    def __init__(self, prob, shift=0):
+        self.source, self.target, self._problem = prob.source, prob.target, prob
+        self.window, self.halves = prob.window, prob.halves
         self.where = ((0, 0), (1, 0))
-        if piece is not None:
-            self.window, self.halves = piece.window, piece.halves
-            return
         if shift:
-            self.target = target.shift()
-            a, D = target.split_degree, source.weights.degree
-            if a is None or self.target.split_degree != D - a:
-                target = self.target
-            else:
-                self.where = ((1, D - a), (0, -a))
-        self.window = default_window(source, self.target)
-        self.halves = _rank_table(_untwisted(source), _untwisted(target))
+            self.target, self._problem = prob.target.shift(), None
+            a, D = prob.target.split_degree, prob.ws.degree
+            self.where = ((1, D - a), (0, -a))
 
     @property
     def problem(self):
@@ -497,11 +476,11 @@ class _Reading:
         blk = None
         if cycles is None or bounds is None:
             blk = self.problem.degree_block(d)
-            field = self.source.field
+            n, field = len(blk.even_uids), self.source.field
             if cycles is None:
-                cycles = _cycle_half(blk, field)
+                cycles = _half(n, blk.zrows, n, field)
             if bounds is None:
-                bounds = _boundary_half(blk, field)
+                bounds = _half(len(blk.odd_uids), blk.dvecs, n, field)
         ans = self._settle(d, cycles, bounds, blk, want_reps)
         lo, hi = self.window
         if lo <= d <= hi:
@@ -613,26 +592,34 @@ def hom_space(source, target, window=None, *, shift=0, want_reps=True):
     Per-degree numbers are exact.  The certified flag asserts that the
     window provably contains all degrees with nonzero classes, which we
     claim only for isolated quasi-homogeneous potentials with a window at
-    least the default one.  Both shifts read the kept rank table of
-    (source, target) (``_Reading``).
+    least the default one.  Both shifts read the kept problem of
+    (source, target) (``_rank_table``, ``_Reading``); a target whose shift
+    does not have split degree D - a (p0 or p1 zero) is read at shift 0
+    as a pair of its own.
     """
     if shift not in (0, 1):
         raise UsageError("shift must be 0 or 1")
     _require_weights(source, target)
     _require_shared_grading(source, target)
-    reading = _Reading(source, target, shift)
-    return _hom_space(source, reading.target, window, reading.window,
-                      _certified_potential(source.W, source.weights),
+    shifted = target.shift(shift)
+    if shift:
+        a = target.split_degree
+        if a is None or shifted.split_degree != source.weights.degree - a:
+            target, shift = shifted, 0
+    prob = _rank_table(_untwisted(source), _untwisted(target))
+    reading = _Reading(prob, shift)
+    return _hom_space(source, shifted, window, prob,
                       lambda lo, hi: reading.rows(lo, hi, want_reps))
 
 
-def _hom_space(source, target, window, dflt, isolated, rows):
-    """The HomSpace of maps source -> target over window, or over the
-    default window dflt when window is None, from rows(lo, hi) as
-    ``_Reading.rows`` gives them; certified when the potential is isolated
-    and the window contains dflt.  Representatives are made on every call,
-    as maps source -> target, from the rows' (f0, f1) matrix pairs, which
-    calls may share."""
+def _hom_space(source, target, window, prob, rows):
+    """The HomSpace of maps source -> target over window, or over prob's
+    default window when window is None, from rows(lo, hi) as
+    ``_Reading.rows`` gives them; certified when prob's potential is
+    isolated and the window contains its default window.  Representatives
+    are made on every call, as maps source -> target, from the rows'
+    (f0, f1) matrix pairs, which calls may share."""
+    dflt = prob.window
     lo, hi = dflt if window is None else (int(window[0]), int(window[1]))
     per_degree = []
     total = 0
@@ -648,7 +635,7 @@ def _hom_space(source, target, window, dflt, isolated, rows):
         window=(lo, hi),
         per_degree=tuple(per_degree),
         total=total,
-        certified=lo <= dflt[0] and hi >= dflt[1] and isolated,
+        certified=lo <= dflt[0] and hi >= dflt[1] and prob.isolated,
     )
 
 

@@ -12,7 +12,6 @@ def test_cyclic_action_basics():
     assert a.orders == (3,)
     assert a.exponents == ((1, 1, 1),)
     assert a.characters() == ((0,), (1,), (2,))
-    assert a.elements() == ((0,), (1,), (2,))
     assert a.zero_char() == (0,)
 
 

@@ -250,7 +250,7 @@ def test_isotypic_pieces_split_cycles_and_boundaries():
         assert sorted(iso) == sorted(act.characters())
         split, _ = _twist_orbit(e_src, e_tgt)
         assert len(split) == len(act.characters())
-        pair = _rank_table(_untwisted(src), _untwisted(tgt))
+        pair = _rank_table(_untwisted(src), _untwisted(tgt)).halves
         lo, hi = default_window(src, tgt)
         for parity in (0, 1):
             for d in range(lo, hi + 1):
@@ -469,7 +469,8 @@ def test_explicit_windows_keep_no_tables():
     lo, hi = piece.window
     assert all(lo <= d <= hi for half in piece.halves for d in half)
     kept = set(vars(piece)) - set(vars(split.prob))
-    assert kept <= {"halves", "_piece", "window", "isolated", "table"}
+    assert kept <= {"_piece", "table"}
+    assert piece.window == split.prob.window and piece.halves is not split.prob.halves
     for w, hs in zip(windows, got):
         _orbit_split.cache_clear()
         assert hs == equivariant_hom_space(e_src, e_tgt, w, twist_char=chi)
@@ -496,11 +497,14 @@ def test_a_wide_window_keeps_at_most_the_capped_degrees_per_piece():
     _rank_table.cache_clear()
     got = [answers() for _ in range(2)]
     split, _ = _twist_orbit(e, e)
+    # the split is made from the pair's own entry, so the full space and
+    # the pieces share one kept problem
+    assert split.prob is _rank_table(key, key)
     lo, hi = default_window(e.factorization, e.factorization)
     assert 0 < len(split.groups) <= _KEPT_DEGREES
     assert all(set(half) == set(range(lo, hi + 1))
                for piece in split.values() for half in piece.halves)
-    assert all(len(half) <= _KEPT_DEGREES for half in _rank_table(key, key))
+    assert all(len(half) <= _KEPT_DEGREES for half in _rank_table(key, key).halves)
     _orbit_split.cache_clear()
     _rank_table.cache_clear()
     fresh = answers()

@@ -8,8 +8,11 @@ import suites
 from mfcat import (
     GradedFreeModule,
     MatrixFactorization,
+    QQ,
     MfMorphism,
     PolyMatrix,
+    Polynomial,
+    PrimeField,
     WeightSystem,
     cone,
     direct_sum,
@@ -138,6 +141,33 @@ def test_morphism_algebra():
     assert (psi @ phi).is_chain_map()
     assert phi.shift().is_chain_map()
     assert phi.shift().source == q.shift()
+
+
+def one_by_one(f0, f1, field):
+    """The rank-one factorization (f0 | f1) of W = 0, ungraded."""
+    W = Polynomial.zero(1, field)
+    mats = [PolyMatrix(1, 1, 1, field, ((parse_poly(f, 1, field),),)) for f in (f0, f1)]
+    return MatrixFactorization(W, None, GradedFreeModule(1, (0,)),
+                               GradedFreeModule(1, (0,)), *mats)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_is_chain_map_checks_each_square(field):
+    # over a nonzero W either square implies the other, so the squares
+    # are broken one at a time on factorizations of W = 0: the map
+    # (f0, f1) = (1, 0) commutes with p1 = 0 but not p0 = x, and with
+    # p0 = 0 but not p1 = x
+    one = PolyMatrix.identity(1, 1, field)
+    zero = PolyMatrix.zero(1, 1, 1, field)
+    for p0, p1 in (("x1", "0"), ("0", "x1")):
+        mf = one_by_one(p0, p1, field)
+        assert mf.verify()["ok"]
+        assert MfMorphism(mf, mf, one, one).is_chain_map()
+        assert MfMorphism(mf, mf, zero, zero).is_chain_map()
+        assert not MfMorphism(mf, mf, one, zero, validate=False).is_chain_map(), p0
+        assert not MfMorphism(mf, mf, zero, one, validate=False).is_chain_map(), p0
+        with pytest.raises(MfcatError, match="^not a chain map"):
+            MfMorphism(mf, mf, one, zero)
 
 
 def test_morphism_degree_composition():

@@ -114,6 +114,27 @@ def test_both_shifts_and_every_twist_read_one_entry(monkeypatch):
     assert _rank_table.cache_info().currsize == 1
 
 
+def test_warm_reads_at_both_shifts_construct_no_problem(monkeypatch):
+    # a pair's entry is its HomProblem: a warm read at either shift without
+    # representatives, and at shift 0 with them, reads it and builds none
+    objs = suites.an_objects(5)
+    a, b = objs[2], objs[3]
+    _rank_table.cache_clear()
+    want = [hom_space(a, b, shift=k, want_reps=r) for k in (0, 1) for r in (False, True)]
+    made = []
+    init = homotopy.HomProblem.__init__
+
+    def counted(self, source, target):
+        made.append((source, target))
+        init(self, source, target)
+
+    monkeypatch.setattr(homotopy.HomProblem, "__init__", counted)
+    assert [hom_space(a, b, shift=k, want_reps=False) for k in (0, 1)] == want[::2]
+    assert hom_space(a, b) == want[1]
+    assert made == []
+    assert any(p.representatives for p in want[1].per_degree)
+
+
 def test_the_store_is_bounded_and_an_evicted_pair_comes_back_equal():
     objs = suites.an_objects(4)
     a, b = objs[1], objs[3]
@@ -147,7 +168,8 @@ def test_a_wide_window_keeps_at_most_the_capped_degrees():
             if default_first:
                 assert hom_space(mf, mf, shift=shift) == default
             got = [hom_space(mf, mf, wide, shift=shift) for _ in range(2)]
-            assert all(len(half) <= _KEPT_DEGREES for half in _rank_table(key, key))
+            assert all(len(half) <= _KEPT_DEGREES
+                       for half in _rank_table(key, key).halves)
             assert hom_space(mf, mf, shift=shift) == default
             _rank_table.cache_clear()
             fresh = hom_space(mf, mf, wide, shift=shift)
