@@ -11,7 +11,9 @@ rests on an exhaustively enumerated degree set.  A found witness is always
 definitive, once its boundary is checked to equal the map.  Nonexistence
 is definitive in the graded case, where entry degrees are forced.  There a
 degree's system is solved exactly on its first sighting and by a kept
-solver when it comes back, and a "no" comes only from an exact solve of a
+solver when it comes back.  A kept solver of a map's declared degree
+answers first, before the map is split by degree, and its witness is
+returned only once checked.  A "no" comes only from an exact solve of a
 freshly assembled system: a first sighting's, or the one run when a kept
 solver's witness fails the boundary check.  Totals over a degree window
 are certified only for a quasi-homogeneous potential with isolated
@@ -673,13 +675,17 @@ def _quotient_representatives(null_basis, boundary_rows, field):
 
 
 def _poly_matrix(tab, nrows, ncols, nvars, field):
-    return PolyMatrix(
-        nrows, ncols, nvars, field,
-        tuple(
-            tuple(Polynomial(nvars, tab[i][j], field) for j in range(ncols))
-            for i in range(nrows)
-        ),
-    )
+    """The PolyMatrix with entry terms tab[i][j]: fresh dicts of nonzero
+    coefficients in the field's stored form, taken as they are."""
+    rows = []
+    for i in range(nrows):
+        row = []
+        for j in range(ncols):
+            poly = Polynomial.__new__(Polynomial)
+            poly.nvars, poly.field, poly.terms = nvars, field, tab[i][j]
+            row.append(poly)
+        rows.append(tuple(row))
+    return PolyMatrix(nrows, ncols, nvars, field, tuple(rows))
 
 
 def _slot_matrices(s, t, kinds, coords):
@@ -766,6 +772,10 @@ class _KeptSystems:
       it and is not kept; its marker stays, solve False, and the system
       is solved exactly from then on.
 
+    A kept solver of a map's declared degree answers first
+    (``_null_homotopy_graded``): read from ``entries`` without a lookup,
+    and counted by ``hit`` only when its witness passes the check.
+
     An insertion evicts the least recently used entries until the weights
     fit; an entry heavier than the budget on its own is not inserted.
     """
@@ -794,8 +804,7 @@ class _KeptSystems:
             self.entries.move_to_end(key)
             return uids, None
         if solve is not None:
-            self.entries.move_to_end(key)
-            self.hits += 1
+            self.hit(key)
             return uids, solve
         del self.entries[key]
         self.weight -= weight
@@ -805,6 +814,12 @@ class _KeptSystems:
         else:
             self._insert(key, weight + size, uids, solve)
         return uids, solve
+
+    def hit(self, key):
+        """Count a call served by the kept solver of system key, and mark
+        the system as the most recently used."""
+        self.entries.move_to_end(key)
+        self.hits += 1
 
     def _insert(self, key, weight, uids, solve):
         if weight > _KEPT_WEIGHT:
@@ -838,14 +853,24 @@ def _null_homotopy_graded(phi):
     """(homotopy, True) or (None, True): entry degrees are forced, so each
     degree d of phi is one finite system in the degree-d odd unknowns.
 
-    Each degree's system is looked up in ``_kept_systems``.  A system met
-    for the first time, or one whose solver outweighs the store's budget,
-    is assembled and solved exactly for phi alone, and no solution there
-    is the answer "no".  A system met again is served by its kept solver,
-    one substitution per degree.  A found homotopy is checked to bound
-    phi.  When it does not, the kept solvers' systems are assembled again
-    and solved exactly: "no" means that solve found no solution too, and
-    a solution a kept solver missed raises MfcatError.
+    A kept solver answers first.  When ``_kept_systems`` holds one for
+    phi's declared degree, all of phi's coordinates are substituted (its
+    E rows read only the coordinates of that degree), and the homotopy
+    found is returned if it bounds phi.  Nothing else is looked at then:
+    no degree split, no assembly.  A fast answer is always a checked
+    witness, never a "no".
+
+    Otherwise phi is split by degree, and each degree's system is looked
+    up.  A system met for the first time, or one whose solver outweighs
+    the store's budget, is assembled and solved exactly for phi alone,
+    and no solution there is the answer "no"; so is the system whose
+    kept solver just failed the check, and a solution there other than
+    the solver's raises MfcatError.  Any other system met again is served
+    by its kept solver, one substitution per degree.  A found homotopy is
+    checked to bound phi.  When it does not, the kept solvers' systems
+    are assembled again and solved exactly: "no" means that solve found
+    no solution too, and a solution a kept solver missed raises
+    MfcatError.
     """
     s, t = phi.source, phi.target
     if phi.is_zero():
@@ -855,6 +880,16 @@ def _null_homotopy_graded(phi):
             PolyMatrix.zero(t.m0.rank, s.m1.rank, s.nvars, s.field),
             phi.degree,
         ), True
+    keys = _untwisted(s), _untwisted(t)
+    entry = _kept_systems.entries.get(keys + (phi.degree,))
+    tried = None
+    if entry is not None and entry[2]:
+        uids, solve = entry[1:]
+        tried = solve(dict(_coordinates(phi)))
+        h = _homotopy(phi, [(uids[col], c) for col, c in tried.items()])
+        if h.bounds(phi):
+            _kept_systems.hit(keys + (phi.degree,))
+            return h, True
     _require_shared_grading(s, t)
     offset = _slot_offsets(s, t)
     pieces = []
@@ -863,16 +898,18 @@ def _null_homotopy_graded(phi):
         if any(uid[3] not in support(uid[:3]) for uid in rhs):
             raise MfcatError("morphism entry outside its degree space")
         pieces.append((d, rhs, support))
-    keys = _untwisted(s), _untwisted(t)
     stencils = _Stencils(s, t)
     coords = []
     kept = []
     for d, rhs, support in pieces:
         uids, solve = _kept_systems.lookup(keys + (d,), s, t, support, stencils)
-        if solve is None:
+        retry = tried is not None and d == phi.degree
+        if solve is None or retry:
             sol = _solve(_equations(uids, stencils), rhs, len(uids), s.field)
             if sol is None:
                 return None, True
+            if retry and sol != tried:
+                raise MfcatError("kept null-homotopy solver missed a witness")
         else:
             sol = solve(rhs)
             kept.append((uids, rhs))
@@ -1086,7 +1123,7 @@ def random_chain_map(source, target, degree=0, rng=None):
         fc = field.coerce(c)
         for col, v in vec.items():
             cur = combo.get(col)
-            nv = (cur + fc * v) if cur is not None else fc * v
+            nv = field.coerce(fc * v if cur is None else cur + fc * v)
             if nv:
                 combo[col] = nv
             elif cur is not None:

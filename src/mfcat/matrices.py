@@ -8,14 +8,16 @@ are equal exactly when their difference is zero.
 
 Products go through one kernel, ``_accumulate``: the sum of a @ b over a
 list of (a, b) pairs, accumulated into one term dict per output entry.
-It walks only the nonzero entries of each row of b, so no product, sum or
-negated copy is built on the way.  The kernel has two finishers.
-``sum_of_products`` builds each entry's Polynomial once, dropping the
-coefficients that cancel; ``@`` is its one-pair case, and a homotopy's
-boundary is one call.  ``products_equal`` compares each entry's term dict
-with a given matrix and builds nothing, so a check that a product equals
-a matrix (a witness's boundary, a chain-map square, p1 p0 = W id) costs
-the arithmetic alone.  The matrices this library multiplies are tiny
+It walks the rows of b as they are stored, skipping their zero entries,
+so no product, sum, negated copy or list of nonzero entries is built on
+the way.  The kernel has two finishers.  ``sum_of_products`` builds each
+entry's Polynomial once, dropping the coefficients that cancel; ``@`` is
+its one-pair case, and a homotopy's boundary is one call.
+``products_equal`` compares each entry's term dict with a given matrix
+as it is, and drops the cancelled coefficients only when that compare
+fails; it builds nothing, so a check that a product equals a matrix (a
+witness's boundary, a chain-map square, p1 p0 = W id) costs the
+arithmetic alone.  The matrices this library multiplies are tiny
 (mostly 1x1 to 2x2, about one term per entry), so the cost lies in
 intermediate objects, not arithmetic.
 Integral rational coefficients are plain ints (``mfcat.fields``), so their
@@ -197,8 +199,9 @@ def sum_of_products(pairs):
 def products_equal(pairs, target):
     """Whether sum_of_products(pairs) == target, with the same errors.
 
-    Each entry's term dict (``_accumulate``), its cancelled coefficients
-    dropped, is compared with the terms of target's entry; no Polynomial
+    Each entry's term dict (``_accumulate``) is compared with the terms of
+    target's entry, and again with its cancelled coefficients dropped
+    when that fails (a target entry holds no zero); no Polynomial
     or PolyMatrix is built.  A target of another shape, number of
     variables or field is unequal, as for ``==``.
     """
@@ -211,7 +214,7 @@ def products_equal(pairs, target):
             if terms is None:
                 if poly.terms:
                     return False
-            elif _cleaned(terms) != poly.terms:
+            elif terms != poly.terms and _cleaned(terms) != poly.terms:
                 return False
     return True
 
@@ -227,7 +230,7 @@ def _accumulate(pairs):
 
     Every product must have the shape, the number of variables and the
     field of the first one.  Each nonzero entry a[i][k] meets only the
-    nonzero entries of row k of b.
+    nonzero entries of row k of b, read from b as stored.
     """
     if not pairs:
         raise UsageError("sum of no products")
@@ -246,16 +249,15 @@ def _accumulate(pairs):
                 raise UsageError(f"variable counts differ: {nvars} vs {m.nvars}")
             if m.field is not field and m.field != field:
                 raise UsageError(f"coefficient fields differ: {field} vs {m.field}")
-        b_rows = [
-            [(j, p.terms) for j, p in enumerate(row) if p.terms]
-            for row in b.entries
-        ]
         for a_row, out in zip(a.entries, acc):
-            for p, b_row in zip(a_row, b_rows):
+            for p, b_row in zip(a_row, b.entries):
                 a_terms = p.terms
                 if not a_terms:
                     continue
-                for j, b_terms in b_row:
+                for j, q in enumerate(b_row):
+                    b_terms = q.terms
+                    if not b_terms:
+                        continue
                     terms = out[j]
                     if terms is None:
                         terms = out[j] = {}

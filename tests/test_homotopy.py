@@ -17,6 +17,7 @@ from mfcat import (
     MfMorphism,
     PrimeField,
     PolyMatrix,
+    Polynomial,
     WeightSystem,
     cone,
     direct_sum,
@@ -282,6 +283,143 @@ def test_a_kept_solver_witness_off_by_one_raises(monkeypatch):
             solve_null_homotopy(wphi)
     finally:
         _forget_kept_systems()
+
+
+def _x_multiple(m, k, degree=None, validate=True):
+    """x^k id on m = (x | x), of declared degree k unless given; it is
+    null-homotopic for k >= 1, x id being the boundary of t0 = t1 = 1/2."""
+    ident = MfMorphism.identity(m)
+    xk = parse_poly(f"x1^{k}", 1)
+    return MfMorphism(m, m, ident.f0.poly_mul(xk), ident.f1.poly_mul(xk),
+                      degree=k if degree is None else degree, validate=validate)
+
+
+def _rank_one_object():
+    ws = WeightSystem((1,), 2)
+    return elementary_factorization(parse_poly("x1", 1), parse_poly("x1", 1), ws)
+
+
+def test_a_warm_witness_skips_the_degree_split(monkeypatch):
+    # a kept solver of the map's degree answers before the map is split by
+    # degree, so a warm call computes neither slot offsets nor coordinates
+    # by degree
+    q = suites.quadric()
+    phi = random_chain_map(q, q, rng=random.Random(8))
+    wphi = MfMorphism(q, q, phi.f0.poly_mul(q.W), phi.f1.poly_mul(q.W),
+                      degree=phi.degree + q.weights.degree)
+    _forget_kept_systems()
+    want = _terms_of(find_homotopy(wphi))
+    assert _terms_of(find_homotopy(wphi)) == want
+    calls = []
+    for name in ("_slot_offsets", "_even_coordinates"):
+        real = getattr(homotopy, name)
+        monkeypatch.setattr(homotopy, name,
+                            lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    hits = _kept_systems.hits
+    h = find_homotopy(wphi)
+    assert h.boundary() == wphi and _terms_of(h) == want
+    assert calls == [] and _kept_systems.hits == hits + 1
+    _forget_kept_systems()
+
+
+def test_a_map_declaring_the_next_degree_gets_the_cold_witness():
+    # x^2 id declared of degree 3: its entries lie in degree 2, so the
+    # kept solver of degree 3 finds nothing that bounds it, and the
+    # degree-2 system gives the witness, declared of degree 3
+    m = _rank_one_object()
+    off = _x_multiple(m, 2, degree=3, validate=False)
+    _forget_kept_systems()
+    cold = find_homotopy(off)
+    assert cold.degree == 3 and cold.bounds(off)
+    want = _terms_of(cold)
+    assert want == _terms_of(find_homotopy(_x_multiple(m, 2)))
+    for k in (2, 3, 2, 3):
+        find_homotopy(_x_multiple(m, k))
+    assert _kept_solvers() == 2
+    for _ in range(2):
+        h = find_homotopy(off)
+        assert h.degree == 3 and _terms_of(h) == want
+    _forget_kept_systems()
+
+
+def test_a_mixed_degree_map_gets_the_cold_witness():
+    # x^2 id + x^3 id, declared of degree 2, is bounded by the sum of the
+    # two degrees' witnesses, whether or not both solvers are kept
+    m = _rank_one_object()
+    two, three = _x_multiple(m, 2), _x_multiple(m, 3)
+    mixed = MfMorphism(m, m, two.f0 + three.f0, two.f1 + three.f1, degree=2,
+                       validate=False)
+    _forget_kept_systems()
+    cold = find_homotopy(mixed)
+    assert cold.bounds(mixed)
+    want = _terms_of(cold)
+    parts = [_terms_of(find_homotopy(phi)) for phi in (two, three)]
+    assert want == [[[a + b for a, b in zip(r2, r3)] for r2, r3 in zip(m2, m3)]
+                    for m2, m3 in zip(*parts)]
+    for phi in (two, three, two, three):
+        find_homotopy(phi)
+    assert _kept_solvers() == 2
+    for _ in range(2):
+        assert _terms_of(find_homotopy(mixed)) == want
+    _forget_kept_systems()
+
+
+def test_a_negative_exponent_is_refused_beside_a_kept_solver():
+    # the kept solver of degree 2 reads only degree-2 coordinates, so the
+    # x^-1 term fails the check and the degree split refuses it
+    m = _rank_one_object()
+    two = _x_multiple(m, 2)
+    inverse = Polynomial(1, {(-1,): 1})
+    bad = MfMorphism(m, m, two.f0.map_entries_indexed(lambda i, j, p: p + inverse),
+                     two.f1, degree=2, validate=False)
+    _forget_kept_systems()
+    for _ in range(2):
+        find_homotopy(two)
+    assert _kept_solvers() == 1
+    with pytest.raises(MfcatError, match="outside its degree space"):
+        find_homotopy(bad)
+    _forget_kept_systems()
+
+
+def test_a_failed_kept_solver_is_not_substituted_twice(monkeypatch):
+    # the identity of a non-contractible object: once its solver is kept,
+    # each call substitutes once, fails the check, and gets its "no" from
+    # the exact solve
+    substitutions = []
+    real = linalg.solver
+
+    def counted(rows, ncols, field):
+        substitute, size = real(rows, ncols, field)
+        return (lambda rhs: substitutions.append(1) or substitute(rhs)), size
+
+    monkeypatch.setattr(linalg, "solver", counted)
+    ident = MfMorphism.identity(suites.fermat_cubic())
+    _forget_kept_systems()
+    assert solve_null_homotopy(ident) == (None, True)
+    assert not substitutions
+    for _ in range(3):
+        substitutions.clear()
+        assert solve_null_homotopy(ident) == (None, True)
+        assert len(substitutions) == 1
+    assert _kept_solvers() == 1
+    _forget_kept_systems()
+
+
+def test_a_witness_the_kept_solver_misses_raises_on_every_warm_call(monkeypatch):
+    # the call that builds the solver and every call it answers first
+    # find the witness it missed in the exact solve
+    monkeypatch.setattr(linalg, "solver",
+                        lambda rows, ncols, field: (lambda rhs: {}, 0))
+    m = _rank_one_object()
+    two = _x_multiple(m, 2)
+    _forget_kept_systems()
+    assert find_homotopy(two).bounds(two)
+    for _ in range(3):
+        with pytest.raises(MfcatError, match="missed a witness"):
+            find_homotopy(two)
+    assert _kept_solvers() == 1
+    _forget_kept_systems()
 
 
 def _kept_weights():

@@ -192,6 +192,21 @@ def test_products_equal_agrees_with_the_built_sum(field):
     assert seen == {True, False}
 
 
+@pytest.mark.parametrize("field, a, b", [(QQ, 1, -1), (PrimeField(7), 3, 4)],
+                         ids=["Q", "F7"])
+def test_products_equal_drops_a_cancelled_coefficient_beside_a_survivor(field, a, b):
+    # (a x + y) 1 + (b x) 1 sums to {x: 0, y: 1}, as a + b = 0 in the
+    # field: the entry equals y alone, and not y plus any multiple of x
+    x = Polynomial.variable(0, 2, field)
+    y = Polynomial.variable(1, 2, field)
+    one = PolyMatrix.identity(1, 2, field)
+    pairs = [(PolyMatrix.from_rows([[x * a + y]], 2, field), one),
+             (PolyMatrix.from_rows([[x * b]], 2, field), one)]
+    assert products_equal(pairs, PolyMatrix.from_rows([[y]], 2, field))
+    for c in (1, a, 2):
+        assert not products_equal(pairs, PolyMatrix.from_rows([[x * c + y]], 2, field))
+
+
 def test_products_equal_mismatches_raise_as_the_built_sum():
     x = Polynomial.variable(0, 2)
     a = PolyMatrix.from_rows([[x, x, x], [x, x, x]], 2, QQ)

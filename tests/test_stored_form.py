@@ -7,14 +7,29 @@ must give only int or Fraction values, never a float or a bool, and must
 agree with the Fraction-only oracle in tests/oracles.py.
 """
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as orc
-from mfcat import Homotopy, PolyMatrix, Polynomial, WeightSystem, koszul_factorization
+import suites
+from mfcat import (
+    Homotopy,
+    MfMorphism,
+    PolyMatrix,
+    Polynomial,
+    WeightSystem,
+    cone,
+    find_homotopy,
+    hom_space,
+    koszul_factorization,
+    random_chain_map,
+)
 from mfcat import linalg
-from mfcat.fields import QQ
+from mfcat.fields import QQ, PrimeField
+from mfcat.homotopy import _kept_systems
 from mfcat.matrices import sum_of_products
 
 
@@ -228,3 +243,46 @@ def test_boundary_hands_back_the_stored_form(data):
     assert orc.matrix_to_data(f.f1) == oracle_sum(orc.mat_mul(P0, T1), orc.mat_mul(T0, P1))
     for m in (f.f0, f.f1):
         check_values(m, integral)
+
+
+def check_built_entries(m):
+    """m holds no zero coefficient, rational ones in their stored form,
+    and equals itself rebuilt entry by entry through Polynomial."""
+    values = matrix_values(m)
+    assert all(values)
+    if m.field.rational:
+        assert all(stored_integral(v) for v in values)
+    assert m == PolyMatrix(m.nrows, m.ncols, m.nvars, m.field, tuple(
+        tuple(Polynomial(m.nvars, p.terms, m.field) for p in row)
+        for row in m.entries))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(2**31 - 1)],
+                         ids=["Q", "F7", "F2^31-1"])
+def test_witnesses_and_representatives_hand_back_the_stored_form(field):
+    # witnesses found by an exact solve, by the call that builds a kept
+    # solver and by the calls it answers, and hom-space representatives
+    _kept_systems.clear()
+    reps = 0
+    objects = [o for n in range(2, 6) for o in suites.an_objects(n, field).values()]
+    objects.append(suites.quadric(field))
+    for idx, x in enumerate(objects):
+        phi = random_chain_map(x, x, 0, rng=random.Random(idx))
+        for m in (phi.f0, phi.f1):
+            check_built_entries(m)
+        wphi = MfMorphism(x, x, phi.f0.poly_mul(x.W), phi.f1.poly_mul(x.W),
+                          degree=phi.degree + x.weights.degree)
+        for psi in (cone(phi).inclusion @ phi, wphi):
+            for _ in range(3):
+                h = find_homotopy(psi)
+                assert h.bounds(psi)
+                for m in (h.t0, h.t1):
+                    check_built_entries(m)
+        for shift in (0, 1):
+            for per_degree in hom_space(x, x, shift=shift).per_degree:
+                for rep in per_degree.representatives:
+                    reps += 1
+                    for m in (rep.f0, rep.f1):
+                        check_built_entries(m)
+    assert _kept_systems.hits and reps
+    _kept_systems.clear()
