@@ -10,22 +10,24 @@ c_i taken mod m_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+from operator import add, mod, sub
 
 from .errors import UsageError
 from .poly import Polynomial
 
 
 def normalize_char(char, orders):
-    return tuple(c % m for c, m in zip(char, orders))
+    return tuple(map(mod, char, orders))
 
 
 def char_add(a, b, orders):
-    return tuple((x + y) % m for x, y, m in zip(a, b, orders))
+    return tuple(map(mod, map(add, a, b), orders))
 
 
 def char_sub(a, b, orders):
-    return tuple((x - y) % m for x, y, m in zip(a, b, orders))
+    return tuple(map(mod, map(sub, a, b), orders))
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,18 @@ class GroupAction:
             norm.append(tuple(int(a) % m for a in row))
         object.__setattr__(self, "exponents", tuple(norm))
         object.__setattr__(self, "orders", tuple(int(m) for m in self.orders))
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        """Hash of the dataclass fields, computed once, as for PolyMatrix."""
+        return hash((self.orders, self.exponents, self.nvars))
+
+    def __reduce__(self):
+        # as for PolyMatrix: a pickle must not carry the kept hash
+        return GroupAction, (self.orders, self.exponents, self.nvars)
 
     @property
     def nfactors(self):

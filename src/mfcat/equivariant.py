@@ -24,10 +24,10 @@ untwisted pair relabelled by a fixed offset.  One character split
 therefore serves a whole twist orbit.  It is kept in a bounded cache whose
 key takes, per structure, the fields every twist shares (W, the weights,
 the generator degrees, p0 and p1; twists share the matrix objects, and
-polynomial and matrix hashes are memoized) and the characters relative to
-the structure's first one, plus the action.  The relative characters come
-from a bounded memo keyed by the generator characters and the group
-orders.  The piece of character chi is the split's piece chi - need0,
+the hashes of polynomials, matrices, weight systems and actions are
+memoized) and the characters relative to the structure's first one, plus
+the action.  The relative characters come from a bounded memo keyed by
+the generator characters and the group orders.  The piece of character chi is the split's piece chi - need0,
 need0 the target's first character minus the source's.  A split is made
 on a cache miss from the kept problem of the factorization pair without
 characters (``homotopy._rank_table``), the one that plain ``hom_space``
@@ -35,12 +35,15 @@ calls and the full space of ``isotypic_decompose`` read, so the split
 shares its slots and stencils.  There is one kind of kept hom complex: a
 piece is a problem like the pair's, read by the same reader
 (``homotopy._Reading``).  It inherits the pair's default window and
-isolated flag, and keeps the exact half-ranks of its degrees and the rows
-of its default window (``_Piece.table``), so each block of the orbit is
-graded, assembled and eliminated once.  What calls share is those rows'
+isolated flag, and keeps the exact half-ranks of its degrees and the
+finished table of its default window with representatives
+(``HomProblem.rows``), so each block of the orbit is graded, assembled and
+eliminated once.  What calls share is that table's ``DegreeData`` and
 (f0, f1) pairs of immutable ``PolyMatrix`` objects, never an
 ``MfMorphism``: representatives are made on every call as maps between
-the caller's own structures.
+the caller's own structures.  The plain pair's table without
+representatives, which every twist's sum check in ``isotypic_decompose``
+reads, is kept on the pair's entry the same way.
 """
 
 from __future__ import annotations
@@ -392,7 +395,7 @@ def equivariant_hom_space(e_src, e_tgt, window=None, twist_char=None):
     _require_weights(src, tgt)
     split, need0 = _twist_orbit(e_src, e_tgt)
     piece = split[char_sub(chi, need0, act.orders)]
-    return _hom_space(src, tgt, window, piece, piece.rows)
+    return _hom_space(src, tgt, window, piece)
 
 
 def isotypic_decompose(e_src, e_tgt, window=None):
@@ -410,7 +413,7 @@ def isotypic_decompose(e_src, e_tgt, window=None):
     pieces = {}
     for chi in act.characters():
         piece = split[char_sub(chi, need0, act.orders)]
-        pieces[chi] = _hom_space(src, tgt, window, piece, piece.rows)
+        pieces[chi] = _hom_space(src, tgt, window, piece)
     want = full.dims_by_degree()
     got = {}
     for hs in pieces.values():

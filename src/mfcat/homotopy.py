@@ -58,6 +58,14 @@ degree missing from a store come from one assembled block of the complex
 being read, which gives both.  A pair's block is the direct sum of its
 pieces' blocks, so the pieces' halves of a degree add up to the pair's.
 
+Every kept problem, pair or piece, also keeps the finished table of its
+default window, one per (shift, want_reps) read (``HomProblem.rows``):
+per degree a frozen ``DegreeData`` that every call shares, and for a
+degree with representatives their (f0, f1) matrix pairs, from which each
+call makes maps between its own endpoints.  A warm default read then
+builds only its ``HomSpace``.  A table refers to no problem, and other
+windows are read from the halves and keep nothing new.
+
 A found witness is checked in the product kernel (``Homotopy.bounds``,
 ``matrices.products_equal``): its products with the structure maps are
 summed into term dicts and compared with the map, and no boundary is
@@ -68,7 +76,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import add
 
 from . import linalg
@@ -302,8 +310,9 @@ class HomProblem:
     components and "t0"/"t1" for the odd ones.  ``degree_block`` assembles
     a degree's block on every call; no block is kept.  A problem keeps the
     exact halves of its degrees (``halves``, read by a ``_Reading``), its
-    default window (``window``) and whether its potential is isolated
-    (``isolated``).
+    default window (``window``), whether its potential is isolated
+    (``isolated``), and the finished rows of its default window
+    (``tables``, filled by ``rows``).
     """
 
     def __init__(self, source, target):
@@ -312,12 +321,28 @@ class HomProblem:
         self.target = target
         self.ws = source.weights
         self.halves = {}, {}
+        self.tables = {}
         self.window = default_window(source, target)
         self.isolated = _certified_potential(source.W, self.ws)
         self._even_slots = _slots(source, target, EVEN)
         self._odd_slots = _slots(source, target, ODD)
         self._offset = _slot_offsets(source, target)
         self._stencils = _Stencils(source, target)
+
+    def rows(self, lo, hi, shift=0, want_reps=True):
+        """``_Reading.rows`` of maps source -> target[shift] over lo..hi.
+        Over the default window the table is kept in ``tables``, one per
+        (shift, want_reps), and every call shares it; it holds no
+        reference to the problem.  A reading refers to its problem, so it
+        is made per call and not kept, lest every problem be a reference
+        cycle left to the garbage collector."""
+        if (lo, hi) != self.window:
+            return _Reading(self, shift).rows(lo, hi, want_reps)
+        key = shift, want_reps
+        table = self.tables.get(key)
+        if table is None:
+            table = self.tables[key] = _Reading(self, shift).rows(lo, hi, want_reps)
+        return table
 
     def pieces(self, grade):
         """{g: the piece of this problem whose blocks hold only the unknowns
@@ -357,9 +382,8 @@ class HomProblem:
 class _Piece(HomProblem):
     """One grade of a problem (``HomProblem.pieces``).  A piece's blocks
     hold only its own unknowns, so each is a direct summand of the pair's
-    block.  It keeps halves of its own, read by a ``_Reading`` at shift 0,
-    and inherits the pair's window and isolated flag.  It also keeps the
-    rows of its default window with representatives (``table``)."""
+    block.  It keeps halves and tables of its own, read at shift 0, and
+    inherits the pair's window and isolated flag."""
 
     _LEAK = ("boundary leaves its piece at %r; the grading is not "
              "compatible with the structure")
@@ -384,22 +408,6 @@ class _Piece(HomProblem):
                 groups[d] = by_grade
         return by_grade.get(g, ((), ()))
 
-    @cached_property
-    def table(self):
-        """The rows of the default window.  Their matrix pairs are maps
-        between the piece's factorizations without characters; they are
-        immutable, so every call shares them."""
-        return _Reading(self).rows(*self.window, True)
-
-    def rows(self, lo, hi):
-        """``_Reading.rows`` over lo..hi with representatives; over the
-        default window, the kept table.  A reading refers to its piece, so
-        it is made per call and not kept, lest every piece be a reference
-        cycle left to the garbage collector."""
-        if (lo, hi) == self.window:
-            return self.table
-        return _Reading(self).rows(lo, hi, True)
-
 
 class _Pieces(dict):
     """The pieces of a problem by grade, made on first use."""
@@ -410,7 +418,7 @@ class _Pieces(dict):
 
     def __missing__(self, g):
         piece = self[g] = object.__new__(_Piece)
-        piece.__dict__.update(vars(self.prob), halves=({}, {}),
+        piece.__dict__.update(vars(self.prob), halves=({}, {}), tables={},
                               _piece=(self.grade, self.groups, g))
         return piece
 
@@ -530,22 +538,27 @@ class _Reading:
         return zdim, bdim, (() if zdim == bdim else None)
 
     def rows(self, lo, hi, want_reps):
-        """((d, Z, B, pairs), ...) over the degrees lo..hi where Z or B is
-        nonzero; pairs holds the (f0, f1) matrices of the representatives
-        when want_reps, and is empty otherwise."""
-        out = []
+        """(per_degree, total, reps) over the degrees lo..hi: per_degree the
+        DegreeData, without representatives, of each degree where Z or B is
+        nonzero, total the sum of their dims, and reps, when want_reps, a
+        (k, pairs) for each per_degree[k] with H > 0, pairs the (f0, f1)
+        matrices of its representatives.  Every part is immutable, so
+        calls may share it."""
+        per_degree, reps, total = [], [], 0
         for d in range(lo, hi + 1):
             zdim, bdim, coords = self.answer(d, want_reps)
             if zdim == 0 and bdim == 0:
                 continue
-            pairs = ()
             if want_reps:
                 if len(coords) != zdim - bdim:
                     raise MfcatError("representative count disagrees with dimension")
-                pairs = tuple(tuple(_slot_matrices(self.source, self.target, EVEN, c))
-                              for c in coords)
-            out.append((d, zdim, bdim, pairs))
-        return tuple(out)
+                if coords:
+                    reps.append((len(per_degree), tuple(
+                        tuple(_slot_matrices(self.source, self.target, EVEN, c))
+                        for c in coords)))
+            per_degree.append(DegreeData(d, zdim, bdim, zdim - bdim, ()))
+            total += zdim - bdim
+        return tuple(per_degree), total, tuple(reps)
 
 
 @dataclass(frozen=True)
@@ -595,9 +608,9 @@ def hom_space(source, target, window=None, *, shift=0, want_reps=True):
     window provably contains all degrees with nonzero classes, which we
     claim only for isolated quasi-homogeneous potentials with a window at
     least the default one.  Both shifts read the kept problem of
-    (source, target) (``_rank_table``, ``_Reading``); a target whose shift
-    does not have split degree D - a (p0 or p1 zero) is read at shift 0
-    as a pair of its own.
+    (source, target) (``_rank_table``, ``HomProblem.rows``); a target
+    whose shift does not have split degree D - a (p0 or p1 zero) is read
+    at shift 0 as a pair of its own.
     """
     if shift not in (0, 1):
         raise UsageError("shift must be 0 or 1")
@@ -609,33 +622,32 @@ def hom_space(source, target, window=None, *, shift=0, want_reps=True):
         if a is None or shifted.split_degree != source.weights.degree - a:
             target, shift = shifted, 0
     prob = _rank_table(_untwisted(source), _untwisted(target))
-    reading = _Reading(prob, shift)
-    return _hom_space(source, shifted, window, prob,
-                      lambda lo, hi: reading.rows(lo, hi, want_reps))
+    return _hom_space(source, shifted, window, prob, shift, want_reps)
 
 
-def _hom_space(source, target, window, prob, rows):
+def _hom_space(source, target, window, prob, shift=0, want_reps=True):
     """The HomSpace of maps source -> target over window, or over prob's
-    default window when window is None, from rows(lo, hi) as
-    ``_Reading.rows`` gives them; certified when prob's potential is
-    isolated and the window contains its default window.  Representatives
-    are made on every call, as maps source -> target, from the rows'
-    (f0, f1) matrix pairs, which calls may share."""
+    default window when window is None, from ``prob.rows``; certified when
+    prob's potential is isolated and the window contains its default
+    window.  A degree without representatives is the row's own DegreeData;
+    one with representatives gets a DegreeData of its own and a map
+    source -> target per (f0, f1) pair of its row."""
     dflt = prob.window
     lo, hi = dflt if window is None else (int(window[0]), int(window[1]))
-    per_degree = []
-    total = 0
-    for d, zdim, bdim, pairs in rows(lo, hi):
-        reps = pairs and tuple(
-            MfMorphism(source, target, f0, f1, d, validate=False)
-            for f0, f1 in pairs)
-        per_degree.append(DegreeData(d, zdim, bdim, zdim - bdim, reps))
-        total += zdim - bdim
+    per_degree, total, reps = prob.rows(lo, hi, shift, want_reps)
+    if reps:
+        per_degree = list(per_degree)
+        for k, pairs in reps:
+            p = per_degree[k]
+            per_degree[k] = DegreeData(p.degree, p.cycles, p.boundaries, p.dim, tuple(
+                MfMorphism(source, target, f0, f1, p.degree, validate=False)
+                for f0, f1 in pairs))
+        per_degree = tuple(per_degree)
     return HomSpace(
         source=source,
         target=target,
         window=(lo, hi),
-        per_degree=tuple(per_degree),
+        per_degree=per_degree,
         total=total,
         certified=lo <= dflt[0] and hi >= dflt[1] and prob.isolated,
     )
@@ -774,7 +786,9 @@ class _KeptSystems:
 
     A kept solver of a map's declared degree answers first
     (``_null_homotopy_graded``): read from ``entries`` without a lookup,
-    and counted by ``hit`` only when its witness passes the check.
+    and counted by ``hit`` only when its witness passes the check.  When
+    it fails, its degree is solved exactly without a lookup, so ``hits``
+    counts only calls whose answer a kept solver gave.
 
     An insertion evicts the least recently used entries until the weights
     fit; an entry heavier than the budget on its own is not inserted.
@@ -861,16 +875,16 @@ def _null_homotopy_graded(phi):
     witness, never a "no".
 
     Otherwise phi is split by degree, and each degree's system is looked
-    up.  A system met for the first time, or one whose solver outweighs
-    the store's budget, is assembled and solved exactly for phi alone,
-    and no solution there is the answer "no"; so is the system whose
-    kept solver just failed the check, and a solution there other than
-    the solver's raises MfcatError.  Any other system met again is served
-    by its kept solver, one substitution per degree.  A found homotopy is
-    checked to bound phi.  When it does not, the kept solvers' systems
-    are assembled again and solved exactly: "no" means that solve found
-    no solution too, and a solution a kept solver missed raises
-    MfcatError.
+    up, except the one whose kept solver just failed the check.  A system
+    met for the first time, or one whose solver outweighs the store's
+    budget, is assembled and solved exactly for phi alone, and no
+    solution there is the answer "no"; so is the system not looked up,
+    and a solution there other than the solver's raises MfcatError.  Any
+    other system met again is served by its kept solver, one substitution
+    per degree.  A found homotopy is checked to bound phi.  When it does
+    not, the kept solvers' systems are assembled again and solved exactly:
+    "no" means that solve found no solution too, and a solution a kept
+    solver missed raises MfcatError.
     """
     s, t = phi.source, phi.target
     if phi.is_zero():
@@ -890,6 +904,7 @@ def _null_homotopy_graded(phi):
         if h.bounds(phi):
             _kept_systems.hit(keys + (phi.degree,))
             return h, True
+        _kept_systems.entries.move_to_end(keys + (phi.degree,))
     _require_shared_grading(s, t)
     offset = _slot_offsets(s, t)
     pieces = []
@@ -902,9 +917,10 @@ def _null_homotopy_graded(phi):
     coords = []
     kept = []
     for d, rhs, support in pieces:
-        uids, solve = _kept_systems.lookup(keys + (d,), s, t, support, stencils)
         retry = tried is not None and d == phi.degree
-        if solve is None or retry:
+        uids, solve = (entry[1], None) if retry else _kept_systems.lookup(
+            keys + (d,), s, t, support, stencils)
+        if solve is None:
             sol = _solve(_equations(uids, stencils), rhs, len(uids), s.field)
             if sol is None:
                 return None, True

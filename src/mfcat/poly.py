@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .errors import ParseError, UsageError
@@ -384,6 +384,18 @@ class WeightSystem:
     def __post_init__(self):
         if any(w <= 0 for w in self.weights) or self.degree <= 0:
             raise UsageError("weights and total degree must be positive")
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        """Hash of the dataclass fields, computed once, as for PolyMatrix."""
+        return hash((self.weights, self.degree))
+
+    def __reduce__(self):
+        # as for PolyMatrix: a pickle must not carry the kept hash
+        return WeightSystem, (self.weights, self.degree)
 
     @property
     def nvars(self) -> int:

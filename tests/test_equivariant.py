@@ -452,8 +452,8 @@ def test_warm_tables_equal_cold_answers():
 
 
 def test_explicit_windows_keep_no_tables():
-    # a piece keeps one table, of its default window, and halves of
-    # default-window degrees only; other windows read the halves and equal
+    # a piece keeps at most one table, of its default window, and halves
+    # of default-window degrees only; other windows read the halves and equal
     # the answers on an emptied orbit cache
     act = suites.an_action(4)
     objs = suites.an_objects(4)
@@ -468,13 +468,31 @@ def test_explicit_windows_keep_no_tables():
     piece = split[char_sub(chi, need0, act.orders)]
     lo, hi = piece.window
     assert all(lo <= d <= hi for half in piece.halves for d in half)
-    kept = set(vars(piece)) - set(vars(split.prob))
-    assert kept <= {"_piece", "table"}
+    assert set(vars(piece)) - set(vars(split.prob)) == {"_piece"}
     assert piece.window == split.prob.window and piece.halves is not split.prob.halves
+    assert piece.tables is not split.prob.tables and set(piece.tables) <= {(0, True)}
     for w, hs in zip(windows, got):
         _orbit_split.cache_clear()
         assert hs == equivariant_hom_space(e_src, e_tgt, w, twist_char=chi)
     assert any(p.representatives for hs in got for p in hs.per_degree)
+
+
+def test_isotypic_decompose_keeps_one_table_on_its_pair():
+    # every twist reads the plain pair without representatives for its sum
+    # check, so the pair's entry keeps that one table, and each piece one
+    # table with representatives
+    act = suites.an_action(4)
+    s0, s1 = enumerate_structures(suites.an_objects(4)[1], act)[:2]
+    _rank_table.cache_clear()
+    _orbit_split.cache_clear()
+    for c in act.characters():
+        isotypic_decompose(s0, s1.twist(c))
+    key = _untwisted(s0.factorization)
+    split, _ = _twist_orbit(s0, s1)
+    assert split.prob is _rank_table(key, key)
+    assert list(split.prob.tables) == [(0, False)]
+    assert len(split) == len(act.characters())
+    assert all(list(piece.tables) == [(0, True)] for piece in split.values())
 
 
 def test_a_wide_window_keeps_at_most_the_capped_degrees_per_piece():

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as orc
 from mfcat import (
+    GroupAction,
     PolyMatrix,
     Polynomial,
     WeightSystem,
@@ -149,18 +150,26 @@ def test_pickles_carry_no_kept_hash():
     # it, so an unpickled copy must hash afresh in a process of another seed
     p = parse_poly("x1^2 - 1/2*x1*x2", 2, PrimeField(7))
     m = PolyMatrix.from_rows([[p, -p]], 2, p.field)
-    hash(p), hash(m)  # fill both kept hashes before pickling
-    data = pickle.dumps((p, m))
+    ws = WeightSystem((1, 2), 6)
+    act = GroupAction((3,), ((1, 5),), 2)
+    objs = p, m, ws, act
+    for obj in objs:
+        hash(obj)  # fill every kept hash before pickling
+    assert "_hash" in vars(ws) and "_hash" in vars(act)
+    data = pickle.dumps(objs)
+    assert b"_hash" not in data
     code = (
         "import pickle, sys\n"
-        "p, m = pickle.loads(sys.stdin.buffer.read())\n"
+        "p, m, ws, act = pickle.loads(sys.stdin.buffer.read())\n"
         "assert hash(p) == hash((p.nvars, p.field, frozenset(p.terms.items())))\n"
         "assert hash(m) == hash((m.nrows, m.ncols, m.nvars, m.field, m.entries))\n"
+        "assert hash(ws) == hash((ws.weights, ws.degree))\n"
+        "assert hash(act) == hash((act.orders, act.exponents, act.nvars))\n"
     )
     seed = "1" if os.environ.get("PYTHONHASHSEED") == "2" else "2"
     subprocess.run([sys.executable, "-c", code], input=data, check=True,
                    env=dict(os.environ, PYTHONHASHSEED=seed))
-    assert pickle.loads(data) == (p, m)
+    assert pickle.loads(data) == objs
 
 
 def test_detect_weights_frozen():

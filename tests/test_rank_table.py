@@ -135,6 +135,81 @@ def test_warm_reads_at_both_shifts_construct_no_problem(monkeypatch):
     assert any(p.representatives for p in want[1].per_degree)
 
 
+def test_warm_default_reads_make_no_reading(monkeypatch):
+    # a pair keeps the finished table of its default window per shift and
+    # per want_reps, so a second read of each makes no reading and
+    # assembles no block
+    objs = suites.an_objects(5)
+    a, b = objs[2], objs[3]
+    keys = [(k, r) for k in (0, 1) for r in (False, True)]
+    _rank_table.cache_clear()
+    want = [hom_space(a, b, shift=k, want_reps=r) for k, r in keys]
+    assert all(any(p.representatives for p in want[k].per_degree) for k in (1, 3))
+    made = []
+
+    def no_reading(self, *args):
+        made.append(args)
+        raise AssertionError("a warm default read made a reading")
+
+    def no_block(self, d):
+        made.append(d)
+        raise AssertionError("a warm default read assembled a block")
+
+    monkeypatch.setattr(homotopy._Reading, "__init__", no_reading)
+    monkeypatch.setattr(homotopy.HomProblem, "degree_block", no_block)
+    assert [hom_space(a, b, shift=k, want_reps=r) for k, r in keys] == want
+    assert made == []
+    assert sorted(_rank_table(homotopy._untwisted(a), homotopy._untwisted(b)).tables) == keys
+
+
+def test_warm_reads_share_rows_and_make_fresh_representatives():
+    # a degree without representatives is one DegreeData that every call
+    # shares; a degree with them gets fresh maps between the caller's own
+    # endpoints, here two twists of one pair
+    act = suites.an_action(4)
+    s0, s1 = enumerate_structures(suites.an_objects(4)[1], act)[:2]
+    x, y, t = s0.factorization, s1.factorization, s1.twist((1,)).factorization
+    assert t != y
+    _rank_table.cache_clear()
+    for shift in (0, 1):
+        for want_reps in (False, True):
+            first = hom_space(x, y, shift=shift, want_reps=want_reps)
+            second = hom_space(x, t, shift=shift, want_reps=want_reps)
+            assert first.to_json() == second.to_json()
+            assert second.target == t.shift(shift) != first.target
+            shared = [p for p, q in zip(first.per_degree, second.per_degree) if p is q]
+            assert all(not p.representatives for p in shared)
+            assert len(shared) == len(first.per_degree) - want_reps
+            for p, q in zip(first.per_degree, second.per_degree):
+                for hs, reps in ((first, p.representatives), (second, q.representatives)):
+                    assert all(r.source is x and r.target is hs.target for r in reps)
+                assert all(r.f0 is u.f0 and r is not u
+                           for r, u in zip(p.representatives, q.representatives))
+
+
+def test_explicit_windows_keep_no_tables_on_a_pair():
+    # only the default window keeps a table; any other window reads the
+    # halves and equals the answers of an emptied store
+    objs = suites.an_objects(4)
+    a, b = objs[1], objs[3]
+    dflt = default_window(a, b)
+    windows = [(lo, lo + k) for lo in range(-4, 4) for k in range(5)]
+    windows.remove(dflt)
+    _rank_table.cache_clear()
+    got = [hom_space(a, b, w, shift=k, want_reps=r)
+           for w in windows for k in (0, 1) for r in (False, True)]
+    prob = _rank_table(homotopy._untwisted(a), homotopy._untwisted(b))
+    assert prob.tables == {} and any(prob.halves)
+    assert any(p.representatives for hs in got for p in hs.per_degree)
+    k = 0
+    for w in windows:
+        for shift in (0, 1):
+            for want_reps in (False, True):
+                _rank_table.cache_clear()
+                assert got[k] == hom_space(a, b, w, shift=shift, want_reps=want_reps)
+                k += 1
+
+
 def test_the_store_is_bounded_and_an_evicted_pair_comes_back_equal():
     objs = suites.an_objects(4)
     a, b = objs[1], objs[3]
