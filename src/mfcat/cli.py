@@ -228,6 +228,14 @@ def cmd_demo(args):
     return EXIT_OK
 
 
+def window_size(text):
+    """A --window half-size: an int, at least 0."""
+    size = int(text)
+    if size < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {size}")
+    return size
+
+
 def build_parser():
     parser = _Parser(
         prog="mfcat",
@@ -243,7 +251,7 @@ def build_parser():
             help="override the coefficient field of the workspace",
         )
         if with_window:
-            p.add_argument("--window", type=int, help="degree window half-size")
+            p.add_argument("--window", type=window_size, help="degree window half-size")
 
     p_verify = sub.add_parser("verify", help="verify every object in a workspace")
     p_verify.add_argument("file")

@@ -10,15 +10,13 @@ Certification policy: an answer is marked certified only when the claim
 rests on an exhaustively enumerated degree set.  A found witness is always
 definitive, once its boundary is checked to equal the map.  Nonexistence
 is definitive in the graded case, where entry degrees are forced.  There a
-degree's system is solved exactly on its first sighting and by a kept
-solver when it comes back.  A kept solver of a map's declared degree
-answers first, before the map is split by degree, and its witness is
-returned only once checked.  A "no" comes only from an exact solve of a
-freshly assembled system: a first sighting's, or the one run when a kept
-solver's witness fails the boundary check.  Totals over a degree window
-are certified only for a quasi-homogeneous potential with isolated
-critical point and a window containing the default one; everything else is
-reported window-truncated.
+null-homotopy query takes two steps: one attempt by the kept solver of
+the map's declared degree, before the map is split by degree, whose
+witness is returned only once checked; then one exact path, each degree's
+system freshly assembled and solved exactly, once.  A "no" comes only from
+that exact path.  Totals over a degree window are certified only for a
+quasi-homogeneous potential with isolated critical point and a window
+containing the default one; everything else is reported window-truncated.
 
 Every sparse system of the package is built by one assembler: ``_unknowns``
 lists the unknowns slot by slot, a stencil per slot says where a monomial
@@ -775,20 +773,19 @@ class _KeptSystems:
     its _untwisted fields.  An entry is (weight, odd unknowns, solve), and
     the equations themselves are not kept:
 
-    * a system met for the first time gets a marker, solve None, weighing
-      its unknowns.  The caller solves that right-hand side exactly, so a
-      one-off system builds no [A | I].
-    * met again, its ``linalg.solver`` is built and takes the marker's
-      place, weighing its unknowns plus the entries of its E rows.
+    * a system met for the first time gets a marker (``mark``), solve
+      None, weighing its unknowns.  The caller solves that right-hand side
+      exactly, so a one-off system builds no [A | I].
+    * met again, its ``linalg.solver`` is built (``solver``) and takes the
+      marker's place, weighing its unknowns plus the entries of its E rows.
     * a solver heavier than the whole budget serves the call that built
       it and is not kept; its marker stays, solve False, and the system
       is solved exactly from then on.
 
-    A kept solver of a map's declared degree answers first
-    (``_null_homotopy_graded``): read from ``entries`` without a lookup,
-    and counted by ``hit`` only when its witness passes the check.  When
-    it fails, its degree is solved exactly without a lookup, so ``hits``
-    counts only calls whose answer a kept solver gave.
+    Only a map's declared degree is marked and given a solver
+    (``_null_homotopy_graded``).  ``hits`` counts the calls answered by a
+    solver kept before the call; the caller counts them, since only it
+    checks the witness.
 
     An insertion evicts the least recently used entries until the weights
     fit; an entry heavier than the budget on its own is not inserted.
@@ -803,37 +800,35 @@ class _KeptSystems:
         self.entries.clear()
         self.weight = self.hits = 0
 
-    def lookup(self, key, s, t, support, stencils):
-        """(odd unknowns, solve) of the system key of maps s -> t, solve
-        None when the caller is to solve it exactly.  A system not kept
-        has the odd unknowns of support (``_graded_support``) and the
-        equations that _equations gives them with stencils."""
-        entry = self.entries.get(key)
-        if entry is None:
-            uids = tuple(_unknowns(_slots(s, t, ODD), support))
-            self._insert(key, len(uids), uids, None)
-            return uids, None
-        weight, uids, solve = entry
-        if solve is False:
+    def mark(self, key, uids):
+        """Note that system key, with odd unknowns uids, was met: a marker
+        if it is new, else its entry becomes the most recently used."""
+        if key in self.entries:
             self.entries.move_to_end(key)
-            return uids, None
+        else:
+            self._insert(key, len(uids), uids, None)
+
+    def solver(self, key, s, t):
+        """(odd unknowns, solve, kept) of system key of maps s -> t, or None
+        when it has no solver: never met, or too heavy.  kept says whether
+        the solver was kept before the call; a marker's is built here.  The
+        entry becomes the most recently used."""
+        entry = self.entries.get(key)
+        if entry is None or entry[2] is False:
+            return None
+        self.entries.move_to_end(key)
+        weight, uids, solve = entry
         if solve is not None:
-            self.hit(key)
-            return uids, solve
+            return uids, solve, True
         del self.entries[key]
         self.weight -= weight
-        solve, size = linalg.solver(_equations(uids, stencils), len(uids), s.field)
+        solve, size = linalg.solver(
+            _equations(uids, _Stencils(s, t)), len(uids), s.field)
         if weight + size > _KEPT_WEIGHT:
             self._insert(key, weight, uids, False)
         else:
             self._insert(key, weight + size, uids, solve)
-        return uids, solve
-
-    def hit(self, key):
-        """Count a call served by the kept solver of system key, and mark
-        the system as the most recently used."""
-        self.entries.move_to_end(key)
-        self.hits += 1
+        return uids, solve, False
 
     def _insert(self, key, weight, uids, solve):
         if weight > _KEPT_WEIGHT:
@@ -867,24 +862,20 @@ def _null_homotopy_graded(phi):
     """(homotopy, True) or (None, True): entry degrees are forced, so each
     degree d of phi is one finite system in the degree-d odd unknowns.
 
-    A kept solver answers first.  When ``_kept_systems`` holds one for
-    phi's declared degree, all of phi's coordinates are substituted (its
-    E rows read only the coordinates of that degree), and the homotopy
-    found is returned if it bounds phi.  Nothing else is looked at then:
-    no degree split, no assembly.  A fast answer is always a checked
-    witness, never a "no".
+    First, one kept-solver attempt.  When ``_kept_systems`` has a solver
+    for phi's declared degree, kept or built now from the marker of a
+    first sighting, all of phi's coordinates are substituted (its E rows
+    read only the coordinates of that degree), and the homotopy found is
+    returned if it bounds phi.  Nothing else is looked at then: no degree
+    split, no assembly.  A fast answer is always a checked witness, never
+    a "no".
 
-    Otherwise phi is split by degree, and each degree's system is looked
-    up, except the one whose kept solver just failed the check.  A system
-    met for the first time, or one whose solver outweighs the store's
-    budget, is assembled and solved exactly for phi alone, and no
-    solution there is the answer "no"; so is the system not looked up,
-    and a solution there other than the solver's raises MfcatError.  Any
-    other system met again is served by its kept solver, one substitution
-    per degree.  A found homotopy is checked to bound phi.  When it does
-    not, the kept solvers' systems are assembled again and solved exactly:
-    "no" means that solve found no solution too, and a solution a kept
-    solver missed raises MfcatError.
+    Otherwise, one exact path: phi is split by degree and each degree's
+    system is assembled and solved exactly, once.  No solution in some
+    degree is the answer "no".  In the declared degree, where a solver was
+    tried, a solution other than the solver's raises MfcatError, and that
+    degree's system is the only one marked.  The witness is checked to
+    bound phi.
     """
     s, t = phi.source, phi.target
     if phi.is_zero():
@@ -894,17 +885,16 @@ def _null_homotopy_graded(phi):
             PolyMatrix.zero(t.m0.rank, s.m1.rank, s.nvars, s.field),
             phi.degree,
         ), True
-    keys = _untwisted(s), _untwisted(t)
-    entry = _kept_systems.entries.get(keys + (phi.degree,))
+    key = _untwisted(s), _untwisted(t), phi.degree
+    found = _kept_systems.solver(key, s, t)
     tried = None
-    if entry is not None and entry[2]:
-        uids, solve = entry[1:]
+    if found is not None:
+        uids, solve, kept = found
         tried = solve(dict(_coordinates(phi)))
         h = _homotopy(phi, [(uids[col], c) for col, c in tried.items()])
         if h.bounds(phi):
-            _kept_systems.hit(keys + (phi.degree,))
+            _kept_systems.hits += kept
             return h, True
-        _kept_systems.entries.move_to_end(keys + (phi.degree,))
     _require_shared_grading(s, t)
     offset = _slot_offsets(s, t)
     pieces = []
@@ -915,28 +905,19 @@ def _null_homotopy_graded(phi):
         pieces.append((d, rhs, support))
     stencils = _Stencils(s, t)
     coords = []
-    kept = []
     for d, rhs, support in pieces:
-        retry = tried is not None and d == phi.degree
-        uids, solve = (entry[1], None) if retry else _kept_systems.lookup(
-            keys + (d,), s, t, support, stencils)
-        if solve is None:
-            sol = _solve(_equations(uids, stencils), rhs, len(uids), s.field)
-            if sol is None:
-                return None, True
-            if retry and sol != tried:
-                raise MfcatError("kept null-homotopy solver missed a witness")
-        else:
-            sol = solve(rhs)
-            kept.append((uids, rhs))
+        uids = tuple(_unknowns(_slots(s, t, ODD), support))
+        if d == phi.degree:
+            _kept_systems.mark(key, uids)
+        sol = _solve(_equations(uids, stencils), rhs, len(uids), s.field)
+        if sol is None:
+            return None, True
+        if d == phi.degree and tried is not None and sol != tried:
+            raise MfcatError("kept null-homotopy solver missed a witness")
         coords.extend((uids[col], c) for col, c in sol.items())
     h = _homotopy(phi, coords)
-    if h.bounds(phi):
-        return h, True
-    if _solve_homotopy(phi, [(_equations(uids, stencils), rhs, uids)
-                             for uids, rhs in kept]) is not None:
-        raise MfcatError("kept null-homotopy solver missed a witness")
-    return None, True
+    _check_boundary(h, phi, "homotopy solver produced a wrong witness")
+    return h, True
 
 
 def _null_homotopy_bounded(phi, bound):
@@ -944,9 +925,10 @@ def _null_homotopy_bounded(phi, bound):
     monos = monomials_up_to_total_degree(s.nvars, bound)
     uids = _unknowns(_slots(s, t, ODD), lambda slot: monos)
     rows = _equations(uids, _Stencils(s, t))
-    h = _solve_homotopy(phi, [(rows, dict(_coordinates(phi)), uids)])
-    if h is None:
+    sol = _solve(rows, dict(_coordinates(phi)), len(uids), s.field)
+    if sol is None:
         return None, False
+    h = _homotopy(phi, [(uids[col], c) for col, c in sol.items()])
     _check_boundary(h, phi, "homotopy solver produced a wrong witness")
     return h, True
 
@@ -957,18 +939,6 @@ def _homotopy(phi, coords):
     s, t = phi.source, phi.target
     t0, t1 = _slot_matrices(s, t, ODD, coords)
     return Homotopy(source=s, target=t, t0=t0, t1=t1, degree=phi.degree)
-
-
-def _solve_homotopy(phi, systems):
-    """The homotopy solving (rows, rhs, uids) systems over disjoint
-    unknowns exactly, or None as soon as one system has no solution."""
-    coords = []
-    for rows, rhs, uids in systems:
-        sol = _solve(rows, rhs, len(uids), phi.source.field)
-        if sol is None:
-            return None
-        coords.extend((uids[col], c) for col, c in sol.items())
-    return _homotopy(phi, coords)
 
 
 def find_homotopy(phi, bound=None):

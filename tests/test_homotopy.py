@@ -285,6 +285,31 @@ def test_a_kept_solver_witness_off_by_one_raises(monkeypatch):
         _forget_kept_systems()
 
 
+def test_a_wrong_exact_witness_is_not_blamed_on_a_kept_solver(monkeypatch):
+    # the exact solve returns its solution with one coefficient off by one;
+    # from an empty store no kept solver is tried, so the boundary check
+    # names the exact solver's witness as wrong
+    real = linalg.solve
+
+    def off_by_one(*args):
+        sol = real(*args)
+        col = min(sol)
+        sol[col] = sol[col] + 1
+        return sol
+
+    monkeypatch.setattr(linalg, "solve", off_by_one)
+    _forget_kept_systems()
+    try:
+        q = suites.quadric()
+        phi = random_chain_map(q, q, rng=random.Random(8))
+        wphi = MfMorphism(q, q, phi.f0.poly_mul(q.W), phi.f1.poly_mul(q.W),
+                          degree=phi.degree + q.weights.degree)
+        with pytest.raises(MfcatError, match="produced a wrong witness"):
+            find_homotopy(wphi)
+    finally:
+        _forget_kept_systems()
+
+
 def _x_multiple(m, k, degree=None, validate=True):
     """x^k id on m = (x | x), of declared degree k unless given; it is
     null-homotopic for k >= 1, x id being the boundary of t0 = t1 = 1/2."""
@@ -332,6 +357,8 @@ def test_a_map_declaring_the_next_degree_gets_the_cold_witness():
     _forget_kept_systems()
     cold = find_homotopy(off)
     assert cold.degree == 3 and cold.bounds(off)
+    # only the declared degree's system is marked, and off has none
+    assert not _kept_systems.entries
     want = _terms_of(cold)
     assert want == _terms_of(find_homotopy(_x_multiple(m, 2)))
     for k in (2, 3, 2, 3):
@@ -353,6 +380,8 @@ def test_a_mixed_degree_map_gets_the_cold_witness():
     _forget_kept_systems()
     cold = find_homotopy(mixed)
     assert cold.bounds(mixed)
+    # only the declared degree's system is marked
+    assert [key[2] for key in _kept_systems.entries] == [2]
     want = _terms_of(cold)
     parts = [_terms_of(find_homotopy(phi)) for phi in (two, three)]
     assert want == [[[a + b for a, b in zip(r2, r3)] for r2, r3 in zip(m2, m3)]

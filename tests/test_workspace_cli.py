@@ -260,6 +260,19 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", [["cok", "kos"], ["hom", "kos", "kos"]])
+def test_cli_refuses_a_negative_window(tmp_path, capsys, command):
+    path = tmp_path / "ws.mfw"
+    path.write_text(parse_workspace(BASIC).render())
+    name, *objs = command
+    with pytest.raises(SystemExit) as exc:
+        main([name, str(path), *objs, "--window", "-4"])
+    assert exc.value.code == 1
+    assert "--window" in capsys.readouterr().err
+    code, _, _ = run_cli([name, str(path), *objs, "--window", "0"], capsys)
+    assert code == 0
+
+
 def test_cli_entry_point_subprocess():
     first = subprocess.run(
         [sys.executable, "-m", "mfcat.cli", "demo", "an", "--n", "4", "--json"],
