@@ -64,6 +64,11 @@ call makes maps between its own endpoints.  A warm default read then
 builds only its ``HomSpace``.  A table refers to no problem, and other
 windows are read from the halves and keep nothing new.
 
+A problem also keeps the cycle basis of each degree a chain map is drawn
+in (``HomProblem.cycle_basis``, read by ``random_chain_map``): the even
+unknowns of the degree and the nullspace of their chain-map equations,
+eliminated once per pair up to characters.
+
 A found witness is checked in the product kernel (``Homotopy.bounds``,
 ``matrices.products_equal``): its products with the structure maps are
 summed into term dicts and compared with the map, and no boundary is
@@ -110,10 +115,10 @@ _KEPT_WEIGHT = 2**16
 _RANK_TABLES = 128
 
 # Degrees kept by each per-degree store: each half of a rank table or of a
-# piece, and each split's unknowns grouped by grade.  Past it a degree is
-# answered but not kept.  The most degrees any store of any pair keeps over
-# the perfbench workloads and the demos is 24, a brick-stable rank half
-# read at both shifts.
+# piece, each problem's cycle bases, and each split's unknowns grouped by
+# grade.  Past it a degree is answered but not kept.  The most degrees any
+# store of any pair keeps over the perfbench workloads and the demos is 24,
+# a brick-stable rank half read at both shifts.
 _KEPT_DEGREES = 64
 
 
@@ -309,8 +314,9 @@ class HomProblem:
     a degree's block on every call; no block is kept.  A problem keeps the
     exact halves of its degrees (``halves``, read by a ``_Reading``), its
     default window (``window``), whether its potential is isolated
-    (``isolated``), and the finished rows of its default window
-    (``tables``, filled by ``rows``).
+    (``isolated``), the finished rows of its default window (``tables``,
+    filled by ``rows``), and the cycle bases of the degrees chain maps are
+    drawn in (``bases``, filled by ``cycle_basis``).
     """
 
     def __init__(self, source, target):
@@ -320,6 +326,7 @@ class HomProblem:
         self.ws = source.weights
         self.halves = {}, {}
         self.tables = {}
+        self.bases = {}
         self.window = default_window(source, target)
         self.isolated = _certified_potential(source.W, self.ws)
         self._even_slots = _slots(source, target, EVEN)
@@ -358,6 +365,19 @@ class HomProblem:
         support = _graded_support(self.ws, self._offset, d)
         return (_unknowns(self._even_slots, support),
                 _unknowns(self._odd_slots, support))
+
+    def cycle_basis(self, d):
+        """(the even unknown ids of degree d, ``linalg.nullspace`` of their
+        chain-map equations): a basis of the degree-d cycles, kept in
+        ``bases`` for at most _KEPT_DEGREES degrees."""
+        got = self.bases.get(d)
+        if got is None:
+            even = tuple(self._degree_unknowns(d)[0])
+            rows = list(_equations(even, self._stencils).values())
+            got = even, tuple(linalg.nullspace(rows, len(even), self.source.field))
+            if len(self.bases) < _KEPT_DEGREES:
+                self.bases[d] = got
+        return got
 
     _LEAK = "internal degree bookkeeping violation at %r"
 
@@ -417,7 +437,7 @@ class _Pieces(dict):
     def __missing__(self, g):
         piece = self[g] = object.__new__(_Piece)
         piece.__dict__.update(vars(self.prob), halves=({}, {}), tables={},
-                              _piece=(self.grade, self.groups, g))
+                              bases={}, _piece=(self.grade, self.groups, g))
         return piece
 
 
@@ -429,8 +449,8 @@ def _rank_table(source, target):
     half is (n, r, exact): n unknowns of that parity in degree e, and r
     the rank of D on them.  A kept half is always exact; the flag lets it
     be read like a half fresh from a block, whose r may be a rank mod p
-    below the rank, or None.  Only ranks are kept, no blocks
-    (``_Reading``)."""
+    below the rank, or None.  Only ranks and the cycle bases of
+    ``random_chain_map`` are kept, no blocks (``_Reading``)."""
     return HomProblem(_from_untwisted(source), _from_untwisted(target))
 
 
@@ -1086,19 +1106,18 @@ def is_homotopy_equivalence(phi, bound=None):
 
 def random_chain_map(source, target, degree=0, rng=None):
     """A reproducible chain map: an rng-weighted combination of a basis of
-    the degree-d cycle space.  Zero when that space is zero."""
+    the degree-d cycle space, one draw per basis vector in basis order.
+    Zero when that space is zero.  The basis is the one the pair's kept
+    problem holds (``_rank_table``, ``HomProblem.cycle_basis``), so every
+    character twist of the pair shares it and it is eliminated once."""
     import random as _random
 
     if rng is None:
         rng = _random.Random(20240901)
-    _require_shared_grading(source, target)
-    support = _graded_support(source.weights, _slot_offsets(source, target), degree)
-    uids = _unknowns(_slots(source, target, EVEN), support)
-    field = source.field
-    rows = _equations(uids, _Stencils(source, target))
-    basis = linalg.nullspace(list(rows.values()), len(uids), field)
+    uids, basis = _rank_table(_untwisted(source), _untwisted(target)).cycle_basis(degree)
     if not basis:
         return MfMorphism.zero(source, target, degree)
+    field = source.field
     combo = {}
     coeffs = [rng.randint(-3, 3) for _ in basis]
     if not any(coeffs):

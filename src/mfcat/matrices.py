@@ -22,16 +22,25 @@ arithmetic alone.  The matrices this library multiplies are tiny
 intermediate objects, not arithmetic.
 Integral rational coefficients are plain ints (``mfcat.fields``), so their
 products and sums run on C-level int arithmetic and build no Fraction.
+
+``PolyMatrix.zero`` and ``PolyMatrix.identity`` return one shared instance
+per (shape, nvars, field), kept in a bounded LRU (``_shared``): a matrix is
+frozen and its entries are never written, so sharing it is safe, and a
+cone, a zero map or a chain-map check then builds no matrix of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import add
 
 from .errors import UsageError
 from .poly import Polynomial
+
+# Zero and identity matrices kept by _shared, one per (shape, nvars, field,
+# kind); one set-up and one pass of witness-certify ask for 14,376 of 12.
+_SHARED_MATRICES = 256
 
 
 @dataclass(frozen=True)
@@ -60,17 +69,13 @@ class PolyMatrix:
 
     @classmethod
     def zero(cls, nrows, ncols, nvars, field):
-        z = Polynomial.zero(nvars, field)
-        return cls(nrows, ncols, nvars, field, tuple((z,) * ncols for _ in range(nrows)))
+        """The nrows x ncols zero matrix, shared (``_shared``)."""
+        return _shared(nrows, ncols, nvars, field, False)
 
     @classmethod
     def identity(cls, n, nvars, field):
-        z = Polynomial.zero(nvars, field)
-        one = Polynomial.const(nvars, 1, field)
-        return cls(
-            n, n, nvars, field,
-            tuple(tuple(one if i == j else z for j in range(n)) for i in range(n)),
-        )
+        """The n x n identity matrix, shared (``_shared``)."""
+        return _shared(n, n, nvars, field, True)
 
     @classmethod
     def scalar(cls, f, n):
@@ -170,6 +175,16 @@ class PolyMatrix:
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
         return cls(nrows, ncols, nvars, field, rows)
+
+
+@lru_cache(maxsize=_SHARED_MATRICES)
+def _shared(nrows, ncols, nvars, field, identity):
+    """The zero matrix of this shape, with ones on the diagonal when
+    identity; every caller shares it."""
+    z = Polynomial.zero(nvars, field)
+    one = Polynomial.const(nvars, 1, field) if identity else z
+    return PolyMatrix(nrows, ncols, nvars, field, tuple(
+        tuple(one if i == j else z for j in range(ncols)) for i in range(nrows)))
 
 
 def sum_of_products(pairs):

@@ -26,6 +26,7 @@ from mfcat import (
     random_chain_map,
     reynolds,
     reynolds_homotopy,
+    stable_hom_g,
     twist_orbits,
     WeightSystem,
 )
@@ -495,6 +496,29 @@ def test_isotypic_decompose_keeps_one_table_on_its_pair():
     assert all(list(piece.tables) == [(0, True)] for piece in split.values())
 
 
+def test_a_character_piece_keeps_cycle_bases_of_its_own():
+    # a piece starts with an empty store of cycle bases, not its pair's,
+    # and in each degree the pair's cycles are the direct sum of its pieces'
+    act = suites.an_action(4)
+    s0, s1 = enumerate_structures(suites.an_objects(4)[1], act)[:2]
+    degrees = range(4)
+    _rank_table.cache_clear()
+    _orbit_split.cache_clear()
+    for d in degrees:
+        random_chain_map(s0.factorization, s1.factorization, d)
+    split, _ = _twist_orbit(s0, s1)
+    pair = split.prob
+    kept = dict(pair.bases)
+    assert list(kept) == list(degrees)
+    pieces = [split[c] for c in act.characters()]
+    assert all(piece.bases == {} and piece.bases is not pair.bases for piece in pieces)
+    dims = [[len(piece.cycle_basis(d)[1]) for piece in pieces] for d in degrees]
+    assert [sum(row) for row in dims] == [len(kept[d][1]) for d in degrees]
+    assert len({row.index(1) for row in dims}) == len(pieces)
+    assert all(list(piece.bases) == list(degrees) for piece in pieces)
+    assert pair.bases == kept
+
+
 def test_a_wide_window_keeps_at_most_the_capped_degrees_per_piece():
     # on (x | x^3) under Z/4, 4,001 degrees are answered; each half of a
     # piece keeps default-window degrees only, the split at most
@@ -603,3 +627,67 @@ def test_residue_field_tables_match_the_exterior_algebra():
             lambda2_invariant = sum(tables[0][(0,)].values()) == 2
             assert act.is_special_linear() == lambda2_invariant, (r, exps)
             assert lambda2_invariant == (exps == (1, -1))
+
+
+def euler_form_oracle(r, chars):
+    """The Euler form sum_T (-1)^|T| [a - b = chi_T mod r] of the twists k_a,
+    k_b of the residue field under Z/r, chi_T the sum of chars[i] over the
+    variables i in T, from the characters of the variables alone.
+
+    Let K_a be the Koszul factorization of W = sum x_i v_i on (x_i, v_i),
+    twisted so that its generator e_() has character a.  An entry of an
+    equivariant map has the character of its row generator minus that of
+    its column generator, and p carries e_S to x_i e_(S+i); so e_S has
+    character a + chi_S and parity |S|.  The x_i form a regular sequence
+    resolving k = R/(x) at the top generator e_N, and every x_i and v_i
+    lies in the maximal ideal, so Hom(K_a, K_b) is quasi-isomorphic to
+    Hom_R(K_a, k e_N) with zero differential: one class e_S -> e_N per
+    subset S, of parity |N| - |S|.  It is invariant exactly when
+    b + chi_N = a + chi_S, that is a - b = chi_T for T the complement of S,
+    of parity |T|.  The even invariant classes minus the odd ones give the
+    sum.
+    """
+    form = [[0] * r for _ in range(r)]
+    for mask in range(1 << len(chars)):
+        size = bin(mask).count("1")
+        shift = sum(c for i, c in enumerate(chars) if mask >> i & 1)
+        for a in range(r):
+            form[a][(a - shift) % r] += (-1) ** size
+    return form
+
+
+def residue_field_euler_form(r, chars, weights, degree):
+    """chi(k_a, k_b) = dim Hom(k_a, k_b)^G - dim Hom(k_a, k_b[1])^G over the
+    twists of the equivariant residue field of the Fermat potential
+    sum x_i^degree under Z/r acting by chars, each hom certified."""
+    n = len(chars)
+    xs = [Polynomial.variable(i, n) for i in range(n)]
+    k = koszul_factorization([(x, x ** (degree - 1)) for x in xs],
+                             WeightSystem(weights, degree))
+    structures = enumerate_structures(k, cyclic_action(r, chars, n))
+    assert len(structures) == r
+    twists = [structures[0].twist((a,)) for a in range(r)]
+    homs = [[[stable_hom_g(ka, kb, j) for j in (0, 1)] for kb in twists]
+            for ka in twists]
+    assert all(hs.certified for row in homs for pair in row for hs in pair)
+    return [[even.total - odd.total for even, odd in row] for row in homs]
+
+
+def test_the_euler_form_of_the_residue_field_is_the_affine_cartan_matrix():
+    # the McKay correspondence: for Z/r acting by (1, -1) on x^r + y^r, a
+    # subgroup of SL(2), the Euler form is 2I - A with A the adjacency
+    # matrix of the r-cycle, the affine Cartan matrix of A~_(r-1), whose two
+    # edges coincide at r = 2
+    for r in range(2, 7):
+        want = euler_form_oracle(r, (1, -1))
+        assert residue_field_euler_form(r, (1, -1), (1, 1), r) == want, r
+        cartan = [[2 * (a == b) for b in range(r)] for a in range(r)]
+        for a in range(r):
+            for b in ((a + 1) % r, (a - 1) % r):
+                cartan[a][b] -= 1
+        assert want == cartan, r
+    # Z/3 acting by (1, 1, 1) on the Fermat cubic: the antisymmetric form
+    # of the Beilinson quiver of local P^2, which fixes the sign of a - b
+    want = euler_form_oracle(3, (1, 1, 1))
+    assert residue_field_euler_form(3, (1, 1, 1), (1, 1, 1), 3) == want
+    assert want == [[0, 3, -3], [-3, 0, 3], [3, -3, 0]]

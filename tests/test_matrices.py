@@ -9,6 +9,7 @@ import oracles as orc
 from mfcat import PolyMatrix, Polynomial
 from mfcat.errors import UsageError
 from mfcat.fields import QQ, PrimeField
+from mfcat import matrices
 from mfcat.matrices import products_equal, sum_of_products
 
 FIELDS = [QQ, PrimeField(7), PrimeField(2**31 - 1)]
@@ -137,6 +138,28 @@ def test_mismatches_raise_as_before():
         sum_of_products([(a, col), (cell, cell)])
     with pytest.raises(UsageError, match=r"^sum of no products$"):
         sum_of_products([])
+
+
+def test_zero_and_identity_matrices_are_shared_per_shape_and_field():
+    zero, eye = PolyMatrix.zero, PolyMatrix.identity
+    assert zero(2, 3, 1, QQ) is zero(2, 3, 1, QQ)
+    assert eye(2, 1, QQ) is eye(2, 1, QQ)
+    f7 = PrimeField(7)
+    assert zero(2, 3, 1, f7) is not zero(2, 3, 1, QQ)
+    assert zero(2, 3, 1, f7).field == f7 and zero(2, 3, 1, QQ).field == QQ
+    assert zero(2, 3, 2, QQ) is not zero(2, 3, 1, QQ)
+    assert zero(3, 2, 1, QQ) is not zero(2, 3, 1, QQ)
+    assert zero(2, 2, 1, QQ) is not eye(2, 1, QQ)
+    # each equals the matrix built entry by entry
+    for field in (QQ, f7):
+        for n, m in ((0, 0), (0, 2), (2, 0), (2, 3)):
+            z = Polynomial.zero(2, field)
+            assert zero(n, m, 2, field) == PolyMatrix(
+                n, m, 2, field, tuple((z,) * m for _ in range(n)))
+        one = Polynomial.const(2, 1, field)
+        assert eye(3, 2, field) == PolyMatrix.from_rows(
+            [[one if i == j else z for j in range(3)] for i in range(3)], 2, field)
+    assert matrices._shared.cache_info().maxsize == matrices._SHARED_MATRICES
 
 
 def perturbed(m, rng):

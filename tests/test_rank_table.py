@@ -5,9 +5,19 @@ module docstring of mfcat.homotopy.  The dense oracle computes the shifted
 hom tables from its own description of Y[1], with no library solver code.
 """
 
+import random
+
 import pytest
 
-from mfcat import QQ, MfcatError, PrimeField, cok, enumerate_structures, stable_hom
+from mfcat import (
+    QQ,
+    MfcatError,
+    PrimeField,
+    cok,
+    enumerate_structures,
+    random_chain_map,
+    stable_hom,
+)
 from mfcat.equivariant import isotypic_decompose
 from mfcat.homotopy import (
     _KEPT_DEGREES,
@@ -310,3 +320,61 @@ def test_kept_ranks_that_disagree_with_the_representatives_raise(monkeypatch):
     for k in (0, 1):
         with pytest.raises(MfcatError, match="disagree"):
             hom_space(q, q, shift=k)
+
+
+def stored(phi):
+    """The terms of a map's two matrices in stored order."""
+    return [[[list(f.terms.items()) for f in row] for row in mat.entries]
+            for mat in (phi.f0, phi.f1)]
+
+
+def draws(a, b, degree):
+    return [stored(random_chain_map(a, b, degree, rng=random.Random(seed)))
+            for seed in range(6)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_chain_maps_drawn_cold_equal_those_drawn_warm(field):
+    # the kept cycle basis changes no draw: the same rows in the same
+    # order, one rng draw per basis vector
+    objs = suites.an_objects(4, field)
+    cases = [(suites.quadric(field),) * 2 + (0,), (objs[1], objs[3], 0),
+             (objs[1], objs[3], 2), (suites.fermat_cubic(field),) * 2 + (0,)]
+    for a, b, degree in cases:
+        _rank_table.cache_clear()
+        cold = draws(a, b, degree)
+        assert _rank_table.cache_info().currsize == 1
+        warm = draws(a, b, degree)
+        assert cold == warm
+        _rank_table.cache_clear()
+        assert draws(a, b, degree) == cold
+
+
+def test_every_twist_of_a_pair_draws_from_one_basis():
+    act = suites.an_action(4)
+    s0, s1 = enumerate_structures(suites.an_objects(4)[1], act)[:2]
+    x, y = s0.factorization, s1.factorization
+    _rank_table.cache_clear()
+    want = draws(x, y, 0)
+    info = _rank_table.cache_info()
+    assert info.currsize == 1
+    for c in act.characters():
+        t = s1.twist(c).factorization
+        assert draws(x, t, 0) == want
+    assert _rank_table.cache_info().misses == info.misses
+    assert _rank_table.cache_info().currsize == 1
+
+
+def test_draws_at_many_degrees_keep_at_most_the_capped_bases():
+    mf = suites.an_objects(4)[1]
+    key = homotopy._untwisted(mf)
+    degrees = range(_KEPT_DEGREES + 6)
+    _rank_table.cache_clear()
+    got = [draws(mf, mf, d) for d in degrees]
+    prob = _rank_table(key, key)
+    assert len(prob.bases) == _KEPT_DEGREES
+    # a degree past the cap is answered, not kept, and answered alike
+    assert [draws(mf, mf, d) for d in degrees] == got
+    assert len(prob.bases) == _KEPT_DEGREES
+    _rank_table.cache_clear()
+    assert [draws(mf, mf, d) for d in reversed(degrees)] == got[::-1]
