@@ -24,7 +24,7 @@ Integral rational coefficients are plain ints (``mfcat.fields``), so their
 products and sums run on C-level int arithmetic and build no Fraction.
 
 ``PolyMatrix.zero`` and ``PolyMatrix.identity`` return one shared instance
-per (shape, nvars, field), kept in a bounded LRU (``_shared``): a matrix is
+per (shape, nvars, field object), kept in a bounded LRU (``_shared``): a matrix is
 frozen and its entries are never written, so sharing it is safe, and a
 cone, a zero map or a chain-map check then builds no matrix of its own.
 """
@@ -38,8 +38,8 @@ from operator import add
 from .errors import UsageError
 from .poly import Polynomial
 
-# Zero and identity matrices kept by _shared, one per (shape, nvars, field,
-# kind); one set-up and one pass of witness-certify ask for 14,376 of 12.
+# Zero and identity matrices kept by _shared, one per (shape, nvars, field
+# object, kind); one set-up and one pass of witness-certify ask for 14,376 of 12.
 _SHARED_MATRICES = 256
 
 
@@ -70,12 +70,12 @@ class PolyMatrix:
     @classmethod
     def zero(cls, nrows, ncols, nvars, field):
         """The nrows x ncols zero matrix, shared (``_shared``)."""
-        return _shared(nrows, ncols, nvars, field, False)
+        return _shared(nrows, ncols, nvars, field, id(field), False)
 
     @classmethod
     def identity(cls, n, nvars, field):
         """The n x n identity matrix, shared (``_shared``)."""
-        return _shared(n, n, nvars, field, True)
+        return _shared(n, n, nvars, field, id(field), True)
 
     @classmethod
     def scalar(cls, f, n):
@@ -178,9 +178,14 @@ class PolyMatrix:
 
 
 @lru_cache(maxsize=_SHARED_MATRICES)
-def _shared(nrows, ncols, nvars, field, identity):
+def _shared(nrows, ncols, nvars, field, field_id, identity):
     """The zero matrix of this shape, with ones on the diagonal when
-    identity; every caller shares it."""
+    identity; every caller shares it.
+
+    field_id is id(field), so that equal fields made apart (``PrimeField``
+    compares by p) each get a matrix holding their own field object, as
+    ``MatrixFactorization`` checks by identity.  The kept matrix holds its
+    field, so the id is not reused while the entry lives."""
     z = Polynomial.zero(nvars, field)
     one = Polynomial.const(nvars, 1, field) if identity else z
     return PolyMatrix(nrows, ncols, nvars, field, tuple(

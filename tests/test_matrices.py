@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as orc
-from mfcat import PolyMatrix, Polynomial
+from mfcat import PolyMatrix, Polynomial, zero_factorization
 from mfcat.errors import UsageError
 from mfcat.fields import QQ, PrimeField
 from mfcat import matrices
@@ -146,7 +146,12 @@ def test_zero_and_identity_matrices_are_shared_per_shape_and_field():
     assert eye(2, 1, QQ) is eye(2, 1, QQ)
     f7 = PrimeField(7)
     assert zero(2, 3, 1, f7) is not zero(2, 3, 1, QQ)
-    assert zero(2, 3, 1, f7).field == f7 and zero(2, 3, 1, QQ).field == QQ
+    assert zero(2, 3, 1, QQ).field is QQ
+    # equal fields made apart each get a matrix holding their own object
+    for f in (PrimeField(7), PrimeField(7)):
+        for m in (zero(2, 3, 1, f), eye(2, 1, f)):
+            assert m.field is f
+            assert all(c.field is f for row in m.entries for c in row)
     assert zero(2, 3, 2, QQ) is not zero(2, 3, 1, QQ)
     assert zero(3, 2, 1, QQ) is not zero(2, 3, 1, QQ)
     assert zero(2, 2, 1, QQ) is not eye(2, 1, QQ)
@@ -160,6 +165,16 @@ def test_zero_and_identity_matrices_are_shared_per_shape_and_field():
         assert eye(3, 2, field) == PolyMatrix.from_rows(
             [[one if i == j else z for j in range(3)] for i in range(3)], 2, field)
     assert matrices._shared.cache_info().maxsize == matrices._SHARED_MATRICES
+
+
+def test_zero_factorizations_over_equal_fields_made_apart():
+    # the shared zero matrices must not carry the first PrimeField(7) into a
+    # factorization over a second one, which checks its field by identity
+    for _ in range(2):
+        f = PrimeField(7)
+        x = Polynomial.variable(0, 1, f)
+        z = zero_factorization(x ** 3)
+        assert z.field is f and z.p0.field is f and z.p1.field is f
 
 
 def perturbed(m, rng):
