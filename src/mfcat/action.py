@@ -19,6 +19,16 @@ from .poly import Polynomial
 
 
 def normalize_char(char, orders):
+    """char as a residue tuple under cyclic factors of the given orders.
+
+    A character is a tuple or list of one int per factor; anything else
+    is refused, so no character is cut to fit.
+    """
+    if not (isinstance(char, (tuple, list)) and len(char) == len(orders)
+            and all(type(c) is int for c in char)):
+        raise UsageError(
+            "a character needs one integer per cyclic factor, %d in all; "
+            "got %r" % (len(orders), char))
     return tuple(map(mod, char, orders))
 
 

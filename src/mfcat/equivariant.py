@@ -26,9 +26,13 @@ key takes, per structure, the fields every twist shares (W, the weights,
 the generator degrees, p0 and p1; twists share the matrix objects, and
 the hashes of polynomials, matrices, weight systems and actions are
 memoized) and the characters relative to the structure's first one, plus
-the action.  The relative characters come from a bounded memo keyed by
-the generator characters and the group orders.  The piece of character chi is the split's piece chi - need0,
-need0 the target's first character minus the source's.  A split is made
+the action.  Each structure computes that part of the key once and keeps
+it (``EquivariantStructure._orbit_key``), and ``twist`` returns one
+shared object per structure and character from a bounded cache
+(``_twisted``), so the callers that twist a structure by every character
+of every pair make each twist, and its key, once.  The piece of character
+chi is the split's piece chi - need0, need0 the target's first character
+minus the source's.  A split is made
 on a cache miss from the kept problem of the factorization pair without
 characters (``homotopy._rank_table``), the one that plain ``hom_space``
 calls and the full space of ``isotypic_decompose`` read, so the split
@@ -49,7 +53,7 @@ reads, is kept on the pair's entry the same way.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .action import GroupAction, char_add, char_sub, normalize_char
@@ -69,10 +73,9 @@ from .homotopy import (
 # twisting; one pass of equivariant-isotypic fills 55.
 _ORBIT_CACHE = 128
 
-# Relative characters kept by _chars_relative, one per pair of generator
-# character tuples and group orders; one pass of equivariant-isotypic
-# fills 70.
-_RELATIVE_CHARS = 256
+# Twisted structures kept by _twisted, one per structure, field object and
+# character; one set-up of equivariant-isotypic makes 350.
+_TWISTS = 1024
 
 
 def check_equivariant(mf, action):
@@ -129,14 +132,27 @@ class EquivariantStructure:
         return self.factorization.m1.chars
 
     def twist(self, char):
-        """Shift every generator character by the same amount."""
+        """Shift every generator character by the same amount; every call
+        with the same structure and character returns one shared object
+        (``_twisted``)."""
+        char = normalize_char(char, self.action.orders)
+        return _twisted(self, char, id(self.factorization.field))
+
+    @cached_property
+    def _orbit_key(self):
+        """((``_untwisted`` fields, relative characters), base): base is
+        the first generator character (zero without generators) and the
+        relative characters are (chars0 - base, chars1 - base), so every
+        twist of the structure has the same first part and twisting moves
+        base only.  Computed once per object and kept in the instance
+        dict, outside the dataclass fields, equality and hash."""
         orders = self.action.orders
-        char = normalize_char(char, orders)
-        mf = self.factorization.with_chars(
-            tuple(char_add(c, char, orders) for c in self.chars0),
-            tuple(char_add(c, char, orders) for c in self.chars1),
-        )
-        return EquivariantStructure(mf, self.action, validate=False)
+        chars0, chars1 = self.chars0, self.chars1
+        first = chars0 or chars1
+        base = first[0] if first else self.action.zero_char()
+        rel = tuple(tuple(char_sub(c, base, orders) for c in chars)
+                    for chars in (chars0, chars1))
+        return (_untwisted(self.factorization), rel), base
 
     def forget(self):
         return self.factorization.strip_chars()
@@ -240,7 +256,7 @@ def twist_orbits(structures):
     """
     seen = {}
     for st in structures:
-        seen.setdefault(_relative_chars(st)[1], []).append(st)
+        seen.setdefault(st._orbit_key[0][1], []).append(st)
     return tuple(tuple(orbit) for orbit in seen.values())
 
 
@@ -325,23 +341,19 @@ def _check_pair(phi, e_src, e_tgt):
         raise UsageError("morphism target does not match the target structure")
 
 
-def _relative_chars(st):
-    """(base, (chars0 - base, chars1 - base)) of a structure, base its
-    first generator character (zero without generators).  Twisting the
-    structure moves base only."""
-    return _chars_relative(st.chars0, st.chars1, st.action.orders)
-
-
-@lru_cache(maxsize=_RELATIVE_CHARS)
-def _chars_relative(chars0, chars1, orders):
-    """``_relative_chars`` of the generator characters chars0, chars1
-    under cyclic factors of the given orders."""
-    first = chars0 or chars1
-    if not first:
-        return (0,) * len(orders), ((), ())
-    base = first[0]
-    return base, tuple(tuple(char_sub(c, base, orders) for c in chars)
-                       for chars in (chars0, chars1))
+@lru_cache(maxsize=_TWISTS)
+def _twisted(st, char, field_id):
+    """The twist of st by the normalized character char.  field_id is
+    id() of st's field: equal ``PrimeField``s made apart compare equal,
+    and a factorization checks its field by identity, so each gets a
+    twist of its own; the kept twist holds its field, so the id is not
+    reused while the entry lives."""
+    orders = st.action.orders
+    mf = st.factorization.with_chars(
+        tuple(char_add(c, char, orders) for c in st.chars0),
+        tuple(char_add(c, char, orders) for c in st.chars1),
+    )
+    return EquivariantStructure(mf, st.action, validate=False)
 
 
 @lru_cache(maxsize=_ORBIT_CACHE)
@@ -349,9 +361,9 @@ def _orbit_split(source, target, action):
     """The character split (``HomProblem.pieces``) of the kept problem
     (``homotopy._rank_table``) of the maps between two structures without
     their characters, relative to need0; source and
-    target are each (``_untwisted`` fields, ``_relative_chars`` relative
-    characters) of a structure, so every twist of the pair has the same
-    key.
+    target are each the first part of a structure's ``_orbit_key``
+    (``_untwisted`` fields, relative characters), so every twist of the
+    pair has the same key.
 
     An unknown (kind, i, j, e) has character need[kind, i, j] - char(e)
     (``_slot_characters``), and need[kind, i, j] is need0 plus the same
@@ -373,11 +385,9 @@ def _twist_orbit(e_src, e_tgt):
     transformation character chi are split[chi - need0], need0 the
     target's first character minus the source's."""
     act = e_src.action
-    base_src, rel_src = _relative_chars(e_src)
-    base_tgt, rel_tgt = _relative_chars(e_tgt)
-    split = _orbit_split((_untwisted(e_src.factorization), rel_src),
-                         (_untwisted(e_tgt.factorization), rel_tgt), act)
-    return split, char_sub(base_tgt, base_src, act.orders)
+    src, base_src = e_src._orbit_key
+    tgt, base_tgt = e_tgt._orbit_key
+    return _orbit_split(src, tgt, act), char_sub(base_tgt, base_src, act.orders)
 
 
 def equivariant_hom_space(e_src, e_tgt, window=None, twist_char=None):

@@ -31,7 +31,8 @@ from mfcat import (
     WeightSystem,
 )
 from mfcat.action import char_sub
-from mfcat.equivariant import _ORBIT_CACHE, _orbit_split, _twist_orbit
+from mfcat.equivariant import _ORBIT_CACHE, _orbit_split, _twist_orbit, _twisted
+from mfcat.fields import PrimeField
 from mfcat import homotopy
 from mfcat.homotopy import _KEPT_DEGREES, _rank_table, _untwisted, default_window
 from mfcat.errors import GradingError, MfcatError, UsageError
@@ -110,14 +111,51 @@ def test_twist_orbits():
 
 
 def test_twist_is_a_structure():
+    # a twist is one of the enumerated structures, one object per
+    # (structure, normalized character), and twisting twice is twisting
+    # by the sum
     f = suites.fermat_cubic()
     act = suites.fermat_action()
     sts = enumerate_structures(f, act)
     all_pairs = as_pairs(sts)
     for s in sts:
-        for chi in act.characters():
-            assert (tuple(s.twist(chi).chars0),
-                    tuple(s.twist(chi).chars1)) in all_pairs
+        for a in act.characters():
+            t = s.twist(a)
+            assert (tuple(t.chars0), tuple(t.chars1)) in all_pairs
+            assert t is s.twist((a[0] + act.orders[0],))
+            for b in act.characters():
+                assert t.twist(b) == s.twist((a[0] + b[0],))
+
+
+def test_a_twist_over_an_equal_field_made_apart_holds_that_field():
+    # PrimeField compares by p and a factorization checks its field by
+    # identity, so each field object gets twists of its own
+    act = suites.an_action(3)
+    for _ in range(2):
+        f7 = PrimeField(7)
+        s = enumerate_structures(suites.an_objects(3, f7)[1], act)[0]
+        t = s.twist((1,))
+        assert t.factorization.field is f7
+        assert hom_space(s.factorization, t.factorization).total == hom_space(
+            s.factorization, s.factorization).total
+        assert equivariant_hom_space(s, t).certified
+
+
+def test_a_character_of_the_wrong_shape_is_refused():
+    # a character is one int per cyclic factor; no other length or entry
+    # is cut or read to fit
+    act = suites.an_action(3)
+    s = enumerate_structures(suites.an_objects(3)[1], act)[0]
+    f = s.factorization.p0.entries[0][0]
+    for bad in ((), (1, 7), (1.0,), ("1",), 1):
+        with pytest.raises(UsageError):
+            s.twist(bad)
+        with pytest.raises(UsageError):
+            equivariant_hom_space(s, s, twist_char=bad)
+        with pytest.raises(UsageError):
+            act.has_character(f, bad)
+        with pytest.raises(UsageError):
+            act.project_character(f, bad)
 
 
 def test_reynolds_matches_literal_average():
@@ -325,21 +363,23 @@ def fingerprint(hs):
 
 
 def test_twist_orbit_sharing_changes_no_answer():
-    # every answer served from a shared twist orbit equals the answer of
-    # the same call on an empty cache, and its representatives are maps
-    # between the caller's own structures with the piece's character
+    # every answer served from a shared twist orbit and a shared twist
+    # equals the answer of the same call on empty caches, and its
+    # representatives are maps between the caller's own structures with
+    # the piece's character
     for act, e_src, e_tgt in cyclic_structure_pairs(top=5):
         chars = act.characters()
         calls = []
         for c in chars:
             t = e_tgt.twist(c)
-            calls += [(t, chi, lambda t=t, chi=chi: equivariant_hom_space(
+            calls += [(c, t, chi, lambda t, chi=chi: equivariant_hom_space(
                 e_src, t, twist_char=chi)) for chi in chars]
-            calls.append((t, None, lambda t=t: isotypic_decompose(e_src, t)))
-        shared = [call() for _, _, call in calls]
-        for (t, chi, call), got in zip(calls, shared):
+            calls.append((c, t, None, lambda t: isotypic_decompose(e_src, t)))
+        shared = [call(t) for _, t, _, call in calls]
+        for (c, t, chi, call), got in zip(calls, shared):
             _orbit_split.cache_clear()
-            want = call()
+            _twisted.cache_clear()
+            want = call(e_tgt.twist(c))
             spaces = {chi: got} if chi is not None else got
             if chi is None:
                 assert list(got) == list(want)
