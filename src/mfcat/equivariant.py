@@ -16,7 +16,7 @@ structure maps of an equivariant factorization have pure characters.
 For the same reason hom spaces split by transformation character at
 assembly: every equation and every boundary of a degree block stays inside
 one character, so each character piece is assembled and reduced as a
-system of its own (``HomProblem.pieces``).
+system of its own (``homotopy._KeptComplex.pieces``).
 
 Twisting a structure shifts all its generator characters by the same
 amount, so the character pieces of a twisted pair are those of the
@@ -33,16 +33,16 @@ shared object per structure and character from a bounded cache
 of every pair make each twist, and its key, once.  The piece of character
 chi is the split's piece chi - need0, need0 the target's first character
 minus the source's.  A split is made
-on a cache miss from the kept problem of the factorization pair without
+on a cache miss from the kept complex of the factorization pair without
 characters (``homotopy._rank_table``), the one that plain ``hom_space``
-calls and the full space of ``isotypic_decompose`` read, so the split
-shares its slots and stencils.  There is one kind of kept hom complex: a
-piece is a problem like the pair's, read by the same reader
-(``homotopy._Reading``).  It inherits the pair's default window and
-isolated flag, and keeps the exact half-ranks of its degrees and the
-finished table of its default window with representatives
-(``HomProblem.rows``), so each block of the orbit is graded, assembled and
-eliminated once.  What calls share is that table's ``DegreeData`` and
+calls and the full space of ``isotypic_decompose`` read.  There is one
+kind of kept hom complex: a piece is made by the same constructor as the
+pair's entry, from that entry and a grade, and read by the same reader
+(``homotopy._Reading``), whose assembler takes the piece's grade.  It
+inherits the pair's default window and isolated flag, and keeps the exact
+half-ranks of its degrees and the finished table of its default window
+with representatives (``_KeptComplex.rows``), so each block of the orbit
+is graded, assembled and eliminated once.  What calls share is that table's ``DegreeData`` and
 (f0, f1) pairs of immutable ``PolyMatrix`` objects, never an
 ``MfMorphism``: representatives are made on every call as maps between
 the caller's own structures.  The plain pair's table without
@@ -358,7 +358,7 @@ def _twisted(st, char, field_id):
 
 @lru_cache(maxsize=_ORBIT_CACHE)
 def _orbit_split(source, target, action):
-    """The character split (``HomProblem.pieces``) of the kept problem
+    """The character split (``_KeptComplex.pieces``) of the kept complex
     (``homotopy._rank_table``) of the maps between two structures without
     their characters, relative to need0; source and
     target are each the first part of a structure's ``_orbit_key``

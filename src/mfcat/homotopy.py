@@ -28,21 +28,21 @@ two-periodicity pieces of ``singcat``.  A hom-complex block is assembled
 for its degree's answer and not kept; its ranks are.
 
 Every degree of a hom complex is answered by one reader, ``_Reading``,
-from the ranks a ``HomProblem`` keeps.  There is one kind of kept complex:
-the problem of each ordered pair (X, Y) of factorizations up to
+from the ranks a ``_KeptComplex`` keeps.  There is one kind of kept
+complex: that of each ordered pair (X, Y) of factorizations up to
 characters, kept in one bounded LRU (``_rank_table``), and each character
-piece of such a problem (``HomProblem.pieces``), which inherits the
+piece of such an entry (``_KeptComplex.pieces``), which inherits the
 pair's default window and isolated-singularity flag and keeps halves of
-its own.  Per internal degree e, for at most _KEPT_DEGREES degrees, a
-problem's ``halves`` hold two half-ranks of the two-periodic complex
-Hom(X, Y): the even half (n0, rho_e), the even unknowns and the rank of
-the differential D on them, and the odd half (n1, rho_o) likewise.  Kept
-ranks are exact: a half fresh from a block carries a flag saying whether
-its rank is exact or only a rank mod p, and is kept once its degree is
-settled (``_Reading._settle``: Z_p == B_p, a full rank mod p, or one
-exact elimination), and only when the degree read lies in the default
-window, so a wide window leaves no far-off degrees behind.  A piece is
-read at shift 0; both parities read a pair's problem: with a the split
+its own.  A kept complex holds answers only.  Per internal degree e, for
+at most _KEPT_DEGREES degrees, its ``halves`` hold two half-ranks of the
+two-periodic complex Hom(X, Y): the even half (n0, rho_e), the even
+unknowns and the rank of the differential D on them, and the odd half
+(n1, rho_o) likewise.  Kept ranks are exact: a half fresh from a block
+carries a flag saying whether its rank is exact or only a rank mod p, and
+is kept once its degree is settled (``_Reading._settle``: Z_p == B_p, a
+full rank mod p, or one exact elimination), and only when the degree read
+lies in the default window, so a wide window leaves no far-off degrees
+behind.  A piece is read at shift 0; both parities read a pair's entry: with a the split
 degree of Y and D the degree of W,
 
     Hom(X, Y)_d:    Z = n0(d) - rho_e(d),                  B = rho_o(d)
@@ -53,21 +53,23 @@ Hom(X, Y) in degree d - a, its even unknowns are the odd ones in degree
 d + D - a, and the two differentials agree up to sign.  The shift swaps
 Y's modules, so both parities share the default window.  The halves of a
 degree missing from a store come from one assembled block of the complex
-being read, which gives both.  A pair's block is the direct sum of its
-pieces' blocks, so the pieces' halves of a degree add up to the pair's.
+being read, which gives both, from an assembler (``HomProblem``) that
+the reading builds and drops: of (X, Y), with a piece's grade, or of
+(X, Y[1]).  A pair's block is the direct sum of its pieces' blocks, so
+the pieces' halves of a degree add up to the pair's.
 
-Every kept problem, pair or piece, also keeps the finished table of its
-default window, one per (shift, want_reps) read (``HomProblem.rows``):
+Every kept complex, pair or piece, also keeps the finished table of its
+default window, one per (shift, want_reps) read (``_KeptComplex.rows``):
 per degree a frozen ``DegreeData`` that every call shares, and for a
 degree with representatives their (f0, f1) matrix pairs, from which each
 call makes maps between its own endpoints.  A warm default read then
-builds only its ``HomSpace``.  A table refers to no problem, and other
-windows are read from the halves and keep nothing new.
+builds only its ``HomSpace``.  A table refers to no kept complex, and
+other windows are read from the halves and keep nothing new.
 
-A problem also keeps the cycle basis of each degree a chain map is drawn
-in (``HomProblem.cycle_basis``, read by ``random_chain_map``): the even
-unknowns of the degree and the nullspace of their chain-map equations,
-eliminated once per pair up to characters.
+A kept complex also keeps the cycle basis of each degree a chain map is
+drawn in (``_KeptComplex.cycle_basis``, read by ``random_chain_map``): the
+even unknowns of the degree and the nullspace of their chain-map
+equations, eliminated once per pair up to characters.
 
 A found witness is checked in the product kernel (``Homotopy.bounds``,
 ``matrices.products_equal``): its products with the structure maps are
@@ -79,7 +81,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add
 
 from . import linalg
@@ -115,7 +117,7 @@ _KEPT_WEIGHT = 2**16
 _RANK_TABLES = 128
 
 # Degrees kept by each per-degree store: each half of a rank table or of a
-# piece, each problem's cycle bases, and each split's unknowns grouped by
+# piece, each kept complex's cycle bases, and each split's unknowns grouped by
 # grade.  Past it a degree is answered but not kept.  The most degrees any
 # store of any pair keeps over the perfbench workloads and the demos is 24,
 # a brick-stable rank half read at both shifts.
@@ -307,114 +309,35 @@ _EMPTY_BLOCK = _Block((), {}, (), (), ())
 
 
 class HomProblem:
-    """Per-degree linear systems for maps between two fixed factorizations.
+    """The assembler of the per-degree linear systems for maps between two
+    fixed factorizations: their slots, offsets and stencils, built by a
+    call that needs blocks and dropped when it ends.  Unknown ids are
+    (kind, i, j, exponent) with kind "e0"/"e1" for the even components and
+    "t0"/"t1" for the odd ones.  ``degree_block`` assembles a degree's
+    block on every call; no block is kept.  A piece's grade is
+    (grade, groups, g) (``_KeptComplex.pieces``): only the unknowns with
+    grade(slot, e) == g, grouped by grade in groups."""
 
-    Unknown ids are (kind, i, j, exponent) with kind "e0"/"e1" for the even
-    components and "t0"/"t1" for the odd ones.  ``degree_block`` assembles
-    a degree's block on every call; no block is kept.  A problem keeps the
-    exact halves of its degrees (``halves``, read by a ``_Reading``), its
-    default window (``window``), whether its potential is isolated
-    (``isolated``), the finished rows of its default window (``tables``,
-    filled by ``rows``), and the cycle bases of the degrees chain maps are
-    drawn in (``bases``, filled by ``cycle_basis``).
-    """
-
-    def __init__(self, source, target):
+    def __init__(self, source, target, grade=None):
         _require_shared_grading(source, target)
-        self.source = source
-        self.target = target
-        self.ws = source.weights
-        self.halves = {}, {}
-        self.tables = {}
-        self.bases = {}
-        self.window = default_window(source, target)
-        self.isolated = _certified_potential(source.W, self.ws)
-        self._even_slots = _slots(source, target, EVEN)
-        self._odd_slots = _slots(source, target, ODD)
-        self._offset = _slot_offsets(source, target)
-        self._stencils = _Stencils(source, target)
+        self.source, self.target, self.grade = source, target, grade
+        self.even_slots = _slots(source, target, EVEN)
+        self.odd_slots = _slots(source, target, ODD)
+        self.offset = _slot_offsets(source, target)
+        self.stencils = _Stencils(source, target)
 
-    def rows(self, lo, hi, shift=0, want_reps=True):
-        """``_Reading.rows`` of maps source -> target[shift] over lo..hi.
-        Over the default window the table is kept in ``tables``, one per
-        (shift, want_reps), and every call shares it; it holds no
-        reference to the problem.  A reading refers to its problem, so it
-        is made per call and not kept, lest every problem be a reference
-        cycle left to the garbage collector."""
-        if (lo, hi) != self.window:
-            return _Reading(self, shift).rows(lo, hi, want_reps)
-        key = shift, want_reps
-        table = self.tables.get(key)
-        if table is None:
-            table = self.tables[key] = _Reading(self, shift).rows(lo, hi, want_reps)
-        return table
-
-    def pieces(self, grade):
-        """{g: the piece of this problem whose blocks hold only the unknowns
-        (*slot, e) with grade(slot, e) == g}, each piece made on first use.
-
-        The differential must keep every equation and boundary inside one
-        grade, so that each block is the direct sum of its pieces; a
-        boundary leaving its piece raises MfcatError.  Pieces share slots
-        and stencils, and group each degree's unknowns by grade once.
-        """
-        return _Pieces(self, grade)
-
-    def _degree_unknowns(self, d):
-        """(even, odd) unknown ids of degree d."""
-        support = _graded_support(self.ws, self._offset, d)
-        return (_unknowns(self._even_slots, support),
-                _unknowns(self._odd_slots, support))
-
-    def cycle_basis(self, d):
-        """(the even unknown ids of degree d, ``linalg.nullspace`` of their
-        chain-map equations): a basis of the degree-d cycles, kept in
-        ``bases`` for at most _KEPT_DEGREES degrees."""
-        got = self.bases.get(d)
-        if got is None:
-            even = tuple(self._degree_unknowns(d)[0])
-            rows = list(_equations(even, self._stencils).values())
-            got = even, tuple(linalg.nullspace(rows, len(even), self.source.field))
-            if len(self.bases) < _KEPT_DEGREES:
-                self.bases[d] = got
-        return got
-
-    _LEAK = "internal degree bookkeeping violation at %r"
-
-    def degree_block(self, d):
-        """The _Block of degree d, assembled on every call."""
-        even, odd = self._degree_unknowns(d)
-        if not (even or odd):
-            return _EMPTY_BLOCK
-        even_uids = tuple(even)
-        even_index = {u: k for k, u in enumerate(even_uids)}
-        odd_uids = tuple(odd)
-        zrows = tuple(_equations(even_uids, self._stencils).values())
-        index = dict(even_index)
-        dvecs = tuple(_images(odd_uids, self._stencils, index))
-        if len(index) != len(even_index):
-            raise MfcatError(self._LEAK % (list(index)[len(even_index)],))
-        return _Block(even_uids, even_index, zrows, odd_uids, dvecs)
-
-
-class _Piece(HomProblem):
-    """One grade of a problem (``HomProblem.pieces``).  A piece's blocks
-    hold only its own unknowns, so each is a direct summand of the pair's
-    block.  It keeps halves and tables of its own, read at shift 0, and
-    inherits the pair's window and isolated flag."""
-
-    _LEAK = ("boundary leaves its piece at %r; the grading is not "
-             "compatible with the structure")
-
-    def _degree_unknowns(self, d):
-        """(even, odd) unknown ids of degree d of this piece's grade; the
+    def unknowns(self, d):
+        """(even, odd) unknown ids of degree d, of the grade if any; the
         unknowns of a degree are grouped by grade once for all pieces."""
-        grade, groups, g = self._piece
+        support = _graded_support(self.source.weights, self.offset, d)
+        if self.grade is None:
+            return (_unknowns(self.even_slots, support),
+                    _unknowns(self.odd_slots, support))
+        grade, groups, g = self.grade
         by_grade = groups.get(d)
         if by_grade is None:
             by_grade = {}
-            support = _graded_support(self.ws, self._offset, d)
-            for side, slots in enumerate((self._even_slots, self._odd_slots)):
+            for side, slots in enumerate((self.even_slots, self.odd_slots)):
                 for slot in slots:
                     for e in support(slot):
                         key = grade(slot, e)
@@ -426,32 +349,110 @@ class _Piece(HomProblem):
                 groups[d] = by_grade
         return by_grade.get(g, ((), ()))
 
+    def degree_block(self, d):
+        """The _Block of degree d, assembled on every call."""
+        even, odd = self.unknowns(d)
+        if not (even or odd):
+            return _EMPTY_BLOCK
+        even_uids = tuple(even)
+        even_index = {u: k for k, u in enumerate(even_uids)}
+        odd_uids = tuple(odd)
+        zrows = tuple(_equations(even_uids, self.stencils).values())
+        index = dict(even_index)
+        dvecs = tuple(_images(odd_uids, self.stencils, index))
+        if len(index) != len(even_index):
+            raise MfcatError((
+                "internal degree bookkeeping violation at %r" if self.grade is None
+                else "boundary leaves its piece at %r; the grading is not "
+                "compatible with the structure") % (list(index)[len(even_index)],))
+        return _Block(even_uids, even_index, zrows, odd_uids, dvecs)
+
+
+class _KeptComplex:
+    """The kept answers of the maps source -> target, a pair's
+    ``_rank_table`` entry, or of one grade of them, a piece (``pieces``)
+    with its pair's window and flag.  It keeps the exact halves of its
+    degrees (``halves``, read by a ``_Reading``), its default window
+    (``window``), whether its potential is isolated (``isolated``), the
+    finished rows of its default window (``tables``, filled by ``rows``),
+    and the cycle bases of the degrees chain maps are drawn in (``bases``,
+    filled by ``cycle_basis``); its blocks come from a ``HomProblem``."""
+
+    def __init__(self, source, target, window, isolated, grade=None):
+        self.source, self.target, self.grade = source, target, grade
+        self.window, self.isolated = window, isolated
+        self.halves = {}, {}
+        self.tables = {}
+        self.bases = {}
+
+    def rows(self, lo, hi, shift=0, want_reps=True):
+        """``_Reading.rows`` of maps source -> target[shift] over lo..hi.
+        Over the default window the table is kept in ``tables``, one per
+        (shift, want_reps), and every call shares it; it holds no
+        reference to the kept complex.  A reading refers to its kept
+        complex, so it is made per call and not kept, lest every entry be a
+        reference cycle left to the garbage collector."""
+        if (lo, hi) != self.window:
+            return _Reading(self, shift).rows(lo, hi, want_reps)
+        key = shift, want_reps
+        table = self.tables.get(key)
+        if table is None:
+            table = self.tables[key] = _Reading(self, shift).rows(lo, hi, want_reps)
+        return table
+
+    def pieces(self, grade):
+        """{g: the piece whose blocks hold only the unknowns (*slot, e) with
+        grade(slot, e) == g}, each piece made on first use.
+
+        The differential must keep every equation and boundary inside one
+        grade, so that each block is the direct sum of its pieces; a
+        boundary leaving its piece raises MfcatError.  The pieces group
+        each degree's unknowns by grade once (``groups``).
+        """
+        return _Pieces(self, grade)
+
+    def cycle_basis(self, d):
+        """(the even unknown ids of degree d, ``linalg.nullspace`` of their
+        chain-map equations): a basis of the degree-d cycles, kept in
+        ``bases`` for at most _KEPT_DEGREES degrees."""
+        got = self.bases.get(d)
+        if got is None:
+            prob = HomProblem(self.source, self.target, self.grade)
+            even = tuple(prob.unknowns(d)[0])
+            rows = list(_equations(even, prob.stencils).values())
+            got = even, tuple(linalg.nullspace(rows, len(even), self.source.field))
+            if len(self.bases) < _KEPT_DEGREES:
+                self.bases[d] = got
+        return got
+
 
 class _Pieces(dict):
-    """The pieces of a problem by grade, made on first use."""
+    """The pieces of a pair's entry by grade, made on first use."""
 
     def __init__(self, prob, grade):
         super().__init__()
         self.prob, self.grade, self.groups = prob, grade, {}
 
     def __missing__(self, g):
-        piece = self[g] = object.__new__(_Piece)
-        piece.__dict__.update(vars(self.prob), halves=({}, {}), tables={},
-                              bases={}, _piece=(self.grade, self.groups, g))
+        p = self.prob
+        piece = self[g] = _KeptComplex(p.source, p.target, p.window, p.isolated,
+                                       (self.grade, self.groups, g))
         return piece
 
 
 @lru_cache(maxsize=_RANK_TABLES)
 def _rank_table(source, target):
-    """The HomProblem of the maps source -> target, each given by its
+    """The _KeptComplex of the maps source -> target, each given by its
     _untwisted fields, so that every character twist of the pair reads
-    the same problem and its halves ({e: even half}, {e: odd half}).  A
+    the same entry and its halves ({e: even half}, {e: odd half}).  A
     half is (n, r, exact): n unknowns of that parity in degree e, and r
     the rank of D on them.  A kept half is always exact; the flag lets it
     be read like a half fresh from a block, whose r may be a rank mod p
-    below the rank, or None.  Only ranks and the cycle bases of
+    below the rank, or None.  Only ranks, tables and the cycle bases of
     ``random_chain_map`` are kept, no blocks (``_Reading``)."""
-    return HomProblem(_from_untwisted(source), _from_untwisted(target))
+    s, t = _from_untwisted(source), _from_untwisted(target)
+    _require_shared_grading(s, t)
+    return _KeptComplex(s, t, default_window(s, t), _certified_potential(s.W, s.weights))
 
 
 def _half(n, rows, ncols, field):
@@ -465,35 +466,32 @@ def _half(n, rows, ncols, field):
 
 class _Reading:
     """The degree answers of maps prob.source -> prob.target[shift], read
-    from the halves prob keeps, a pair's problem (``_rank_table``) or a
-    piece (shift 0 only).
+    from the halves a _KeptComplex prob keeps, a pair's entry
+    (``_rank_table``) or a piece (shift 0 only).
 
     Degree d reads the cycle half (parity, e) and the boundary half of
     ``where``: the even and odd halves of d for shift 0, and for shift 1
     the odd half of d + D - a and the even half of d - a (see the module
     docstring).  Halves missing from the store come from the degree-d
-    block of ``problem``: prob itself at shift 0, at shift 1 the maps
-    source -> target, built on first need; so does an exact elimination.
-    A block gives exactly the two halves its degree reads, so they are
-    kept only once ``_settle`` has made them exact, only for d in prob's
-    default window, and only while the half holds fewer than
-    _KEPT_DEGREES degrees.
+    block of maps source -> target[shift], assembled by a HomProblem
+    built on first need; so does an exact elimination.  A block gives
+    exactly the two halves its degree reads, so they are kept only once
+    ``_settle`` has made them exact, only for d in prob's default window,
+    and only while the half holds fewer than _KEPT_DEGREES degrees.
     """
 
     def __init__(self, prob, shift=0):
-        self.source, self.target, self._problem = prob.source, prob.target, prob
+        self.source, self.target, self.grade = prob.source, prob.target, prob.grade
         self.window, self.halves = prob.window, prob.halves
         self.where = ((0, 0), (1, 0))
         if shift:
-            self.target, self._problem = prob.target.shift(), None
-            a, D = prob.target.split_degree, prob.ws.degree
+            self.target = prob.target.shift()
+            a, D = prob.target.split_degree, prob.source.weights.degree
             self.where = ((1, D - a), (0, -a))
 
-    @property
-    def problem(self):
-        if self._problem is None:
-            self._problem = HomProblem(self.source, self.target)
-        return self._problem
+    @cached_property
+    def assembler(self):
+        return HomProblem(self.source, self.target, self.grade)
 
     def answer(self, d, want_reps):
         """(Z, B, reps) in degree d, as ``_settle`` gives them."""
@@ -503,7 +501,7 @@ class _Reading:
         fresh = cycles is None, bounds is None
         blk = None
         if cycles is None or bounds is None:
-            blk = self.problem.degree_block(d)
+            blk = self.assembler.degree_block(d)
             n, field = len(blk.even_uids), self.source.field
             if cycles is None:
                 cycles = _half(n, blk.zrows, n, field)
@@ -537,7 +535,7 @@ class _Reading:
         if not exact and zdim is not None and bdim is not None:
             return zdim, bdim, (() if zdim == bdim else None)
         if blk is None:
-            blk = self.problem.degree_block(d)
+            blk = self.assembler.degree_block(d)
         field = self.source.field
         if exact:
             null_basis = linalg.nullspace(blk.zrows, n, field)
@@ -625,8 +623,8 @@ def hom_space(source, target, window=None, *, shift=0, want_reps=True):
     Per-degree numbers are exact.  The certified flag asserts that the
     window provably contains all degrees with nonzero classes, which we
     claim only for isolated quasi-homogeneous potentials with a window at
-    least the default one.  Both shifts read the kept problem of
-    (source, target) (``_rank_table``, ``HomProblem.rows``); a target
+    least the default one.  Both shifts read the kept complex of
+    (source, target) (``_rank_table``, ``_KeptComplex.rows``); a target
     whose shift does not have split degree D - a (p0 or p1 zero) is read
     at shift 0 as a pair of its own.
     """
@@ -915,21 +913,19 @@ def _null_homotopy_graded(phi):
         if h.bounds(phi):
             _kept_systems.hits += kept
             return h, True
-    _require_shared_grading(s, t)
-    offset = _slot_offsets(s, t)
+    prob = HomProblem(s, t)
     pieces = []
-    for d, rhs in sorted(_even_coordinates(phi, offset).items()):
-        support = _graded_support(s.weights, offset, d)
+    for d, rhs in sorted(_even_coordinates(phi, prob.offset).items()):
+        support = _graded_support(s.weights, prob.offset, d)
         if any(uid[3] not in support(uid[:3]) for uid in rhs):
             raise MfcatError("morphism entry outside its degree space")
         pieces.append((d, rhs, support))
-    stencils = _Stencils(s, t)
     coords = []
     for d, rhs, support in pieces:
-        uids = tuple(_unknowns(_slots(s, t, ODD), support))
+        uids = tuple(_unknowns(prob.odd_slots, support))
         if d == phi.degree:
             _kept_systems.mark(key, uids)
-        sol = _solve(_equations(uids, stencils), rhs, len(uids), s.field)
+        sol = _solve(_equations(uids, prob.stencils), rhs, len(uids), s.field)
         if sol is None:
             return None, True
         if d == phi.degree and tried is not None and sol != tried:
@@ -1108,7 +1104,7 @@ def random_chain_map(source, target, degree=0, rng=None):
     """A reproducible chain map: an rng-weighted combination of a basis of
     the degree-d cycle space, one draw per basis vector in basis order.
     Zero when that space is zero.  The basis is the one the pair's kept
-    problem holds (``_rank_table``, ``HomProblem.cycle_basis``), so every
+    complex holds (``_rank_table``, ``_KeptComplex.cycle_basis``), so every
     character twist of the pair shares it and it is eliminated once."""
     import random as _random
 

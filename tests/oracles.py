@@ -495,3 +495,48 @@ def residue_field_even_table(weights, degree, exponents, order, twist=0):
             piece = table[chi,]
             piece[d] = piece.get(d, 0) + 1
     return table
+
+
+# ---------------------------------------------------------------------------
+# graded Serre duality
+
+
+def serre_dual(weights, degree, nvars, a_source, a_target, p):
+    """(q, c) such that dim Hom(X, Y[p])_d = dim Hom(Y, X[q])_{c - d} for
+    every internal degree d, for factorizations X and Y, with split degrees
+    a_source and a_target, of one potential W of the given degree in nvars
+    variables with an isolated singularity; [p] is the package's shift and
+    Hom(X, Y)_d its degree-d maps.
+
+    The package's grading.  Put P0 = ⊕ R(-g) over the generator degrees g
+    of m0 and P1 = ⊕ R(-(g - a)) over those of m1, a the split degree.
+    The entry degrees of p0 and p1 make X the graded factorization
+    P0 -> P1 -> P0(D) of degree-0 maps (Orlov, math/0503632, §3), D the
+    degree of W.  A degree-d map X -> Y has f0 entries of degree
+    d + g_X - g_Y and f1 entries of degree d + (g_X - a_X) - (g_Y - a_Y),
+    so it is a degree-0 map X -> Y(d): Hom(X, Y)_d = Hom(X, Y(d)) in the
+    graded homotopy category.  Its suspension Σ takes X to
+    P1 -> P0(D) -> P1(D), with Σ² = (D).  The package's shift has m0 with
+    generator degrees g1 = (g1 - a) + a and split degree D - a, so its
+    modules are P1(-a) and P0(D)(-a): X[1] = ΣX(-a_X).
+
+    Serre duality.  X -> coker(p1) is an equivalence onto the stable
+    category of graded maximal Cohen-Macaulay modules over A = R/(W)
+    (Buchweitz; Orlov, §3), in which Σ is the cosyzygy.  A is Gorenstein of
+    dimension n - 1, n = nvars, with canonical module A(-g), g = Σ w_i - D
+    its Gorenstein parameter, and has an isolated singularity, so graded
+    Auslander-Reiten duality (Yoshino 1990) gives the Serre functor
+    S = τΣ with τ = Σ^(n - 3)(-g): S = Σ^(n - 2)(-g) = Σ^n(-Σ w_i), by
+    Σ² = (D).  Hence Hom(X, Y(k)) is dual to Hom(Y(k), SX) =
+    Hom(Y, Σ^n X(-Σ w_i - k)).
+
+    The bookkeeping.  Y[p](d) = Σ^p Y(d - p a_Y), so Hom(X, Y[p])_d is dual
+    to Hom(Y, Σ^(n - p) X(-Σ w_i - d + p a_Y)).  Take q = n + p mod 2; then
+    n - p - q is even and Σ^(n - p) X = Σ^q X((n - p - q) D / 2) =
+    X[q](q a_X + (n - p - q) D / 2).  So the dual space is
+    Hom(Y, X[q])_{c - d} with
+
+        c = q a_X + p a_Y + (n - p - q) D / 2 - Σ w_i.
+    """
+    q = (nvars + p) % 2
+    return q, q * a_source + p * a_target + (nvars - p - q) // 2 * degree - sum(weights)

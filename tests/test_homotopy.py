@@ -675,6 +675,29 @@ def test_ungraded_homotopy_equivalence_with_brick_summand():
     assert is_homotopy_equivalence(zero, bound=2) is None
 
 
+def test_graded_serre_duality_on_every_suite_pair():
+    # dim Hom(X, Y[p])_d = dim Hom(Y, X[q])_{c - d}, with q and c from the
+    # Gorenstein parameter and the split degrees alone (oracles.serre_dual),
+    # at both parities of every same-potential pair of the suite
+    suite = suites.full_suite()
+    pairs = 0
+    for la, x in suite:
+        for lb, y in suite:
+            if x.W != y.W:
+                continue
+            pairs += 1
+            for p in (0, 1):
+                q, c = orc.serre_dual(x.weights.weights, x.weights.degree, x.W.nvars,
+                                      x.split_degree, y.split_degree, p)
+                lhs = hom_space(x, y, shift=p, want_reps=False)
+                rhs = hom_space(y, x, shift=q, want_reps=False)
+                assert lhs.certified and rhs.certified
+                dual = {c - d: h for d, h in rhs.dims_by_degree().items() if h}
+                got = {d: h for d, h in lhs.dims_by_degree().items() if h}
+                assert got == dual, (la, lb, p)
+    assert pairs == 57
+
+
 def test_representatives_are_independent_chain_maps():
     # per degree, the boundaries and the representatives together span a
     # space of dimension B + H, by dense elimination

@@ -5,7 +5,10 @@ module docstring of mfcat.homotopy.  The dense oracle computes the shifted
 hom tables from its own description of Y[1], with no library solver code.
 """
 
+import gc
+import itertools
 import random
+import types
 
 import pytest
 
@@ -18,7 +21,7 @@ from mfcat import (
     random_chain_map,
     stable_hom,
 )
-from mfcat.equivariant import isotypic_decompose
+from mfcat.equivariant import _orbit_split, _twist_orbit, isotypic_decompose
 from mfcat.homotopy import (
     _KEPT_DEGREES,
     _RANK_TABLES,
@@ -125,8 +128,8 @@ def test_both_shifts_and_every_twist_read_one_entry(monkeypatch):
 
 
 def test_warm_reads_at_both_shifts_construct_no_problem(monkeypatch):
-    # a pair's entry is its HomProblem: a warm read at either shift without
-    # representatives, and at shift 0 with them, reads it and builds none
+    # a warm read at either shift without representatives, and at shift 0
+    # with them, reads the pair's kept entry and builds no HomProblem
     objs = suites.an_objects(5)
     a, b = objs[2], objs[3]
     _rank_table.cache_clear()
@@ -143,6 +146,76 @@ def test_warm_reads_at_both_shifts_construct_no_problem(monkeypatch):
     assert hom_space(a, b) == want[1]
     assert made == []
     assert any(p.representatives for p in want[1].per_degree)
+
+
+def reachable(root):
+    """Every object reachable from root through gc.get_referents, without
+    entering classes, modules or callables, which lead to the globals."""
+    seen, todo = {id(root)}, [root]
+    while todo:
+        for ref in gc.get_referents(todo.pop()):
+            if id(ref) in seen or isinstance(ref, (type, types.ModuleType)) or callable(ref):
+                continue
+            seen.add(id(ref))
+            todo.append(ref)
+            yield ref
+
+
+def test_a_cold_read_computes_one_window_per_pair(monkeypatch):
+    # a pair's default window is computed once, by its entry: a cold read
+    # at shift 1 assembles its blocks with no second kept problem, and no
+    # entry or piece holds a stencil after reads at both shifts
+    act = suites.an_action(4)
+    s0, s1 = enumerate_structures(suites.an_objects(4)[1], act)[:2]
+    x, y = s0.factorization, s1.factorization
+    calls = []
+    window = homotopy.default_window
+
+    def counted(source, target):
+        calls.append((source, target))
+        return window(source, target)
+
+    monkeypatch.setattr(homotopy, "default_window", counted)
+    for shift in (0, 1):
+        for want_reps in (False, True):
+            _rank_table.cache_clear()
+            hom_space(x, y, shift=shift, want_reps=want_reps)
+            assert len(calls) == 1, (shift, want_reps)
+            del calls[:]
+    _orbit_split.cache_clear()
+    for shift in (0, 1):
+        for want_reps in (False, True):
+            hom_space(x, y, shift=shift, want_reps=want_reps)
+    isotypic_decompose(s0, s1)
+    random_chain_map(x, y, 0)
+    entry = _rank_table(homotopy._untwisted(x), homotopy._untwisted(y))
+    split, _ = _twist_orbit(s0, s1)
+    assert split.prob is entry and len(split) == len(act.characters())
+    assert len(entry.tables) == 4 and entry.bases
+    for kept in [entry, *split.values()]:
+        assert not any(isinstance(ref, homotopy._Stencils) for ref in reachable(kept))
+
+
+def test_a_grade_the_differential_leaves_is_refused():
+    # graded by slot kind, an odd piece holds no even unknowns, so its
+    # first block with unknowns has boundaries outside the piece
+    mf = suites.an_objects(4)[1]
+    key = homotopy._untwisted(mf)
+    _rank_table.cache_clear()
+    split = _rank_table(key, key).pieces(lambda slot, e: slot[0])
+    pair = homotopy.HomProblem(mf, mf)
+
+    def has_boundaries(d, kind):
+        blk = pair.degree_block(d)
+        return any(v for u, v in zip(blk.odd_uids, blk.dvecs) if u[0] == kind)
+
+    for kind in ("t0", "t1"):
+        piece = split[kind]
+        lo = piece.window[0]
+        first = next(d for d in itertools.count(lo) if has_boundaries(d, kind))
+        piece.rows(lo, first - 1, 0, False)
+        with pytest.raises(MfcatError, match="boundary leaves its piece"):
+            piece.rows(lo, first, 0, False)
 
 
 def test_warm_default_reads_make_no_reading(monkeypatch):
