@@ -58,7 +58,12 @@ from itertools import product
 
 from .action import GroupAction, char_add, char_sub, normalize_char
 from .errors import MfcatError, UsageError
-from .factorization import Homotopy, MatrixFactorization, MfMorphism
+from .factorization import (
+    Homotopy,
+    MatrixFactorization,
+    MfMorphism,
+    _generator_components,
+)
 from .homotopy import (
     _PARITY,
     _hom_space,
@@ -73,8 +78,8 @@ from .homotopy import (
 # twisting; one pass of equivariant-isotypic fills 55.
 _ORBIT_CACHE = 128
 
-# Twisted structures kept by _twisted, one per structure, field object and
-# character; one set-up of equivariant-isotypic makes 350.
+# Twisted structures kept by _twisted, one per structure and character; one
+# set-up of equivariant-isotypic makes 350.
 _TWISTS = 1024
 
 
@@ -136,7 +141,7 @@ class EquivariantStructure:
         with the same structure and character returns one shared object
         (``_twisted``)."""
         char = normalize_char(char, self.action.orders)
-        return _twisted(self, char, id(self.factorization.field))
+        return _twisted(self, char)
 
     @cached_property
     def _orbit_key(self):
@@ -158,38 +163,6 @@ class EquivariantStructure:
         return self.factorization.strip_chars()
 
 
-def _difference_components(nodes, edges, m):
-    """Solve value(v) - value(u) = d (mod m) constraints.
-
-    Returns {root: [(node, offset)]} or None when inconsistent.
-    """
-    parent = {v: v for v in nodes}
-    offset = {v: 0 for v in nodes}
-
-    def find(v):
-        if parent[v] == v:
-            return v, 0
-        root, above = find(parent[v])
-        parent[v] = root
-        offset[v] = (offset[v] + above) % m
-        return root, offset[v]
-
-    for u, v, d in edges:
-        ru, ou = find(u)
-        rv, ov = find(v)
-        if ru == rv:
-            if (ov - ou - d) % m != 0:
-                return None
-        else:
-            parent[rv] = ru
-            offset[rv] = (ou + d - ov) % m
-    comp = {}
-    for v in nodes:
-        root, off = find(v)
-        comp.setdefault(root, []).append((v, off))
-    return comp
-
-
 def enumerate_structures(mf, action):
     """All equivariant structures on mf, in a deterministic order.
 
@@ -200,25 +173,15 @@ def enumerate_structures(mf, action):
         raise UsageError("action and factorization have different variable counts")
     if not action.is_invariant(mf.W):
         return ()
-    nodes = [("g0", j) for j in range(mf.m0.rank)]
-    nodes += [("g1", i) for i in range(mf.m1.rank)]
-    if not nodes:
-        return (
-            EquivariantStructure(mf.with_chars((), ()), action, validate=False),
-        )
     per_factor = []
     for f in range(action.nfactors):
         m = action.orders[f]
-        edges = []
-        for mat, src, tgt in ((mf.p0, "g0", "g1"), (mf.p1, "g1", "g0")):
-            for i, row in enumerate(mat.entries):
-                for j, g in enumerate(row):
-                    vals = {action.char_of_monomial(e)[f] for e in g.terms}
-                    if len(vals) > 1:
-                        return ()
-                    if vals:
-                        edges.append(((src, j), (tgt, i), vals.pop()))
-        comp = _difference_components(nodes, edges, m)
+
+        def label(g, k):
+            vals = {action.char_of_monomial(e)[f] for e in g.terms}
+            return vals.pop() if len(vals) == 1 else None
+
+        comp = _generator_components(mf.p0, mf.p1, label, m)
         if comp is None:
             return ()
         roots = sorted(comp, key=lambda r: min(comp[r]))
@@ -342,12 +305,8 @@ def _check_pair(phi, e_src, e_tgt):
 
 
 @lru_cache(maxsize=_TWISTS)
-def _twisted(st, char, field_id):
-    """The twist of st by the normalized character char.  field_id is
-    id() of st's field: equal ``PrimeField``s made apart compare equal,
-    and a factorization checks its field by identity, so each gets a
-    twist of its own; the kept twist holds its field, so the id is not
-    reused while the entry lives."""
+def _twisted(st, char):
+    """The twist of st by the normalized character char."""
     orders = st.action.orders
     mf = st.factorization.with_chars(
         tuple(char_add(c, char, orders) for c in st.chars0),

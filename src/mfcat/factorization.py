@@ -624,6 +624,54 @@ def _join_chars(ca, cb):
     return ca + cb
 
 
+def _generator_components(p0, p1, label, m=None):
+    """Solve the difference constraints that the nonzero entries of p0 and
+    p1 put on the generators ("g0", j) of P0 and ("g1", i) of P1, by
+    weighted union-find over the integers, or mod m when m is given.  An
+    entry f of p_k in row i and column j, read in p0 and then p1 row by
+    row, says value(v) - value(u) = label(f, k), u the generator of
+    column j and v that of row i.
+
+    Returns {root: [(node, offset from root)]}, P0's nodes first, or None
+    when label gives None or the constraints conflict.
+    """
+    nodes = [("g0", j) for j in range(p0.ncols)]
+    nodes += [("g1", i) for i in range(p0.nrows)]
+    parent = {v: v for v in nodes}
+    offset = dict.fromkeys(nodes, 0)
+
+    def reduce(x):
+        return x if m is None else x % m
+
+    def find(v):
+        if parent[v] == v:
+            return v, 0
+        root, above = find(parent[v])
+        parent[v] = root
+        offset[v] = reduce(offset[v] + above)
+        return root, offset[v]
+
+    for k, (mat, src, tgt) in enumerate(((p0, "g0", "g1"), (p1, "g1", "g0"))):
+        for i, row in enumerate(mat.entries):
+            for j, f in enumerate(row):
+                if not f.terms:
+                    continue
+                d = label(f, k)
+                if d is None:
+                    return None
+                (ru, ou), (rv, ov) = find((src, j)), find((tgt, i))
+                if ru != rv:
+                    parent[rv] = ru
+                    offset[rv] = reduce(ou + d - ov)
+                elif reduce(ov - ou - d):
+                    return None
+    comp = {}
+    for v in nodes:
+        root, off = find(v)
+        comp.setdefault(root, []).append((v, off))
+    return comp
+
+
 @dataclass(frozen=True)
 class Cone:
     """Mapping cone of a morphism, with its triangle structure maps.

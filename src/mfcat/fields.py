@@ -17,6 +17,7 @@ for a hom-space block, or else the exact fallback on (num, den) pairs.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 
 from .errors import UsageError
@@ -152,6 +153,10 @@ class RationalField:
     def format(self, c) -> str:
         return str(c)
 
+    def __reduce__(self):
+        # a pickle comes back as the one rational field, as for PrimeField
+        return "QQ"
+
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -167,6 +172,10 @@ class RationalField:
 # alone reach only 3.2 * 10^23).  PrimeField accepts no larger p.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
+
+
+# The live PrimeField of each prime, dropped with its last reference.
+_PRIME_FIELDS = weakref.WeakValueDictionary()
 
 
 def _is_prime(n: int) -> bool:
@@ -194,20 +203,32 @@ def _is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """F_p for an odd prime p.  Primality is checked at construction, by a
+    """F_p for an odd prime p.  There is one live object per p
+    (``_PRIME_FIELDS``): ``PrimeField(p)`` returns it while it lives, and a
+    pickle comes back as it, so two fields are equal exactly when they are
+    the same object.  Primality is checked when the object is made, by a
     deterministic Miller-Rabin test, so p must lie below 3.3 * 10^24."""
 
     rational = False
 
-    def __init__(self, p: int):
+    def __new__(cls, p: int):
+        field = _PRIME_FIELDS.get(p)
+        if field is not None:
+            return field
         if p >= _MR_LIMIT:
             raise UsageError(f"prime fields need p < {_MR_LIMIT}; got {p}")
         if p == 2:
             raise UsageError("prime fields need an odd prime; got 2")
         if not _is_prime(p):
             raise UsageError(f"{p} is not prime")
-        self.p = p
-        self.name = f"p:{p}"
+        field = super().__new__(cls)
+        field.p = p
+        field.name = f"p:{p}"
+        _PRIME_FIELDS[p] = field
+        return field
+
+    def __reduce__(self):
+        return PrimeField, (self.p,)
 
     def coerce(self, x):
         if isinstance(x, FpElement):

@@ -22,10 +22,13 @@ Every sparse system of the package is built by one assembler: ``_unknowns``
 lists the unknowns slot by slot, a stencil per slot says where a monomial
 in it goes, and ``_equations`` and ``_images`` turn the two into sparse
 rows and columns, solved by ``_solve`` or eliminated by ``linalg``.  Its
-users are the hom-complex blocks, the null-homotopy and equivalence
-systems, the Jacobian test here, and the module-map lifts and
-two-periodicity pieces of ``singcat``.  A hom-complex block is assembled
-for its degree's answer and not kept; its ranks are.
+users are the hom-complex blocks, the null-homotopy systems, the Jacobian
+test here, and the module-map lifts and two-periodicity pieces of
+``singcat``.  A hom-complex block is assembled for its degree's answer
+and not kept; its ranks are.  A homotopy equivalence has no system of its
+own: phi is one exactly when its cone is contractible, and the inverse
+and both homotopies are blocks of one null-homotopy of the cone's
+identity (``homotopy_equivalence_data``).
 
 Every degree of a hom complex is answered by one reader, ``_Reading``,
 from the ranks a ``_KeptComplex`` keeps.  There is one kind of kept
@@ -80,7 +83,7 @@ built.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from operator import add
 
@@ -91,8 +94,9 @@ from .factorization import (
     Homotopy,
     MatrixFactorization,
     MfMorphism,
+    cone,
 )
-from .matrices import PolyMatrix
+from .matrices import PolyMatrix, unstack
 from .poly import (
     Polynomial,
     monomials_of_weighted_degree,
@@ -1009,87 +1013,58 @@ class HomotopyEquivalence:
 def homotopy_equivalence_data(phi, bound=None):
     """Homotopy inverse with both correcting homotopies, or None.
 
-    One joint linear system in the inverse and the two homotopies; in the
-    graded case its solvability is decided exactly.
+    phi: s -> t is an equivalence exactly when its cone C is contractible,
+    that is when id_C is null-homotopic, and all three are read off one
+    null-homotopy H of id_C (``solve_null_homotopy``), so in the graded
+    case the answer is decided exactly.  With p and q the structure maps
+    of s and t and f those of phi, C0 = t0 + s1 and C1 = t1 + s0, with
+    c0 = [[q0, f1], [0, -p1]] and c1 = [[q1, f0], [0, -p0]].  In blocks
+    (rows, columns),
+
+        H0 = [[A, B], [P0, E]]: C0 -> C1,  H1 = [[K, L], [P1, M]]: C1 -> C0,
+
+    and dH = id_C, that is H1 c0 + c1 H0 = id on C0 and c0 H1 + H0 c1 = id
+    on C1, reads block by block
+
+        (t0, t0)  K q0 + q1 A = id - f0 P0
+        (t1, t1)  q0 K + A q1 = id - f1 P1
+        (s1, t0)  P1 q0 = p0 P0
+        (s0, t1)  P0 q1 = p1 P1
+        (s0, s0)  (-E) p0 + p1 (-M) = id - P0 f0
+        (s1, s1)  p0 (-E) + (-M) p1 = id - P1 f1
+        (t0, s1)  K f1 - L p1 + q1 B + f0 E = 0
+        (t1, s0)  q0 L + f1 M + A f0 - B p0 = 0
+
+    So psi = (P0, P1) is a chain map t -> s of degree -phi.degree, (A, K)
+    bounds id_t - phi psi and (-M, -E) bounds id_s - psi phi; B and L, the
+    coherence between the two homotopies, are dropped.  The check that
+    ``solve_null_homotopy`` runs on H certifies all eight equations at
+    once.  Without a grading the bound applies to every block of H.
     """
     s, t = phi.source, phi.target
-    if _graded(s, t):
-        def support(src, tgt, degree):
-            return _graded_support(s.weights, _slot_offsets(src, tgt), degree)
-
-    else:
-        if bound is None:
-            raise UsageError(
-                "equivalence check without a grading needs an explicit bound"
-            )
-        monos = monomials_up_to_total_degree(s.nvars, bound)
-
-        def support(src, tgt, degree):
-            return lambda slot: monos
-
-    coords = _equivalence_system(phi, support)
-    if coords is None:
+    graded = _graded(s, t)
+    if not graded and bound is None:
+        raise UsageError(
+            "equivalence check without a grading needs an explicit bound"
+        )
+    c = cone(phi).factorization
+    if not graded:
+        c = replace(c, weights=None, validate=False)
+    h, _ = solve_null_homotopy(MfMorphism.identity(c), bound)
+    if h is None:
         return None
-    psi_f0, psi_f1 = _slot_matrices(t, s, EVEN, coords["a"])
-    psi = MfMorphism(
-        source=t, target=s, f0=psi_f0, f1=psi_f1,
-        degree=-phi.degree, validate=False,
-    )
-    hs = Homotopy(s, s, *_slot_matrices(s, s, ODD, coords["b"]), degree=0)
-    ht = Homotopy(t, t, *_slot_matrices(t, t, ODD, coords["c"]), degree=0)
+    (a, _), (psi0, e) = unstack(h.t0, (t.m1.rank, s.m0.rank),
+                                (t.m0.rank, s.m1.rank))
+    (k, _), (psi1, m) = unstack(h.t1, (t.m0.rank, s.m1.rank),
+                                (t.m1.rank, s.m0.rank))
+    psi = MfMorphism(t, s, psi0, psi1, degree=-phi.degree, validate=False)
+    hs = Homotopy(s, s, -m, -e, degree=0)
+    ht = Homotopy(t, t, a, k, degree=0)
     _check_boundary(hs, MfMorphism.identity(s) - psi @ phi,
                     "equivalence solver produced a wrong source homotopy")
     _check_boundary(ht, MfMorphism.identity(t) - phi @ psi,
                     "equivalence solver produced a wrong target homotopy")
     return HomotopyEquivalence(inverse=psi, source_homotopy=hs, target_homotopy=ht)
-
-
-def _equivalence_system(phi, support):
-    """Solve for an inverse psi: t -> s of phi: s -> t and homotopies on s
-    and on t with D(hs) = id - psi phi and D(ht) = id - phi psi.
-
-    Unknowns and equations carry the tag of their part: "a" for psi and
-    its chain-map equations, "b" for End(s), "c" for End(t).  Returns
-    {tag: [((kind, i, j, e), c), ...]} or None.
-    """
-    s, t = phi.source, phi.target
-    field = s.field
-    parts = (("a", t, s, EVEN, -phi.degree), ("b", s, s, ODD, 0),
-             ("c", t, t, ODD, 0))
-    uids = []
-    stencils = {}
-    for tag, src, tgt, kinds, degree in parts:
-        slots = _slots(src, tgt, kinds)
-        uids += [(tag,) + u for u in _unknowns(slots, support(src, tgt, degree))]
-        for slot in slots:
-            stencils[(tag,) + slot] = [
-                ((tag,) + head, terms)
-                for head, terms in _differential(src, tgt, *slot)
-            ]
-    # psi enters the b and c equations composed with phi
-    for kind, f in zip(EVEN, (phi.f0, phi.f1)):
-        for _, i, j in _slots(t, s, (kind,)):
-            stencils["a", kind, i, j] += [
-                (("b", kind, i, b), _terms(poly))
-                for b, poly in enumerate(f.entries[j]) if poly.terms
-            ] + [
-                (("c", kind, a, j), _terms(row[i]))
-                for a, row in enumerate(f.entries) if row[i].terms
-            ]
-    zero_e = (0,) * s.nvars
-    rhs = {
-        (tag, kind, i, i, zero_e): field.one
-        for tag, mf in (("b", s), ("c", t))
-        for kind, m in zip(EVEN, (mf.m0, mf.m1))
-        for i in range(m.rank)
-    }
-    sol = _solve(_equations(uids, stencils), rhs, len(uids), field)
-    if sol is None:
-        return None
-    coords = {"a": [], "b": [], "c": []}
-    for col, c in sol.items():
-        coords[uids[col][0]].append((uids[col][1:], c))
-    return coords
 
 
 def is_homotopy_equivalence(phi, bound=None):

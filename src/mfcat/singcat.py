@@ -22,6 +22,7 @@ from .homotopy import (
     _equations,
     _graded_support,
     _images,
+    _require_shared_grading,
     _slot_matrices,
     _slot_offsets,
     _slots,
@@ -152,6 +153,8 @@ def lift_module_map(source, target, matrix, degree=0, bound=None):
     if matrix.nrows != q.m0.rank or matrix.ncols != p.m0.rank:
         raise UsageError("generator matrix has the wrong shape")
     graded = p.weights is not None and q.weights is not None
+    if graded:
+        _require_shared_grading(p, q)
     if not graded and bound is None:
         raise UsageError("ungraded lift needs an explicit degree bound")
     if graded:

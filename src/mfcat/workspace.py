@@ -41,7 +41,11 @@ from dataclasses import dataclass, field as dc_field
 
 from .action import GroupAction
 from .errors import MfcatError, ParseError, UsageError
-from .factorization import GradedFreeModule, MatrixFactorization
+from .factorization import (
+    GradedFreeModule,
+    MatrixFactorization,
+    _generator_components,
+)
 from .fields import QQ, field_from_name
 from .matrices import PolyMatrix
 from .poly import Polynomial, WeightSystem, detect_weights, format_poly, parse_poly
@@ -246,60 +250,26 @@ def _parse_char(token, line):
 def infer_generator_degrees(p0, p1, weights):
     """Generator degrees determined by homogeneous matrices, or None.
 
-    Works on the constraint graph linking generators through nonzero
-    entries; the split-degree ambiguity cancels between p0 and p1, and
-    each connected component is shifted so its least degree is zero.
-    Returns (deg0, deg1) or None when an entry is inhomogeneous or the
-    constraints conflict.
+    Solves the constraints that nonzero entries put on generators
+    (``factorization._generator_components``); the split-degree ambiguity
+    cancels between p0 and p1, and each connected component is shifted so
+    its least degree is zero.  Returns (deg0, deg1) or None when an entry
+    is inhomogeneous or the constraints conflict.
     """
     dd = weights.degree
-    edges = []
-    for i in range(p0.nrows):
-        for j in range(p0.ncols):
-            f = p0.entries[i][j]
-            if f.is_zero():
-                continue
-            d = f.homogeneous_weighted_degree(weights)
-            if d is None:
-                return None
-            # value("g1", i) = value("g0", j) - d
-            edges.append((("g0", j), ("g1", i), -d))
-    for i in range(p1.nrows):
-        for j in range(p1.ncols):
-            f = p1.entries[i][j]
-            if f.is_zero():
-                continue
-            d = f.homogeneous_weighted_degree(weights)
-            if d is None:
-                return None
-            edges.append((("g1", j), ("g0", i), dd - d))
-    nodes = [("g0", j) for j in range(p0.ncols)]
-    nodes += [("g1", i) for i in range(p0.nrows)]
-    adj = {v: [] for v in nodes}
-    for u, v, d in edges:
-        adj[u].append((v, d))
-        adj[v].append((u, -d))
+
+    def label(f, k):
+        # an entry of degree d: -d from column to row in p0, D - d in p1
+        d = f.homogeneous_weighted_degree(weights)
+        return None if d is None else k * dd - d
+
+    comp = _generator_components(p0, p1, label)
+    if comp is None:
+        return None
     value = {}
-    for start in nodes:
-        if start in value:
-            continue
-        comp = [start]
-        value[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v, d in adj[u]:
-                want = value[u] + d
-                if v in value:
-                    if value[v] != want:
-                        return None
-                else:
-                    value[v] = want
-                    comp.append(v)
-                    queue.append(v)
-        base = min(value[v] for v in comp)
-        for v in comp:
-            value[v] -= base
+    for members in comp.values():
+        base = min(off for _, off in members)
+        value.update((v, off - base) for v, off in members)
     deg0 = tuple(value[("g0", j)] for j in range(p0.ncols))
     deg1 = tuple(value[("g1", i)] for i in range(p0.nrows))
     return deg0, deg1

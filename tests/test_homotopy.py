@@ -675,6 +675,65 @@ def test_ungraded_homotopy_equivalence_with_brick_summand():
     assert is_homotopy_equivalence(zero, bound=2) is None
 
 
+def test_an_equivalence_across_weight_systems_is_searched_without_grading():
+    # (x | x) under weights (1; 2), under (2; 4) and without weights all
+    # factor x^2; the identity matrices between two of them are an
+    # equivalence, found by the bounded search.  The cone carries the
+    # source's weights, which do not grade a target of other weights
+    x = parse_poly("x1", 1)
+    objs = [elementary_factorization(x, x, ws)
+            for ws in (WeightSystem((1,), 2), WeightSystem((2,), 4), None)]
+    one = PolyMatrix.identity(1, 1, QQ)
+    for s in objs:
+        for t in objs:
+            if s.weights == t.weights:
+                continue
+            phi = MfMorphism(s, t, one, one, validate=False)
+            assert homotopy_equivalence_data(phi, bound=0) is not None
+            assert is_homotopy_equivalence(phi, bound=0) is True
+
+
+def test_equivalences_agree_with_contractible_cones():
+    # phi is an equivalence exactly when its cone C is zero in the homotopy
+    # category, that is when End(C) = 0; hom_space reads End(C) from ranks
+    # of the hom complex, apart from the null-homotopy solver that decides
+    # is_homotopy_equivalence.  The Fermat cubic's cones are left out for
+    # time
+    groups = [list(suites.an_objects(n).values()) for n in range(2, 7)]
+    groups.append([suites.quadric()])
+    answers = []
+    for objs in groups:
+        for s in objs:
+            for t in objs:
+                maps = [random_chain_map(s, t), MfMorphism.zero(s, t)]
+                if s is t:
+                    maps.append(MfMorphism.identity(s))
+                for phi in maps:
+                    c = cone(phi).factorization
+                    end = hom_space(c, c, want_reps=False)
+                    assert end.certified
+                    answers.append(is_homotopy_equivalence(phi))
+                    assert answers[-1] == (end.total == 0)
+    assert len(answers) == 128 and True in answers and False in answers
+
+
+def test_a_degree_twist_is_an_equivalence_with_an_inverse_of_opposite_degree():
+    # the identity matrices X -> X(c) form a chain map of degree c; its
+    # inverse, read off the cone's contraction, must validate in degree -c
+    for label, x in suites.full_suite():
+        nv, fld = x.nvars, x.field
+        for c in (-2, 3):
+            phi = MfMorphism(x, x.degree_twist(c),
+                             PolyMatrix.identity(x.m0.rank, nv, fld),
+                             PolyMatrix.identity(x.m1.rank, nv, fld), degree=c)
+            data = homotopy_equivalence_data(phi)
+            assert data is not None, (label, c)
+            psi = data.inverse
+            assert psi.degree == -c
+            MfMorphism(psi.source, psi.target, psi.f0, psi.f1, psi.degree,
+                       validate=True)
+
+
 def test_graded_serre_duality_on_every_suite_pair():
     # dim Hom(X, Y[p])_d = dim Hom(Y, X[q])_{c - d}, with q and c from the
     # Gorenstein parameter and the split degrees alone (oracles.serre_dual),

@@ -257,6 +257,16 @@ def test_field_from_name():
         field_from_name("r")
 
 
+def test_one_field_object_per_prime():
+    # equal fields are one object, so caches keyed by a field hand every
+    # caller matrices and twists over the caller's own field object
+    f7 = PrimeField(7)
+    assert PrimeField(7) is f7 and field_from_name("p:7") is f7
+    assert PrimeField(11) is not f7
+    assert pickle.loads(pickle.dumps(f7)) is f7
+    assert pickle.loads(pickle.dumps(QQ)) is QQ
+
+
 def test_prime_field_primality_is_fast_and_strict():
     # Miller-Rabin: a 61-bit Mersenne prime is accepted at once
     start = time.perf_counter()

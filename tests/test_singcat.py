@@ -113,6 +113,20 @@ def test_lift_without_grading_needs_bound():
     assert not definitive or lift is not None
 
 
+def test_a_lift_between_different_weight_systems_is_refused():
+    # p = (x | x) with weights (1; 2) and q = (x | x) with weights (2; 4)
+    # factor the same x^2, and X = 1 lifts the identity module map; a graded
+    # search in p's degrees alone would certify that no lift exists
+    x = parse_poly("x1", 1)
+    p = elementary_factorization(x, x, WeightSystem((1,), 2))
+    q = elementary_factorization(x, x, WeightSystem((2,), 4))
+    assert p.W == q.W and p.weights != q.weights
+    one = PolyMatrix.from_rows([[parse_poly("1", 1)]], 1, p.W.field)
+    with pytest.raises(GradingError,
+                       match="graded computations need a shared weight system"):
+        lift_module_map(cok(p), cok(q), one)
+
+
 def test_two_periodicity_report():
     f1, _, _, _ = a2_modules()
     tp = two_periodicity_check(f1)

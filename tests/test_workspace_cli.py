@@ -8,11 +8,13 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import suites
 from mfcat import Workspace, parse_workspace
 from mfcat.cli import main
 from mfcat.demos import DEMO_NAMES, run_demo
 from mfcat.errors import ParseError, UsageError
 from mfcat.fields import PrimeField
+from mfcat.workspace import infer_generator_degrees
 
 BASIC = """
 # a quadric with its sign action
@@ -111,6 +113,35 @@ def test_parse_rejects_wrong_weights():
     bad = BASIC.replace("action 2 : 1 1", "weights 1 2 degree 2")
     with pytest.raises(ParseError):
         parse_workspace(bad)
+
+
+def test_inferred_generator_degrees_are_the_declared_ones():
+    # entry degrees fix generator degrees up to one constant per component
+    # and the split degree a, which inference sets to 0: deg1 comes back
+    # lowered by a, and the whole moved so that its least degree is 0
+    for label, mf in suites.full_suite():
+        for x in (mf, mf.shift()):
+            a = x.split_degree
+            deg0, deg1 = x.m0.degrees, tuple(g - a for g in x.m1.degrees)
+            low = min(deg0 + deg1)
+            want = (tuple(g - low for g in deg0), tuple(g - low for g in deg1))
+            assert infer_generator_degrees(x.p0, x.p1, x.weights) == want, label
+
+
+def test_conflicting_entries_leave_generator_degrees_uninferred():
+    # x1 and x2 in row 0 give both P0 generators one degree; x2 and x1^2
+    # in row 1 then ask their degrees to differ by one
+    text = """
+ring 2 over q
+potential x1^2 + x2^2
+weights 1 1 degree 2
+mf bad
+  p0 [x1, x2; x2, x1^2]
+  p1 [x1, x2; x2, x1]
+end
+"""
+    with pytest.raises(ParseError, match="cannot infer generator degrees for 'bad'"):
+        parse_workspace(text)
 
 
 def test_unknown_name():
