@@ -18,12 +18,27 @@ automatically.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, fields
 from functools import cached_property
 
 from .errors import GradingError, MfcatError, UsageError
 from .matrices import PolyMatrix, hstack, products_equal, sum_of_products, vstack
 from .poly import Polynomial, WeightSystem
+
+
+def _kept_hash(obj):
+    """The hash of obj's dataclass fields, computed on the first call and
+    kept as its attribute _hash.  Not a cached_property, as PolyMatrix
+    has: that writes the instance dict directly, and on CPython 3.11 every
+    later attribute read of such an object then takes a slower path (twice
+    as long for a field read), a cost that factorizations and modules,
+    read far more often than hashed, would pay."""
+    try:
+        return obj._hash
+    except AttributeError:
+        h = hash(tuple(getattr(obj, f.name) for f in fields(obj)))
+        object.__setattr__(obj, "_hash", h)
+        return h
 
 
 @dataclass(frozen=True)
@@ -43,6 +58,12 @@ class GradedFreeModule:
             if len(chars) != self.rank:
                 raise UsageError("need one character per generator")
             object.__setattr__(self, "chars", chars)
+
+    __hash__ = _kept_hash
+
+    def __reduce__(self):
+        # as for PolyMatrix: a pickle must not carry the kept hash
+        return GradedFreeModule, (self.rank, self.degrees, self.chars)
 
     def twist(self, c):
         return GradedFreeModule(self.rank, tuple(d + c for d in self.degrees), self.chars)
@@ -97,6 +118,14 @@ class MatrixFactorization:
                 raise MfcatError(
                     "invalid matrix factorization: " + "; ".join(report["problems"])
                 )
+
+    __hash__ = _kept_hash
+
+    def __reduce__(self):
+        # as for PolyMatrix: a pickle carries neither the kept hash nor
+        # the kept split degree and shift; the copy is not validated again
+        return MatrixFactorization, (
+            self.W, self.weights, self.m0, self.m1, self.p0, self.p1, False)
 
     @property
     def nvars(self):
@@ -687,8 +716,9 @@ class Cone:
     splitting_homotopy: Homotopy
 
 
-def cone(phi):
-    """Mapping cone of phi: P -> Q with the triangle data attached."""
+def cone_factorization(phi):
+    """The factorization of the mapping cone of phi: P -> Q, with none of
+    the triangle data ``cone`` attaches."""
     s, t = phi.source, phi.target
     nvars, field = s.nvars, s.field
     d = phi.degree
@@ -711,9 +741,18 @@ def cone(phi):
     c0 = vstack([hstack([t.p0, phi.f1]), hstack([z_low0, -s.p1])])
     z_low1 = PolyMatrix.zero(s.m1.rank, t.m1.rank, nvars, field)
     c1 = vstack([hstack([t.p1, phi.f0]), hstack([z_low1, -s.p0])])
-    c = MatrixFactorization(
+    return MatrixFactorization(
         W=s.W, weights=s.weights, m0=c_m0, m1=c_m1, p0=c0, p1=c1, validate=False
     )
+
+
+def cone(phi):
+    """Mapping cone of phi: P -> Q with the triangle data attached."""
+    s, t = phi.source, phi.target
+    nvars, field = s.nvars, s.field
+    d = phi.degree
+    a_s = s.split_degree
+    c = cone_factorization(phi)
     inc = MfMorphism(
         source=t,
         target=c,

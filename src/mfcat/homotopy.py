@@ -7,16 +7,23 @@ degree-d hom space, existence of a null-homotopy, existence of a homotopy
 inverse) becomes a finite linear system over the coefficient field.
 
 Certification policy: an answer is marked certified only when the claim
-rests on an exhaustively enumerated degree set.  A found witness is always
-definitive, once its boundary is checked to equal the map.  Nonexistence
-is definitive in the graded case, where entry degrees are forced.  There a
-null-homotopy query takes two steps: one attempt by the kept solver of
-the map's declared degree, before the map is split by degree, whose
-witness is returned only once checked; then one exact path, each degree's
-system freshly assembled and solved exactly, once.  A "no" comes only from
-that exact path.  Totals over a degree window are certified only for a
-quasi-homogeneous potential with isolated critical point and a window
-containing the default one; everything else is reported window-truncated.
+rests on an exhaustively enumerated degree set or on an exact rank.  A
+found witness is always definitive, once its boundary is checked to equal
+the map.  Nonexistence is definitive in the graded case, where entry
+degrees are forced.  There a null-homotopy query takes two steps: one
+attempt by the kept solver of the map's declared degree, before the map
+is split by degree, whose witness is returned only once checked; then one
+exact path, each degree's system freshly assembled and solved exactly,
+once.  A "no" comes only from that exact path.  Graded contractibility
+and equivalence are yes/no questions with no witness asked for, and one
+exact rank answers both, with no null-homotopy solved: X is contractible
+iff rank p0(0) + rank p1(0) = rank m0, the ranks of its constant terms
+(graded Nakayama, ``_nakayama``), and phi is an equivalence iff its cone
+is contractible.  Witnesses still come from ``find_homotopy`` and
+``homotopy_equivalence_data``.  Totals over a degree window are
+certified only for a quasi-homogeneous potential with isolated critical
+point and a window containing the default one; everything else is
+reported window-truncated.
 
 Every sparse system of the package is built by one assembler: ``_unknowns``
 lists the unknowns slot by slot, a stencil per slot says where a monomial
@@ -26,9 +33,9 @@ users are the hom-complex blocks, the null-homotopy systems, the Jacobian
 test here, and the module-map lifts and two-periodicity pieces of
 ``singcat``.  A hom-complex block is assembled for its degree's answer
 and not kept; its ranks are.  A homotopy equivalence has no system of its
-own: phi is one exactly when its cone is contractible, and the inverse
-and both homotopies are blocks of one null-homotopy of the cone's
-identity (``homotopy_equivalence_data``).
+own: its inverse and both homotopies are blocks of one null-homotopy of
+the identity of its cone (``homotopy_equivalence_data``), and whether a
+graded phi is one at all is read off the cone's constant terms.
 
 Every degree of a hom complex is answered by one reader, ``_Reading``,
 from the ranks a ``_KeptComplex`` keeps.  There is one kind of kept
@@ -94,7 +101,7 @@ from .factorization import (
     Homotopy,
     MatrixFactorization,
     MfMorphism,
-    cone,
+    cone_factorization,
 )
 from .matrices import PolyMatrix, unstack
 from .poly import (
@@ -981,7 +988,46 @@ def is_null_homotopic(phi, bound=None):
 
 
 def is_contractible(mf, bound=None):
+    """True, False (certified), or None (window-truncated unknown).
+
+    Graded, it is decided by the constant terms alone (``_nakayama``);
+    without a grading, by a null-homotopy of the identity searched within
+    the bound."""
+    if mf.weights is not None:
+        return _nakayama(mf)
     return is_null_homotopic(MfMorphism.identity(mf), bound)
+
+
+def _nakayama(mf):
+    """Whether the graded factorization mf is contractible: exactly when
+    rank p0(0) + rank p1(0) = rank m0, with p(0) the matrix of constant
+    terms.  The ranks are exact (``linalg.rank``), so True and False are
+    both certified, and no null-homotopy is solved.  With positive
+    weights, in three steps (Eisenbud, Trans. AMS 260, 1980, section 6):
+
+    1. An entry of weighted degree 0 is a constant, and a nonzero constant
+       is a unit.  A graded isomorphism g has det g(0) != 0, so the ranks
+       of p0(0) and p1(0) do not change under it.
+    2. A unit entry of p0 or p1 splits off, by graded row and column
+       operations, a brick (c | W/c) or its shift; repeated until no
+       constant is left, X = X_red + bricks, with every entry of X_red in
+       the maximal ideal m.  W/c lies in m, so each brick adds exactly
+       one to rank p0(0) + rank p1(0), and X_red adds nothing.
+    3. A brick is contractible.  X_red != 0 is not: for any odd h, dh + hd
+       has every entry in m, and the identity does not (graded Nakayama).
+       So X is contractible iff X_red = 0, iff the bricks, one generator
+       of m0 each, fill m0.
+    """
+    return (_constant_rank(mf.p0, mf.field) + _constant_rank(mf.p1, mf.field)
+            == mf.m0.rank)
+
+
+def _constant_rank(mat, field):
+    """The exact rank of the matrix of constant terms of mat."""
+    zero = (0,) * mat.nvars
+    rows = [{j: f.terms[zero] for j, f in enumerate(row) if zero in f.terms}
+            for row in mat.entries]
+    return linalg.rank(rows, mat.ncols, field)
 
 
 def hom_complex_differential(x):
@@ -1047,7 +1093,7 @@ def homotopy_equivalence_data(phi, bound=None):
         raise UsageError(
             "equivalence check without a grading needs an explicit bound"
         )
-    c = cone(phi).factorization
+    c = cone_factorization(phi)
     if not graded:
         c = replace(c, weights=None, validate=False)
     h, _ = solve_null_homotopy(MfMorphism.identity(c), bound)
@@ -1068,11 +1114,14 @@ def homotopy_equivalence_data(phi, bound=None):
 
 
 def is_homotopy_equivalence(phi, bound=None):
-    """True, False (certified, graded case), or None (truncated)."""
-    data = homotopy_equivalence_data(phi, bound)
-    if data is not None:
-        return True
-    return False if _graded(phi.source, phi.target) else None
+    """True, False (certified, graded case), or None (truncated).
+
+    Graded, phi is an equivalence exactly when its cone is contractible,
+    decided from the cone's constant terms (``_nakayama``); without a
+    grading, by the bounded search of ``homotopy_equivalence_data``."""
+    if _graded(phi.source, phi.target):
+        return _nakayama(cone_factorization(phi))
+    return None if homotopy_equivalence_data(phi, bound) is None else True
 
 
 def random_chain_map(source, target, degree=0, rng=None):

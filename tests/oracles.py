@@ -246,6 +246,26 @@ def shift_data(t):
 
 
 # ---------------------------------------------------------------------------
+# contractibility from the constant terms
+
+
+def contractible_by_nakayama(data, p=None):
+    """Whether the graded factorization ``data`` (mf_to_data) is zero in the
+    homotopy category: exactly when the constant terms of p0 and p1 have
+    ranks adding up to the rank of P0.  With positive weights a unit entry
+    c splits off a contractible brick (c | W/c), one rank of constants
+    each, and what is left has every entry in the maximal ideal, so its
+    identity is not null-homotopic (graded Nakayama).  Ranks are dense,
+    over Q, or over F_p when p is given."""
+    zero = (0,) * data["nvars"]
+    rank = 0
+    for key in ("p0", "p1"):
+        rows = [[e.get(zero, F0) for e in row] for row in data[key]]
+        rank += dense_rank(rows) if p is None else dense_rank_mod(rows, p)
+    return rank == data["r0"]
+
+
+# ---------------------------------------------------------------------------
 # hom space dimensions, degree by degree, by dense linear algebra
 #
 # Conventions (same mathematics as the package, separate bookkeeping):

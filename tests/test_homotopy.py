@@ -36,6 +36,7 @@ from mfcat import (
 )
 from mfcat import homotopy, linalg
 from mfcat.errors import MfcatError
+from mfcat.factorization import cone_factorization
 from mfcat.homotopy import (
     HomProblem,
     _kept_systems,
@@ -693,28 +694,88 @@ def test_an_equivalence_across_weight_systems_is_searched_without_grading():
             assert is_homotopy_equivalence(phi, bound=0) is True
 
 
-def test_equivalences_agree_with_contractible_cones():
-    # phi is an equivalence exactly when its cone C is zero in the homotopy
-    # category, that is when End(C) = 0; hom_space reads End(C) from ranks
-    # of the hom complex, apart from the null-homotopy solver that decides
-    # is_homotopy_equivalence.  The Fermat cubic's cones are left out for
-    # time
-    groups = [list(suites.an_objects(n).values()) for n in range(2, 7)]
-    groups.append([suites.quadric()])
-    answers = []
+def _maps_between_suite_objects(field=QQ):
+    """A random chain map and the zero map between every two one- and
+    two-variable suite objects of one potential, and each identity: 128
+    maps.  The Fermat cubic's are left out for time."""
+    groups = [list(suites.an_objects(n, field).values()) for n in range(2, 7)]
+    groups.append([suites.quadric(field)])
+    maps = []
     for objs in groups:
         for s in objs:
             for t in objs:
-                maps = [random_chain_map(s, t), MfMorphism.zero(s, t)]
+                maps += [random_chain_map(s, t), MfMorphism.zero(s, t)]
                 if s is t:
                     maps.append(MfMorphism.identity(s))
-                for phi in maps:
-                    c = cone(phi).factorization
-                    end = hom_space(c, c, want_reps=False)
-                    assert end.certified
-                    answers.append(is_homotopy_equivalence(phi))
-                    assert answers[-1] == (end.total == 0)
+    return maps
+
+
+def test_equivalences_agree_with_contractible_cones():
+    # phi is an equivalence exactly when its cone C is zero in the homotopy
+    # category, that is when End(C) = 0; hom_space reads End(C) from ranks
+    # of the hom complex, apart from the constant-term rank that decides
+    # is_homotopy_equivalence
+    answers = []
+    for phi in _maps_between_suite_objects():
+        c = cone(phi).factorization
+        end = hom_space(c, c, want_reps=False)
+        assert end.certified
+        answers.append(is_homotopy_equivalence(phi))
+        assert answers[-1] == (end.total == 0)
     assert len(answers) == 128 and True in answers and False in answers
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_contractibility_agrees_with_nakayama_and_the_witness_search(p):
+    # three routes to "X is zero in the homotopy category": the library's
+    # constant-term rank, the oracle's dense one, and a null-homotopy of the
+    # identity, found or certified absent by the witness path that
+    # is_contractible no longer runs
+    field = QQ if p is None else PrimeField(p)
+
+    def agree(x):
+        want = orc.contractible_by_nakayama(orc.mf_to_data(x), p)
+        assert is_contractible(x) is want
+        assert (find_homotopy(MfMorphism.identity(x)) is not None) is want
+        return want
+
+    answers = []
+    for label, x in suites.full_suite(field):
+        brick = trivial_brick(x)
+        answers += [agree(x), agree(brick), agree(direct_sum(x, brick))]
+        assert answers[-3:] == [False, True, False], label
+    for phi in _maps_between_suite_objects(field):
+        answers.append(agree(cone_factorization(phi)))
+        assert is_homotopy_equivalence(phi) is answers[-1]
+    assert len(answers) == 17 * 3 + 128
+    assert answers[-128:].count(True) > 0 and answers[-128:].count(False) > 0
+
+
+def test_graded_contractibility_assembles_and_keeps_no_system(monkeypatch):
+    # a graded is_contractible or is_homotopy_equivalence reads constant
+    # terms only: no HomProblem is built and _kept_systems stays empty;
+    # the witness search afterwards shows the counter counts
+    built = []
+
+    class Counted(HomProblem):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    x = suites.quadric()
+    monkeypatch.setattr(homotopy, "HomProblem", Counted)
+    _forget_kept_systems()
+    try:
+        brick = trivial_brick(x)
+        assert [is_contractible(y) for y in (x, brick, direct_sum(x, brick))] \
+            == [False, True, False]
+        assert is_homotopy_equivalence(MfMorphism.identity(x)) is True
+        assert is_homotopy_equivalence(MfMorphism.zero(x, x)) is False
+        assert not built and not _kept_systems.entries
+        assert find_homotopy(MfMorphism.identity(x)) is None
+        assert built and _kept_systems.entries
+    finally:
+        _forget_kept_systems()
 
 
 def test_a_degree_twist_is_an_equivalence_with_an_inverse_of_opposite_degree():

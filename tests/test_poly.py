@@ -19,6 +19,7 @@ from mfcat import (
     Polynomial,
     WeightSystem,
     detect_weights,
+    elementary_factorization,
     format_poly,
     monomials_of_weighted_degree,
     monomials_up_to_total_degree,
@@ -152,19 +153,24 @@ def test_pickles_carry_no_kept_hash():
     m = PolyMatrix.from_rows([[p, -p]], 2, p.field)
     ws = WeightSystem((1, 2), 6)
     act = GroupAction((3,), ((1, 5),), 2)
-    objs = p, m, ws, act
+    x = parse_poly("x1", 2, PrimeField(7))
+    mf = elementary_factorization(x, x * x, WeightSystem((1, 1), 3), 0, 1, (0,), (2,))
+    objs = p, m, ws, act, mf, mf.m1
     for obj in objs:
         hash(obj)  # fill every kept hash before pickling
-    assert "_hash" in vars(ws) and "_hash" in vars(act)
+    assert all("_hash" in vars(obj) for obj in (ws, act, mf, mf.m1))
+    assert mf.shift().shift() == mf and mf.split_degree == 2
     data = pickle.dumps(objs)
-    assert b"_hash" not in data
+    assert b"_hash" not in data and b"_shifted" not in data and b"split_degree" not in data
     code = (
         "import pickle, sys\n"
-        "p, m, ws, act = pickle.loads(sys.stdin.buffer.read())\n"
+        "p, m, ws, act, mf, g = pickle.loads(sys.stdin.buffer.read())\n"
         "assert hash(p) == hash((p.nvars, p.field, frozenset(p.terms.items())))\n"
         "assert hash(m) == hash((m.nrows, m.ncols, m.nvars, m.field, m.entries))\n"
         "assert hash(ws) == hash((ws.weights, ws.degree))\n"
         "assert hash(act) == hash((act.orders, act.exponents, act.nvars))\n"
+        "assert hash(mf) == hash((mf.W, mf.weights, mf.m0, mf.m1, mf.p0, mf.p1))\n"
+        "assert hash(g) == hash((g.rank, g.degrees, g.chars))\n"
     )
     seed = "1" if os.environ.get("PYTHONHASHSEED") == "2" else "2"
     subprocess.run([sys.executable, "-c", code], input=data, check=True,
