@@ -28,11 +28,11 @@ from .poly import Polynomial, WeightSystem
 
 def _kept_hash(obj):
     """The hash of obj's dataclass fields, computed on the first call and
-    kept as its attribute _hash.  Not a cached_property, as PolyMatrix
-    has: that writes the instance dict directly, and on CPython 3.11 every
-    later attribute read of such an object then takes a slower path (twice
-    as long for a field read), a cost that factorizations and modules,
-    read far more often than hashed, would pay."""
+    kept as its attribute _hash.  Not a cached_property: that writes the
+    instance dict directly, and on CPython 3.11 every later attribute read
+    of such an object then takes a slower path (twice as long for a field
+    read), a cost that factorizations and modules, read far more often
+    than hashed, would pay."""
     try:
         return obj._hash
     except AttributeError:
@@ -314,26 +314,28 @@ class MatrixFactorization:
         )
 
 
-@dataclass(frozen=True)
 class MfMorphism:
     """An even map of factorizations: f0 on P0 components, f1 on P1.
 
     degree is the internal (weight) degree; morphisms produced by solvers
-    are homogeneous pieces of hom spaces.
+    are homogeneous pieces of hom spaces.  A ``__slots__`` class, immutable
+    by convention; equality, the hash and the repr are those of the field
+    tuple (source, target, f0, f1, degree).  validate=True checks the
+    shapes, that both squares commute and the entry degrees; with False
+    only the shapes and the potentials are checked.
     """
 
-    source: MatrixFactorization
-    target: MatrixFactorization
-    f0: PolyMatrix
-    f1: PolyMatrix
-    degree: int = 0
-    validate: InitVar[bool] = True
+    __slots__ = ("source", "target", "f0", "f1", "degree")
 
-    def __post_init__(self, validate):
-        s, t = self.source, self.target
-        if self.f0.nrows != t.m0.rank or self.f0.ncols != s.m0.rank:
+    def __init__(self, source, target, f0, f1, degree=0, validate=True):
+        self.source = s = source
+        self.target = t = target
+        self.f0 = f0
+        self.f1 = f1
+        self.degree = degree
+        if f0.nrows != t.m0.rank or f0.ncols != s.m0.rank:
             raise UsageError("f0 must be a (rank Q0) x (rank P0) matrix")
-        if self.f1.nrows != t.m1.rank or self.f1.ncols != s.m1.rank:
+        if f1.nrows != t.m1.rank or f1.ncols != s.m1.rank:
             raise UsageError("f1 must be a (rank Q1) x (rank P1) matrix")
         if s.W != t.W:
             raise UsageError("morphism endpoints factor different potentials")
@@ -343,6 +345,24 @@ class MfMorphism:
             bad = self.grading_violations()
             if bad:
                 raise GradingError("; ".join(bad[:8]))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.target, self.f0, self.f1, self.degree) == (
+            other.source, other.target, other.f0, other.f1, other.degree)
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.f0, self.f1, self.degree))
+
+    def __repr__(self):
+        return "MfMorphism(source=%r, target=%r, f0=%r, f1=%r, degree=%r)" % (
+            self.source, self.target, self.f0, self.f1, self.degree)
+
+    def __reduce__(self):
+        # the copy is not validated again, as for MatrixFactorization
+        return MfMorphism, (
+            self.source, self.target, self.f0, self.f1, self.degree, False)
 
     def is_chain_map(self):
         """Whether f1 p0 = p0 f0 and f0 p1 = p1 f1, each square summed in
@@ -459,22 +479,42 @@ class MfMorphism:
         return {"f0": self.f0.to_json(), "f1": self.f1.to_json(), "degree": self.degree}
 
 
-@dataclass(frozen=True)
 class Homotopy:
-    """An odd map: t0 lands in the shifted P1 slot, t1 in the P0 slot."""
+    """An odd map: t0 lands in the shifted P1 slot, t1 in the P0 slot.
 
-    source: MatrixFactorization
-    target: MatrixFactorization
-    t0: PolyMatrix  # P0 -> Q1
-    t1: PolyMatrix  # P1 -> Q0
-    degree: int = 0
+    A ``__slots__`` class like MfMorphism, with equality, the hash and the
+    repr of the field tuple (source, target, t0, t1, degree); the shapes
+    are checked on construction.
+    """
 
-    def __post_init__(self):
-        s, t = self.source, self.target
-        if self.t0.nrows != t.m1.rank or self.t0.ncols != s.m0.rank:
+    __slots__ = ("source", "target", "t0", "t1", "degree")
+
+    def __init__(self, source, target, t0, t1, degree=0):
+        self.source = source
+        self.target = target
+        self.t0 = t0  # P0 -> Q1
+        self.t1 = t1  # P1 -> Q0
+        self.degree = degree
+        if t0.nrows != target.m1.rank or t0.ncols != source.m0.rank:
             raise UsageError("t0 must be a (rank Q1) x (rank P0) matrix")
-        if self.t1.nrows != t.m0.rank or self.t1.ncols != s.m1.rank:
+        if t1.nrows != target.m0.rank or t1.ncols != source.m1.rank:
             raise UsageError("t1 must be a (rank Q0) x (rank P1) matrix")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.target, self.t0, self.t1, self.degree) == (
+            other.source, other.target, other.t0, other.t1, other.degree)
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.t0, self.t1, self.degree))
+
+    def __repr__(self):
+        return "Homotopy(source=%r, target=%r, t0=%r, t1=%r, degree=%r)" % (
+            self.source, self.target, self.t0, self.t1, self.degree)
+
+    def __reduce__(self):
+        return Homotopy, (self.source, self.target, self.t0, self.t1, self.degree)
 
     def _boundary_products(self):
         """The (a, b) pairs whose products sum to the boundary's f0 and f1."""
@@ -701,24 +741,92 @@ def _generator_components(p0, p1, label, m=None):
     return comp
 
 
-@dataclass(frozen=True)
 class Cone:
-    """Mapping cone of a morphism, with its triangle structure maps.
+    """Mapping cone of a morphism phi: P -> Q, with its triangle structure
+    maps.
 
+    factorization is built with the cone (``cone_factorization``).
     inclusion embeds the target, projection drops onto the shifted
     source, and splitting_homotopy trivializes inclusion composed with
-    the original morphism.
+    phi; each is built on its first read and kept, since most callers read
+    the factorization alone or with the inclusion.  Two cones are equal
+    when their maps phi are.
     """
 
-    factorization: MatrixFactorization
-    inclusion: MfMorphism
-    projection: MfMorphism
-    splitting_homotopy: Homotopy
+    def __init__(self, phi, factorization):
+        self.phi = phi
+        self.factorization = factorization
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.phi == other.phi
+
+    def __hash__(self):
+        return hash(self.phi)
+
+    @cached_property
+    def inclusion(self):
+        s, t = self.phi.source, self.phi.target
+        nvars, field = s.nvars, s.field
+        return MfMorphism(
+            source=t,
+            target=self.factorization,
+            f0=vstack([
+                PolyMatrix.identity(t.m0.rank, nvars, field),
+                PolyMatrix.zero(s.m1.rank, t.m0.rank, nvars, field),
+            ]),
+            f1=vstack([
+                PolyMatrix.identity(t.m1.rank, nvars, field),
+                PolyMatrix.zero(s.m0.rank, t.m1.rank, nvars, field),
+            ]),
+            degree=0,
+            validate=False,
+        )
+
+    @cached_property
+    def projection(self):
+        s, t = self.phi.source, self.phi.target
+        nvars, field = s.nvars, s.field
+        a_s = s.split_degree
+        return MfMorphism(
+            source=self.factorization,
+            target=s.shift(),
+            f0=hstack([
+                PolyMatrix.zero(s.m1.rank, t.m0.rank, nvars, field),
+                PolyMatrix.identity(s.m1.rank, nvars, field),
+            ]),
+            f1=hstack([
+                PolyMatrix.zero(s.m0.rank, t.m1.rank, nvars, field),
+                PolyMatrix.identity(s.m0.rank, nvars, field),
+            ]),
+            degree=(a_s - self.phi.degree) if a_s is not None else 0,
+            validate=False,
+        )
+
+    @cached_property
+    def splitting_homotopy(self):
+        s, t = self.phi.source, self.phi.target
+        nvars, field = s.nvars, s.field
+        return Homotopy(
+            source=s,
+            target=self.factorization,
+            t0=vstack([
+                PolyMatrix.zero(t.m1.rank, s.m0.rank, nvars, field),
+                PolyMatrix.identity(s.m0.rank, nvars, field),
+            ]),
+            t1=vstack([
+                PolyMatrix.zero(t.m0.rank, s.m1.rank, nvars, field),
+                PolyMatrix.identity(s.m1.rank, nvars, field),
+            ]),
+            degree=self.phi.degree,
+        )
 
 
 def cone_factorization(phi):
     """The factorization of the mapping cone of phi: P -> Q, with none of
-    the triangle data ``cone`` attaches."""
+    the triangle data ``cone`` attaches.  Its corner blocks -p1 and -p0
+    are those of the source's kept shift."""
     s, t = phi.source, phi.target
     nvars, field = s.nvars, s.field
     d = phi.degree
@@ -737,65 +845,19 @@ def cone_factorization(phi):
         t.m1.degrees + tuple(g + off0 for g in s.m0.degrees),
         _join_chars(t.m1.chars, s.m0.chars),
     )
+    shifted = s.shift()
     z_low0 = PolyMatrix.zero(s.m0.rank, t.m0.rank, nvars, field)
-    c0 = vstack([hstack([t.p0, phi.f1]), hstack([z_low0, -s.p1])])
+    c0 = vstack([hstack([t.p0, phi.f1]), hstack([z_low0, shifted.p0])])
     z_low1 = PolyMatrix.zero(s.m1.rank, t.m1.rank, nvars, field)
-    c1 = vstack([hstack([t.p1, phi.f0]), hstack([z_low1, -s.p0])])
+    c1 = vstack([hstack([t.p1, phi.f0]), hstack([z_low1, shifted.p1])])
     return MatrixFactorization(
         W=s.W, weights=s.weights, m0=c_m0, m1=c_m1, p0=c0, p1=c1, validate=False
     )
 
 
 def cone(phi):
-    """Mapping cone of phi: P -> Q with the triangle data attached."""
-    s, t = phi.source, phi.target
-    nvars, field = s.nvars, s.field
-    d = phi.degree
-    a_s = s.split_degree
-    c = cone_factorization(phi)
-    inc = MfMorphism(
-        source=t,
-        target=c,
-        f0=vstack([
-            PolyMatrix.identity(t.m0.rank, nvars, field),
-            PolyMatrix.zero(s.m1.rank, t.m0.rank, nvars, field),
-        ]),
-        f1=vstack([
-            PolyMatrix.identity(t.m1.rank, nvars, field),
-            PolyMatrix.zero(s.m0.rank, t.m1.rank, nvars, field),
-        ]),
-        degree=0,
-        validate=False,
-    )
-    shifted = s.shift()
-    proj = MfMorphism(
-        source=c,
-        target=shifted,
-        f0=hstack([
-            PolyMatrix.zero(s.m1.rank, t.m0.rank, nvars, field),
-            PolyMatrix.identity(s.m1.rank, nvars, field),
-        ]),
-        f1=hstack([
-            PolyMatrix.zero(s.m0.rank, t.m1.rank, nvars, field),
-            PolyMatrix.identity(s.m0.rank, nvars, field),
-        ]),
-        degree=(a_s - d) if a_s is not None else 0,
-        validate=False,
-    )
-    homot = Homotopy(
-        source=s,
-        target=c,
-        t0=vstack([
-            PolyMatrix.zero(t.m1.rank, s.m0.rank, nvars, field),
-            PolyMatrix.identity(s.m0.rank, nvars, field),
-        ]),
-        t1=vstack([
-            PolyMatrix.zero(t.m0.rank, s.m1.rank, nvars, field),
-            PolyMatrix.identity(s.m1.rank, nvars, field),
-        ]),
-        degree=d,
-    )
-    return Cone(factorization=c, inclusion=inc, projection=proj, splitting_homotopy=homot)
+    """Mapping cone of phi: P -> Q, its triangle data built on first read."""
+    return Cone(phi, cone_factorization(phi))
 
 
 def trivial_brick(q):

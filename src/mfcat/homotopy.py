@@ -1062,7 +1062,9 @@ def homotopy_equivalence_data(phi, bound=None):
     phi: s -> t is an equivalence exactly when its cone C is contractible,
     that is when id_C is null-homotopic, and all three are read off one
     null-homotopy H of id_C (``solve_null_homotopy``), so in the graded
-    case the answer is decided exactly.  With p and q the structure maps
+    case the answer is decided exactly.  Graded, a cone that is not
+    contractible by its constant terms (``_nakayama``) is None at once,
+    with no solve.  With p and q the structure maps
     of s and t and f those of phi, C0 = t0 + s1 and C1 = t1 + s0, with
     c0 = [[q0, f1], [0, -p1]] and c1 = [[q1, f0], [0, -p0]].  In blocks
     (rows, columns),
@@ -1094,6 +1096,8 @@ def homotopy_equivalence_data(phi, bound=None):
             "equivalence check without a grading needs an explicit bound"
         )
     c = cone_factorization(phi)
+    if graded and not _nakayama(c):
+        return None
     if not graded:
         c = replace(c, weights=None, validate=False)
     h, _ = solve_null_homotopy(MfMorphism.identity(c), bound)

@@ -25,14 +25,15 @@ products and sums run on C-level int arithmetic and build no Fraction.
 
 ``PolyMatrix.zero`` and ``PolyMatrix.identity`` return one shared instance
 per (shape, nvars, field), kept in a bounded LRU (``_shared``): a matrix is
-frozen and its entries are never written, so sharing it is safe, and a
+immutable by convention, never written, so sharing it is safe, and a
 cone, a zero map or a chain-map check then builds no matrix of its own.
+``PolyMatrix`` is a ``__slots__`` class, as ``Polynomial`` is, so building
+one assigns five slots and reading a field takes the fast path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 from operator import add
 
@@ -44,20 +45,28 @@ from .poly import Polynomial
 _SHARED_MATRICES = 256
 
 
-@dataclass(frozen=True)
 class PolyMatrix:
-    nrows: int
-    ncols: int
-    nvars: int
-    field: object
-    entries: tuple  # tuple of row tuples of Polynomial
+    """An nrows x ncols matrix of Polynomial entries over one field.
 
-    def __post_init__(self):
-        if len(self.entries) != self.nrows:
+    Immutable by convention, as Polynomial is: no attribute and no entry
+    is written after construction.  Equality, the hash and the repr are
+    those of the field tuple (nrows, ncols, nvars, field, entries); the
+    hash is computed on first use and kept in the ``_hash`` slot.
+    """
+
+    __slots__ = ("nrows", "ncols", "nvars", "field", "entries", "_hash")
+
+    def __init__(self, nrows, ncols, nvars, field, entries):
+        if len(entries) != nrows:
             raise UsageError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.ncols:
+        for row in entries:
+            if len(row) != ncols:
                 raise UsageError("column count mismatch")
+        self.nrows = nrows
+        self.ncols = ncols
+        self.nvars = nvars
+        self.field = field
+        self.entries = entries  # tuple of row tuples of Polynomial
 
     @classmethod
     def from_rows(cls, rows, nvars, field, ncols=None):
@@ -87,18 +96,28 @@ class PolyMatrix:
             tuple(tuple(f if i == j else z for j in range(n)) for i in range(n)),
         )
 
-    def __hash__(self):
-        return self._hash
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nrows == other.nrows and self.ncols == other.ncols
+                and self.nvars == other.nvars and self.field == other.field
+                and self.entries == other.entries)
 
-    @cached_property
-    def _hash(self):
-        """Hash of the dataclass fields, computed once: the fields are
-        frozen, and the value is kept in the instance dict, outside them."""
-        return hash((self.nrows, self.ncols, self.nvars, self.field, self.entries))
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash(
+                (self.nrows, self.ncols, self.nvars, self.field, self.entries))
+            return h
 
     def __reduce__(self):
         # as for Polynomial: a pickle must not carry the kept hash
         return PolyMatrix, (self.nrows, self.ncols, self.nvars, self.field, self.entries)
+
+    def __repr__(self):
+        return "PolyMatrix(nrows=%r, ncols=%r, nvars=%r, field=%r, entries=%r)" % (
+            self.nrows, self.ncols, self.nvars, self.field, self.entries)
 
     def __getitem__(self, ij):
         i, j = ij

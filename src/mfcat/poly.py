@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import add
 from typing import Iterable
 
 from .errors import ParseError, UsageError
@@ -166,7 +167,7 @@ class Polynomial:
             terms: dict = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
+                    e = tuple(map(add, e1, e2))
                     c = c1 * c2
                     cur = terms.get(e)
                     s = c if cur is None else cur + c

@@ -10,6 +10,7 @@ from fractions import Fraction
 from mfcat import (
     QQ,
     Homotopy,
+    MfMorphism,
     Polynomial,
     PolyMatrix,
     WeightSystem,
@@ -18,6 +19,7 @@ from mfcat import (
     koszul_factorization,
     monomials_of_weighted_degree,
     parse_poly,
+    random_chain_map,
 )
 
 
@@ -80,6 +82,22 @@ def full_suite(field=QQ):
     out.append(("quadric", quadric(field)))
     out.append(("fermat", fermat_cubic(field)))
     return out
+
+
+def maps_between_objects(field=QQ):
+    """A random chain map and the zero map between every two one- and
+    two-variable suite objects of one potential, and each identity: 128
+    maps.  The Fermat cubic's are left out for time."""
+    groups = [list(an_objects(n, field).values()) for n in range(2, 7)]
+    groups.append([quadric(field)])
+    maps = []
+    for objs in groups:
+        for s in objs:
+            for t in objs:
+                maps += [random_chain_map(s, t), MfMorphism.zero(s, t)]
+                if s is t:
+                    maps.append(MfMorphism.identity(s))
+    return maps
 
 
 def random_matrix(nrows, ncols, row_degs, col_degs, shift, weights, rng,

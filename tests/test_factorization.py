@@ -7,6 +7,7 @@ import pytest
 import suites
 from mfcat import (
     GradedFreeModule,
+    Homotopy,
     MatrixFactorization,
     QQ,
     MfMorphism,
@@ -179,22 +180,62 @@ def test_morphism_degree_composition():
     assert (psi @ phi).degree == 6
 
 
+def test_value_types_compare_hash_and_print_by_their_fields():
+    ws = WeightSystem((1,), 2)
+    mf = elementary_factorization(parse_poly("x1", 1), parse_poly("x1", 1), ws)
+    one = PolyMatrix.identity(1, 1, QQ)
+    zero = PolyMatrix.zero(1, 1, 1, QQ)
+    phi, psi = MfMorphism(mf, mf, one, one), MfMorphism(mf, mf, one, one)
+    assert phi == psi and hash(phi) == hash(psi) and phi is not psi
+    assert phi != MfMorphism(mf, mf, one, one, degree=1, validate=False)
+    h = Homotopy(mf, mf, zero, zero)
+    assert h == Homotopy(mf, mf, zero, zero) and h != MfMorphism(mf, mf, zero, zero)
+    assert repr(phi) == "MfMorphism(source=%r, target=%r, f0=%r, f1=%r, degree=0)" % (
+        mf, mf, one, one)
+    assert repr(one) == "PolyMatrix(nrows=1, ncols=1, nvars=1, field=%r, entries=%r)" % (
+        QQ, one.entries)
+
+
 def test_cone_structure():
+    # over every map of the suite: the cone is a factorization, its
+    # triangle maps are graded chain maps, the projection
+    # lands on the shifted source and kills the inclusion, and the attached
+    # homotopy witnesses inclusion o phi ~ 0 on the nose
+    for phi in suites.maps_between_objects():
+        s, t = phi.source, phi.target
+        c = cone(phi)
+        assert c.factorization.verify()["ok"]
+        assert c.factorization.m0.rank == t.m0.rank + s.m1.rank
+        for f in (c.inclusion, c.projection):
+            assert f.is_chain_map() and not f.grading_violations()
+        assert c.projection.target == s.shift()
+        comp = c.projection @ c.inclusion
+        assert comp.f0.is_zero() and comp.f1.is_zero()
+        diff = c.splitting_homotopy.boundary() - (c.inclusion @ phi)
+        assert diff.f0.is_zero() and diff.f1.is_zero()
+
+
+def test_cone_builds_its_triangle_maps_on_first_read(monkeypatch):
+    # reading the factorization alone builds no morphism or homotopy; each
+    # triangle map is built on its first read and the same object returned
+    # after
+    built = []
+    for cls in (MfMorphism, Homotopy):
+        def counted(self, *args, init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
     ws = WeightSystem((1,), 4)
     mf = elementary_factorization(parse_poly("x1", 1), parse_poly("x1^3", 1), ws)
-    rng = random.Random(1)
-    phi = random_chain_map(mf, mf, rng=rng)
+    phi = random_chain_map(mf, mf, rng=random.Random(1))
+    built.clear()
     c = cone(phi)
-    assert c.factorization.verify()["ok"]
-    assert c.factorization.m0.rank == 2
-    assert c.inclusion.is_chain_map()
-    assert c.projection.is_chain_map()
-    assert c.projection.target == mf.shift()
-    comp = c.projection @ c.inclusion
-    assert comp.f0.is_zero() and comp.f1.is_zero()
-    # the attached homotopy witnesses inclusion o phi ~ 0 on the nose
-    diff = c.splitting_homotopy.boundary() - (c.inclusion @ phi)
-    assert diff.f0.is_zero() and diff.f1.is_zero()
+    assert c.factorization.verify()["ok"] and not built
+    for name in ("inclusion", "projection", "splitting_homotopy"):
+        first = getattr(c, name)
+        assert getattr(c, name) is first
+    assert built == ["MfMorphism", "MfMorphism", "Homotopy"]
+    assert cone(phi) == c and hash(cone(phi)) == hash(c)
 
 
 def test_cone_of_identity_frozen():

@@ -694,29 +694,13 @@ def test_an_equivalence_across_weight_systems_is_searched_without_grading():
             assert is_homotopy_equivalence(phi, bound=0) is True
 
 
-def _maps_between_suite_objects(field=QQ):
-    """A random chain map and the zero map between every two one- and
-    two-variable suite objects of one potential, and each identity: 128
-    maps.  The Fermat cubic's are left out for time."""
-    groups = [list(suites.an_objects(n, field).values()) for n in range(2, 7)]
-    groups.append([suites.quadric(field)])
-    maps = []
-    for objs in groups:
-        for s in objs:
-            for t in objs:
-                maps += [random_chain_map(s, t), MfMorphism.zero(s, t)]
-                if s is t:
-                    maps.append(MfMorphism.identity(s))
-    return maps
-
-
 def test_equivalences_agree_with_contractible_cones():
     # phi is an equivalence exactly when its cone C is zero in the homotopy
     # category, that is when End(C) = 0; hom_space reads End(C) from ranks
     # of the hom complex, apart from the constant-term rank that decides
     # is_homotopy_equivalence
     answers = []
-    for phi in _maps_between_suite_objects():
+    for phi in suites.maps_between_objects():
         c = cone(phi).factorization
         end = hom_space(c, c, want_reps=False)
         assert end.certified
@@ -744,7 +728,7 @@ def test_contractibility_agrees_with_nakayama_and_the_witness_search(p):
         brick = trivial_brick(x)
         answers += [agree(x), agree(brick), agree(direct_sum(x, brick))]
         assert answers[-3:] == [False, True, False], label
-    for phi in _maps_between_suite_objects(field):
+    for phi in suites.maps_between_objects(field):
         answers.append(agree(cone_factorization(phi)))
         assert is_homotopy_equivalence(phi) is answers[-1]
     assert len(answers) == 17 * 3 + 128
@@ -774,6 +758,41 @@ def test_graded_contractibility_assembles_and_keeps_no_system(monkeypatch):
         assert not built and not _kept_systems.entries
         assert find_homotopy(MfMorphism.identity(x)) is None
         assert built and _kept_systems.entries
+    finally:
+        _forget_kept_systems()
+
+
+def test_equivalence_data_agrees_with_the_null_homotopy_of_the_cone():
+    # graded, homotopy_equivalence_data answers None from the cone's constant
+    # terms and solves only for an equivalence; on the 128 maps its answers
+    # are those of the null-homotopy search of id_cone it ran on every map
+    answers = []
+    for phi in suites.maps_between_objects():
+        c = cone_factorization(phi)
+        answers.append(homotopy_equivalence_data(phi) is not None)
+        assert answers[-1] is (find_homotopy(MfMorphism.identity(c)) is not None)
+    assert True in answers and False in answers
+
+
+def test_a_non_equivalence_is_answered_without_a_solve(monkeypatch):
+    # a graded non-equivalence is None with no solve_null_homotopy call and
+    # no _kept_systems entry; an equivalence afterwards shows the counter
+    # counts
+    calls = []
+    solve = homotopy.solve_null_homotopy
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    x = suites.quadric()
+    monkeypatch.setattr(homotopy, "solve_null_homotopy", counted)
+    _forget_kept_systems()
+    try:
+        assert homotopy_equivalence_data(MfMorphism.zero(x, x)) is None
+        assert not calls and not _kept_systems.entries
+        assert homotopy_equivalence_data(MfMorphism.identity(x)) is not None
+        assert calls and _kept_systems.entries
     finally:
         _forget_kept_systems()
 

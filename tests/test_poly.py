@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 import oracles as orc
 from mfcat import (
     GroupAction,
+    Homotopy,
+    MfMorphism,
     PolyMatrix,
     Polynomial,
     WeightSystem,
@@ -24,6 +26,7 @@ from mfcat import (
     monomials_of_weighted_degree,
     monomials_up_to_total_degree,
     parse_poly,
+    w_multiple_homotopy,
 )
 from mfcat.errors import ParseError, UsageError
 from mfcat.fields import QQ, PrimeField, field_from_name
@@ -155,27 +158,35 @@ def test_pickles_carry_no_kept_hash():
     act = GroupAction((3,), ((1, 5),), 2)
     x = parse_poly("x1", 2, PrimeField(7))
     mf = elementary_factorization(x, x * x, WeightSystem((1, 1), 3), 0, 1, (0,), (2,))
-    objs = p, m, ws, act, mf, mf.m1
+    phi = MfMorphism.identity(mf)
+    h = w_multiple_homotopy(phi)
+    objs = p, m, ws, act, mf, mf.m1, phi, h
     for obj in objs:
         hash(obj)  # fill every kept hash before pickling
     assert all("_hash" in vars(obj) for obj in (ws, act, mf, mf.m1))
+    # the slotted value types keep no instance dict
+    assert not any(hasattr(obj, "__dict__") for obj in (p, m, phi, h))
     assert mf.shift().shift() == mf and mf.split_degree == 2
     data = pickle.dumps(objs)
     assert b"_hash" not in data and b"_shifted" not in data and b"split_degree" not in data
     code = (
         "import pickle, sys\n"
-        "p, m, ws, act, mf, g = pickle.loads(sys.stdin.buffer.read())\n"
+        "p, m, ws, act, mf, g, phi, h = pickle.loads(sys.stdin.buffer.read())\n"
         "assert hash(p) == hash((p.nvars, p.field, frozenset(p.terms.items())))\n"
         "assert hash(m) == hash((m.nrows, m.ncols, m.nvars, m.field, m.entries))\n"
         "assert hash(ws) == hash((ws.weights, ws.degree))\n"
         "assert hash(act) == hash((act.orders, act.exponents, act.nvars))\n"
         "assert hash(mf) == hash((mf.W, mf.weights, mf.m0, mf.m1, mf.p0, mf.p1))\n"
         "assert hash(g) == hash((g.rank, g.degrees, g.chars))\n"
+        "assert hash(phi) == hash((phi.source, phi.target, phi.f0, phi.f1, phi.degree))\n"
+        "assert hash(h) == hash((h.source, h.target, h.t0, h.t1, h.degree))\n"
     )
     seed = "1" if os.environ.get("PYTHONHASHSEED") == "2" else "2"
     subprocess.run([sys.executable, "-c", code], input=data, check=True,
                    env=dict(os.environ, PYTHONHASHSEED=seed))
-    assert pickle.loads(data) == objs
+    copies = pickle.loads(data)
+    assert copies == objs
+    assert type(copies[-2]) is MfMorphism and type(copies[-1]) is Homotopy
 
 
 def test_detect_weights_frozen():
