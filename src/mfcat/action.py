@@ -10,12 +10,11 @@ c_i taken mod m_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from operator import add, mod, sub
 
 from .errors import UsageError
-from .poly import Polynomial
+from .poly import Polynomial, kept
 
 
 def normalize_char(char, orders):
@@ -68,9 +67,8 @@ class GroupAction:
     def __hash__(self):
         return self._hash
 
-    @cached_property
+    @kept
     def _hash(self):
-        """Hash of the dataclass fields, computed once, as for PolyMatrix."""
         return hash((self.orders, self.exponents, self.nvars))
 
     def __reduce__(self):

@@ -53,7 +53,7 @@ reads, is kept on the pair's entry the same way.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 
 from .action import GroupAction, char_add, char_sub, normalize_char
@@ -73,6 +73,7 @@ from .homotopy import (
     _untwisted,
     hom_space,
 )
+from .poly import kept
 
 # Twist orbits kept by _orbit_split, one per pair of structures up to
 # twisting; one pass of equivariant-isotypic fills 55.
@@ -90,6 +91,12 @@ def check_equivariant(mf, action):
         return ["factorization carries no generator characters"]
     if action.nvars != mf.nvars:
         return ["action and factorization have different variable counts"]
+    misfits = ["%s character %d has %d components for %d factors"
+               % (label, j, len(c), action.nfactors)
+               for label, chars in (("chars0", mf.m0.chars), ("chars1", mf.m1.chars))
+               for j, c in enumerate(chars) if len(c) != action.nfactors]
+    if misfits:
+        return misfits
     if not action.is_invariant(mf.W):
         problems.append("potential is not invariant under the action")
     c0, c1 = mf.m0.chars, mf.m1.chars
@@ -143,14 +150,13 @@ class EquivariantStructure:
         char = normalize_char(char, self.action.orders)
         return _twisted(self, char)
 
-    @cached_property
+    @kept
     def _orbit_key(self):
         """((``_untwisted`` fields, relative characters), base): base is
         the first generator character (zero without generators) and the
         relative characters are (chars0 - base, chars1 - base), so every
         twist of the structure has the same first part and twisting moves
-        base only.  Computed once per object and kept in the instance
-        dict, outside the dataclass fields, equality and hash."""
+        base only."""
         orders = self.action.orders
         chars0, chars1 = self.chars0, self.chars1
         first = chars0 or chars1

@@ -18,27 +18,11 @@ automatically.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, fields
-from functools import cached_property
+from dataclasses import InitVar, dataclass
 
 from .errors import GradingError, MfcatError, UsageError
-from .matrices import PolyMatrix, hstack, products_equal, sum_of_products, vstack
-from .poly import Polynomial, WeightSystem
-
-
-def _kept_hash(obj):
-    """The hash of obj's dataclass fields, computed on the first call and
-    kept as its attribute _hash.  Not a cached_property: that writes the
-    instance dict directly, and on CPython 3.11 every later attribute read
-    of such an object then takes a slower path (twice as long for a field
-    read), a cost that factorizations and modules, read far more often
-    than hashed, would pay."""
-    try:
-        return obj._hash
-    except AttributeError:
-        h = hash(tuple(getattr(obj, f.name) for f in fields(obj)))
-        object.__setattr__(obj, "_hash", h)
-        return h
+from .matrices import PolyMatrix, block, products_equal, sum_of_products
+from .poly import Polynomial, WeightSystem, kept
 
 
 @dataclass(frozen=True)
@@ -59,7 +43,12 @@ class GradedFreeModule:
                 raise UsageError("need one character per generator")
             object.__setattr__(self, "chars", chars)
 
-    __hash__ = _kept_hash
+    def __hash__(self):
+        return self._hash
+
+    @kept
+    def _hash(self):
+        return hash((self.rank, self.degrees, self.chars))
 
     def __reduce__(self):
         # as for PolyMatrix: a pickle must not carry the kept hash
@@ -119,7 +108,12 @@ class MatrixFactorization:
                     "invalid matrix factorization: " + "; ".join(report["problems"])
                 )
 
-    __hash__ = _kept_hash
+    def __hash__(self):
+        return self._hash
+
+    @kept
+    def _hash(self):
+        return hash((self.W, self.weights, self.m0, self.m1, self.p0, self.p1))
 
     def __reduce__(self):
         # as for PolyMatrix: a pickle carries neither the kept hash nor
@@ -139,13 +133,11 @@ class MatrixFactorization:
     def rank(self):
         return self.m0.rank
 
-    @cached_property
+    @kept
     def split_degree(self):
         """Internal degree of p0, recovered from its first nonzero entry.
 
-        None when no weights are attached or p0 is the zero matrix.  Read
-        once per object: the fields are frozen, and the value is kept in
-        the instance dict, outside the dataclass fields, equality and hash.
+        None when no weights are attached or p0 is the zero matrix.
         """
         if self.weights is None:
             return None
@@ -216,10 +208,10 @@ class MatrixFactorization:
             out = out._shifted
         return out
 
-    @cached_property
+    @kept
     def _shifted(self):
-        """The shift, built once per object and kept in the instance dict
-        like split_degree: hom spaces into a shift read it on every call."""
+        """The shift, built once per object like split_degree: hom spaces
+        into a shift read it on every call."""
         return MatrixFactorization(
             W=self.W,
             weights=self.weights,
@@ -663,13 +655,9 @@ def direct_sum(a, b):
             raise UsageError("cannot sum a factorization with characters and one without")
         return ca + cb
 
-    nvars, field = a.nvars, a.field
-    z01 = PolyMatrix.zero(a.m1.rank, b.m0.rank, nvars, field)
-    z10 = PolyMatrix.zero(b.m1.rank, a.m0.rank, nvars, field)
-    p0 = vstack([hstack([a.p0, z01]), hstack([z10, b.p0])])
-    y01 = PolyMatrix.zero(a.m0.rank, b.m1.rank, nvars, field)
-    y10 = PolyMatrix.zero(b.m0.rank, a.m1.rank, nvars, field)
-    p1 = vstack([hstack([a.p1, y01]), hstack([y10, b.p1])])
+    r0, r1 = (a.m0.rank, b.m0.rank), (a.m1.rank, b.m1.rank)
+    p0 = block([[a.p0, 0], [0, b.p0]], r1, r0, a.nvars, a.field)
+    p1 = block([[a.p1, 0], [0, b.p1]], r0, r1, a.nvars, a.field)
     m0 = GradedFreeModule(
         a.m0.rank + b.m0.rank,
         a.m0.degrees + b.m0.degrees,
@@ -765,62 +753,51 @@ class Cone:
     def __hash__(self):
         return hash(self.phi)
 
-    @cached_property
+    @kept
     def inclusion(self):
         s, t = self.phi.source, self.phi.target
-        nvars, field = s.nvars, s.field
+        c0, c1 = _cone_sizes(self.phi)
         return MfMorphism(
             source=t,
             target=self.factorization,
-            f0=vstack([
-                PolyMatrix.identity(t.m0.rank, nvars, field),
-                PolyMatrix.zero(s.m1.rank, t.m0.rank, nvars, field),
-            ]),
-            f1=vstack([
-                PolyMatrix.identity(t.m1.rank, nvars, field),
-                PolyMatrix.zero(s.m0.rank, t.m1.rank, nvars, field),
-            ]),
+            f0=block([[1], [0]], c0, (t.m0.rank,), s.nvars, s.field),
+            f1=block([[1], [0]], c1, (t.m1.rank,), s.nvars, s.field),
             degree=0,
             validate=False,
         )
 
-    @cached_property
+    @kept
     def projection(self):
-        s, t = self.phi.source, self.phi.target
-        nvars, field = s.nvars, s.field
+        s = self.phi.source
+        c0, c1 = _cone_sizes(self.phi)
         a_s = s.split_degree
         return MfMorphism(
             source=self.factorization,
             target=s.shift(),
-            f0=hstack([
-                PolyMatrix.zero(s.m1.rank, t.m0.rank, nvars, field),
-                PolyMatrix.identity(s.m1.rank, nvars, field),
-            ]),
-            f1=hstack([
-                PolyMatrix.zero(s.m0.rank, t.m1.rank, nvars, field),
-                PolyMatrix.identity(s.m0.rank, nvars, field),
-            ]),
+            f0=block([[0, 1]], (s.m1.rank,), c0, s.nvars, s.field),
+            f1=block([[0, 1]], (s.m0.rank,), c1, s.nvars, s.field),
             degree=(a_s - self.phi.degree) if a_s is not None else 0,
             validate=False,
         )
 
-    @cached_property
+    @kept
     def splitting_homotopy(self):
-        s, t = self.phi.source, self.phi.target
-        nvars, field = s.nvars, s.field
+        s = self.phi.source
+        c0, c1 = _cone_sizes(self.phi)
         return Homotopy(
             source=s,
             target=self.factorization,
-            t0=vstack([
-                PolyMatrix.zero(t.m1.rank, s.m0.rank, nvars, field),
-                PolyMatrix.identity(s.m0.rank, nvars, field),
-            ]),
-            t1=vstack([
-                PolyMatrix.zero(t.m0.rank, s.m1.rank, nvars, field),
-                PolyMatrix.identity(s.m1.rank, nvars, field),
-            ]),
+            t0=block([[0], [1]], c1, (s.m0.rank,), s.nvars, s.field),
+            t1=block([[0], [1]], c0, (s.m1.rank,), s.nvars, s.field),
             degree=self.phi.degree,
         )
+
+
+def _cone_sizes(phi):
+    """The ranks of the summands of the cone's P0 = Q0 + P1 and of its
+    P1 = Q1 + P0, for phi: P -> Q."""
+    s, t = phi.source, phi.target
+    return (t.m0.rank, s.m1.rank), (t.m1.rank, s.m0.rank)
 
 
 def cone_factorization(phi):
@@ -828,7 +805,6 @@ def cone_factorization(phi):
     the triangle data ``cone`` attaches.  Its corner blocks -p1 and -p0
     are those of the source's kept shift."""
     s, t = phi.source, phi.target
-    nvars, field = s.nvars, s.field
     d = phi.degree
     a_s, a_t = s.split_degree, t.split_degree
     dd = s.weights.degree if s.weights is not None else 0
@@ -846,10 +822,9 @@ def cone_factorization(phi):
         _join_chars(t.m1.chars, s.m0.chars),
     )
     shifted = s.shift()
-    z_low0 = PolyMatrix.zero(s.m0.rank, t.m0.rank, nvars, field)
-    c0 = vstack([hstack([t.p0, phi.f1]), hstack([z_low0, shifted.p0])])
-    z_low1 = PolyMatrix.zero(s.m1.rank, t.m1.rank, nvars, field)
-    c1 = vstack([hstack([t.p1, phi.f0]), hstack([z_low1, shifted.p1])])
+    r0, r1 = _cone_sizes(phi)
+    c0 = block([[t.p0, phi.f1], [0, shifted.p0]], r1, r0, s.nvars, s.field)
+    c1 = block([[t.p1, phi.f0], [0, shifted.p1]], r0, r1, s.nvars, s.field)
     return MatrixFactorization(
         W=s.W, weights=s.weights, m0=c_m0, m1=c_m1, p0=c0, p1=c1, validate=False
     )
@@ -867,7 +842,6 @@ def trivial_brick(q):
     modulo W, which is what makes it the unit of the stabilization
     construction.
     """
-    nvars, field = q.nvars, q.field
     a = q.split_degree
     dd = q.weights.degree if q.weights is not None else 0
     sh0 = (dd - 2 * a) if a is not None else 0
@@ -883,16 +857,9 @@ def trivial_brick(q):
         q.m0.degrees + tuple(g + shm for g in q.m1.degrees),
         _join_chars(q.m0.chars, q.m1.chars),
     )
-    z10 = PolyMatrix.zero(q.m1.rank, q.m1.rank, nvars, field)
-    b0 = vstack([
-        hstack([-q.p1, PolyMatrix.identity(q.m0.rank, nvars, field)]),
-        hstack([z10, q.p0]),
-    ])
-    z01 = PolyMatrix.zero(q.m0.rank, q.m0.rank, nvars, field)
-    b1 = vstack([
-        hstack([-q.p0, PolyMatrix.identity(q.m1.rank, nvars, field)]),
-        hstack([z01, q.p1]),
-    ])
+    r0, r1 = (q.m1.rank, q.m0.rank), (q.m0.rank, q.m1.rank)
+    b0 = block([[-q.p1, 1], [0, q.p0]], r1, r0, q.nvars, q.field)
+    b1 = block([[-q.p0, 1], [0, q.p1]], r0, r1, q.nvars, q.field)
     return MatrixFactorization(
         W=q.W, weights=q.weights, m0=b_m0, m1=b_m1, p0=b0, p1=b1, validate=False
     )

@@ -91,7 +91,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import add
 
 from . import linalg
@@ -106,6 +106,7 @@ from .factorization import (
 from .matrices import PolyMatrix, unstack
 from .poly import (
     Polynomial,
+    kept,
     monomials_of_weighted_degree,
     monomials_up_to_total_degree,
 )
@@ -500,7 +501,7 @@ class _Reading:
             a, D = prob.target.split_degree, prob.source.weights.degree
             self.where = ((1, D - a), (0, -a))
 
-    @cached_property
+    @kept
     def assembler(self):
         return HomProblem(self.source, self.target, self.grade)
 

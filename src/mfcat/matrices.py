@@ -29,12 +29,16 @@ immutable by convention, never written, so sharing it is safe, and a
 cone, a zero map or a chain-map check then builds no matrix of its own.
 ``PolyMatrix`` is a ``__slots__`` class, as ``Polynomial`` is, so building
 one assigns five slots and reading a field takes the fast path.
+
+Every block matrix is built by ``block``, whose inverse ``unstack`` cuts
+one up; a zero or identity block is named 0 or 1 and comes from
+``_shared``, and ``hstack`` and ``vstack`` are cases of ``block``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import add
 
 from .errors import UsageError
@@ -304,49 +308,59 @@ def _accumulate(pairs):
     return nrows, ncols, nvars, field, acc
 
 
+def block(grid, row_sizes, col_sizes, nvars, field):
+    """The matrix of the block rows grid, the inverse of ``unstack``.
+
+    Block (i, j) fills row_sizes[i] x col_sizes[j]: a PolyMatrix of that
+    shape, or 0 or 1 for the shared zero or (square) identity matrix of
+    it.  Rows are joined in one pass, with no matrix built per block row.
+    """
+    if len(grid) != len(row_sizes):
+        raise UsageError("block grid does not match its row sizes")
+    rows = []
+    for blocks, n in zip(grid, row_sizes):
+        if len(blocks) != len(col_sizes):
+            raise UsageError("block row does not match its column sizes")
+        mats = []
+        for b, m in zip(blocks, col_sizes):
+            if b.__class__ is int and (b == 0 or (b == 1 and n == m)):
+                b = _shared(n, m, nvars, field, b == 1)
+            elif b.__class__ is not PolyMatrix:
+                raise UsageError("a block is a PolyMatrix, 0 or a square 1")
+            elif b.nrows != n or b.ncols != m:
+                raise UsageError("a %dx%d block in a %dx%d place"
+                                 % (b.nrows, b.ncols, n, m))
+            mats.append(b.entries)
+        if len(mats) == 1:
+            rows.extend(mats[0])
+        else:
+            rows.extend(map(sum, zip(*mats), repeat(())))
+    return PolyMatrix(sum(row_sizes), sum(col_sizes), nvars, field, tuple(rows))
+
+
 def hstack(blocks):
-    """Join matrices left to right."""
-    blocks = [b for b in blocks]
+    """Join matrices left to right: ``block`` with one block row."""
+    blocks = list(blocks)
     if not blocks:
         raise UsageError("hstack of nothing")
-    nrows = blocks[0].nrows
-    for b in blocks:
-        if b.nrows != nrows:
-            raise UsageError("hstack needs equal row counts")
-    rows = []
-    for i in range(nrows):
-        row = []
-        for b in blocks:
-            row.extend(b.entries[i])
-        rows.append(tuple(row))
-    return PolyMatrix(
-        nrows, sum(b.ncols for b in blocks), blocks[0].nvars, blocks[0].field,
-        tuple(rows),
-    )
+    b = blocks[0]
+    return block([blocks], (b.nrows,), [m.ncols for m in blocks], b.nvars, b.field)
 
 
 def vstack(blocks):
-    """Join matrices top to bottom."""
-    blocks = [b for b in blocks]
+    """Join matrices top to bottom: ``block`` with one block column."""
+    blocks = list(blocks)
     if not blocks:
         raise UsageError("vstack of nothing")
-    ncols = blocks[0].ncols
-    for b in blocks:
-        if b.ncols != ncols:
-            raise UsageError("vstack needs equal column counts")
-    rows = []
-    for b in blocks:
-        rows.extend(b.entries)
-    return PolyMatrix(
-        sum(b.nrows for b in blocks), ncols, blocks[0].nvars, blocks[0].field,
-        tuple(rows),
-    )
+    b = blocks[0]
+    return block([[m] for m in blocks], [m.nrows for m in blocks], (b.ncols,),
+                 b.nvars, b.field)
 
 
 def unstack(m, row_sizes, col_sizes):
     """The blocks of m, cut into rows of the sizes row_sizes and columns of
-    the sizes col_sizes, as a list of block rows: the inverse of a
-    ``vstack`` of ``hstack``s, as ``cone`` builds its structure maps."""
+    the sizes col_sizes, as a list of block rows: the inverse of
+    ``block``."""
     if sum(row_sizes) != m.nrows or sum(col_sizes) != m.ncols:
         raise UsageError("block sizes do not add up to the matrix shape")
     rows = list(accumulate(row_sizes, initial=0))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import add
 from typing import Iterable
 
@@ -27,6 +27,27 @@ from .errors import ParseError, UsageError
 from .fields import QQ, field_from_name
 
 Exponent = tuple  # tuple[int, ...]
+
+
+class kept:
+    """A value derived from an object's fields, computed on first read and
+    stored with ``object.__setattr__``, outside the fields, equality and
+    hash of a frozen dataclass.  The cached property of functools writes
+    the instance dict directly instead, and on CPython 3.11 every later
+    attribute read of that object then takes a slower path.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = self.fn(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
 
 
 def grlex_key(e: Exponent):
@@ -389,9 +410,8 @@ class WeightSystem:
     def __hash__(self):
         return self._hash
 
-    @cached_property
+    @kept
     def _hash(self):
-        """Hash of the dataclass fields, computed once, as for PolyMatrix."""
         return hash((self.weights, self.degree))
 
     def __reduce__(self):

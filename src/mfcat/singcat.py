@@ -31,7 +31,7 @@ from .homotopy import (
     hom_space,
     solve_null_homotopy,
 )
-from .matrices import PolyMatrix, hstack, products_equal, vstack
+from .matrices import PolyMatrix, block, products_equal
 from .poly import monomials_of_weighted_degree, monomials_up_to_total_degree
 
 
@@ -358,19 +358,13 @@ _BRICK_PROJECTIONS = 64
 def _brick_projection(t):
     """(trivial_brick(t), the projection from it onto t), the projection
     built with validate=True: a checked chain map of degree a_t."""
-    nvars, field = t.nvars, t.field
+    r0, r1 = (t.m1.rank, t.m0.rank), (t.m0.rank, t.m1.rank)
     brick = trivial_brick(t)
     v = MfMorphism(
         source=brick,
         target=t,
-        f0=hstack([
-            PolyMatrix.zero(t.m0.rank, t.m1.rank, nvars, field),
-            PolyMatrix.identity(t.m0.rank, nvars, field),
-        ]),
-        f1=hstack([
-            PolyMatrix.zero(t.m1.rank, t.m0.rank, nvars, field),
-            PolyMatrix.identity(t.m1.rank, nvars, field),
-        ]),
+        f0=block([[0, 1]], (t.m0.rank,), r0, t.nvars, t.field),
+        f1=block([[0, 1]], (t.m1.rank,), r1, t.nvars, t.field),
         degree=t.split_degree or 0,
     )
     return brick, v
@@ -401,11 +395,12 @@ def homotopy_decomposition(phi, homotopy=None, bound=None):
     elif not homotopy.bounds(phi):
         raise UsageError("supplied homotopy does not bound the map")
     brick, v = _brick_projection(t)
+    r0, r1 = (t.m1.rank, t.m0.rank), (t.m0.rank, t.m1.rank)
     u = MfMorphism(
         source=s,
         target=brick,
-        f0=vstack([homotopy.t0, phi.f0]),
-        f1=vstack([homotopy.t1, phi.f1]),
+        f0=block([[homotopy.t0], [phi.f0]], r0, (s.m0.rank,), s.nvars, s.field),
+        f1=block([[homotopy.t1], [phi.f1]], r1, (s.m1.rank,), s.nvars, s.field),
         degree=phi.degree - v.degree,
     )
     if not (u.target == v.source and u.source == s and v.target == t
@@ -425,25 +420,13 @@ def brick_presentation_normal_form(q):
     the brick's cokernel and that free module.
     """
     nvars, field = q.nvars, q.field
+    r0, r1 = (q.m1.rank, q.m0.rank), (q.m0.rank, q.m1.rank)
     brick = trivial_brick(q)
-    id0 = PolyMatrix.identity(q.m0.rank, nvars, field)
-    id1 = PolyMatrix.identity(q.m1.rank, nvars, field)
-    z01 = PolyMatrix.zero(q.m0.rank, q.m1.rank, nvars, field)
-    z10 = PolyMatrix.zero(q.m1.rank, q.m0.rank, nvars, field)
-    s_mat = vstack([
-        hstack([id1, z10]),
-        hstack([-q.p1, id0]),
-    ])
-    c_mat = vstack([
-        hstack([id0, z01]),
-        hstack([q.p0, id1]),
-    ])
+    s_mat = block([[1, 0], [-q.p1, 1]], r0, r0, nvars, field)
+    c_mat = block([[1, 0], [q.p0, 1]], r1, r1, nvars, field)
     n_mat = s_mat @ brick.p1 @ c_mat
     w_id0 = PolyMatrix.scalar(q.W, q.m0.rank)
-    expected = vstack([
-        hstack([z10, id1]),
-        hstack([w_id0, z01]),
-    ])
+    expected = block([[0, 1], [w_id0, 0]], r0, r1, nvars, field)
     if n_mat != expected:
         raise MfcatError("brick normal form did not come out as expected")
     return s_mat, c_mat, n_mat

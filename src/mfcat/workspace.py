@@ -156,6 +156,11 @@ class Workspace:
             weights = WeightSystem(
                 tuple(data["weights"]["weights"]), data["weights"]["degree"]
             )
+            if len(weights.weights) != nvars:
+                raise ParseError("weights need one entry per variable")
+            if potential.weighted_degrees(weights) != {weights.degree}:
+                raise ParseError(
+                    "potential is not quasi-homogeneous of the declared degree")
         action = None
         if data.get("action"):
             action = GroupAction.from_json(data["action"], nvars)
@@ -167,6 +172,10 @@ class Workspace:
             if mf.W != potential:
                 raise ParseError(
                     f"factorization {name!r} was built for a different potential"
+                )
+            if mf.weights != weights:
+                raise ParseError(
+                    f"factorization {name!r} carries another weight system"
                 )
             ws.factorizations[name] = mf
         return ws

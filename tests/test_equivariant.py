@@ -97,6 +97,15 @@ def test_check_equivariant_reports_bad_chars():
     assert any("character eigenvector" in p for p in problems)
     good = q.with_chars(((0,), (0,)), ((1,), (1,)))
     assert check_equivariant(good, act) == []
+    # a character of the wrong length is reported, not cut to fit
+    long = q.with_chars(((0, 5), (0,)), ((1,), (1,)))
+    assert check_equivariant(long, act) == [
+        "chars0 character 0 has 2 components for 1 factors"]
+    with pytest.raises(MfcatError, match="2 components for 1 factors"):
+        EquivariantStructure(long, act)
+    short = q.with_chars(((0,), (0,)), ((1,), ()))
+    assert check_equivariant(short, act) == [
+        "chars1 character 1 has 0 components for 1 factors"]
 
 
 def test_twist_orbits():

@@ -1,11 +1,12 @@
 """Source rules that no test of behaviour would catch.
 
-A ``functools.cached_property`` on a frozen dataclass writes the instance
-dict directly, and on CPython 3.11 every later attribute read of that
-object then takes a slower path (twice as long for a field read).  Kept
-values belong in a slot (as ``Polynomial`` and ``PolyMatrix`` keep their
-hash) or are set once with ``object.__setattr__`` (``factorization._kept_hash``).
-The ones that remain are listed below and may only be removed.
+A ``functools.cached_property`` writes the instance dict directly, and on
+CPython 3.11 every later attribute read of that object then takes a slower
+path (twice as long for a field read), on a frozen dataclass and a plain
+class alike.  A value derived from an object's fields is kept with
+``poly.kept``, which stores it with ``object.__setattr__``, or in a slot
+(as ``Polynomial`` and ``PolyMatrix`` keep their hash).  The package names
+``cached_property`` nowhere: not as a decorator, an attribute or an import.
 """
 
 import ast
@@ -14,68 +15,44 @@ import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# (module, class, attribute) of each cached_property on a frozen dataclass
-# that is still allowed: each slows the reads of its object, as above.
-ALLOWED = {
-    ("factorization", "MatrixFactorization", "split_degree"),
-    ("factorization", "MatrixFactorization", "_shifted"),
-    ("poly", "WeightSystem", "_hash"),
-    ("action", "GroupAction", "_hash"),
-    ("equivariant", "EquivariantStructure", "_orbit_key"),
-}
 
-
-def _name(node):
-    return ast.unparse(node.func if isinstance(node, ast.Call) else node).split(".")[-1]
-
-
-def _is_frozen_dataclass(cls):
-    for dec in cls.decorator_list:
-        if (isinstance(dec, ast.Call) and _name(dec) == "dataclass"
-                and any(kw.arg == "frozen" and ast.unparse(kw.value) == "True"
-                        for kw in dec.keywords)):
-            return True
-    return False
-
-
-def cached_properties_on_frozen_dataclasses(root=ROOT):
-    """{(module, class, attribute)} read from the source of root/src/mfcat."""
+def cached_property_uses(root=ROOT):
+    """{(module, line)} of each name, attribute or import of
+    cached_property in the source of root/src/mfcat."""
     out = set()
     for path in sorted(glob.glob(os.path.join(root, "src", "mfcat", "*.py"))):
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         module = os.path.basename(path)[:-3]
-        for cls in ast.walk(tree):
-            if not isinstance(cls, ast.ClassDef) or not _is_frozen_dataclass(cls):
-                continue
-            for node in cls.body:
-                if (isinstance(node, ast.FunctionDef)
-                        and any(_name(d) == "cached_property" for d in node.decorator_list)):
-                    out.add((module, cls.name, node.name))
+        for node in ast.walk(tree):
+            if ((isinstance(node, ast.Name) and node.id == "cached_property")
+                    or (isinstance(node, ast.Attribute) and node.attr == "cached_property")
+                    or (isinstance(node, ast.ImportFrom)
+                        and any(a.name == "cached_property" for a in node.names))):
+                out.add((module, node.lineno))
     return out
 
 
-def test_no_new_cached_property_on_a_frozen_dataclass():
-    found = cached_properties_on_frozen_dataclasses()
-    assert found <= ALLOWED, sorted(found - ALLOWED)
-    # an entry whose property is gone must leave the list too
-    assert ALLOWED <= found, sorted(ALLOWED - found)
+def test_no_cached_property_in_the_package():
+    assert not cached_property_uses(), sorted(cached_property_uses())
 
 
-def test_the_rule_sees_a_cached_property_on_a_frozen_dataclass(tmp_path):
+def test_the_rule_sees_every_cached_property(tmp_path):
     src = tmp_path / "src" / "mfcat"
     src.mkdir(parents=True)
     (src / "demo.py").write_text(
         "import dataclasses, functools\n"
+        "from functools import cached_property\n"
         "@dataclasses.dataclass(frozen=True)\n"
         "class Frozen:\n"
         "    @functools.cached_property\n"
         "    def kept(self):\n"
         "        return 1\n"
-        "@dataclasses.dataclass\n"
-        "class Open:\n"
-        "    @functools.cached_property\n"
+        "class Plain:\n"
+        "    @cached_property\n"
         "    def kept(self):\n"
-        "        return 1\n")
-    assert cached_properties_on_frozen_dataclasses(str(tmp_path)) == {
-        ("demo", "Frozen", "kept")}
+        "        return 1\n"
+        "    other = functools.cached_property(len)\n"
+        "# cached_property in a comment is no use\n")
+    assert cached_property_uses(str(tmp_path)) == {
+        ("demo", 2), ("demo", 5), ("demo", 9), ("demo", 12)}

@@ -10,7 +10,8 @@ from mfcat import PolyMatrix, Polynomial, zero_factorization
 from mfcat.errors import UsageError
 from mfcat.fields import QQ, PrimeField
 from mfcat import matrices
-from mfcat.matrices import products_equal, sum_of_products
+from mfcat.matrices import (
+    block, hstack, products_equal, sum_of_products, unstack, vstack)
 
 FIELDS = [QQ, PrimeField(7), PrimeField(2**31 - 1)]
 FIELD_IDS = ["Q", "F7", "F2^31-1"]
@@ -165,6 +166,47 @@ def test_zero_and_identity_matrices_are_shared_per_shape_and_field():
         assert eye(3, 2, field) == PolyMatrix.from_rows(
             [[one if i == j else z for j in range(3)] for i in range(3)], 2, field)
     assert matrices._shared.cache_info().maxsize == matrices._SHARED_MATRICES
+
+
+@pytest.mark.parametrize("field", FIELDS[:2], ids=FIELD_IDS[:2])
+def test_unstack_inverts_block(field):
+    rng = random.Random(5)
+    zero, eye = PolyMatrix.zero, PolyMatrix.identity
+    for row_sizes, col_sizes in (((2, 0, 1), (1, 2)), ((0,), (3, 0)), ((2, 2), (2, 2))):
+        grid, want = [], []
+        for i, n in enumerate(row_sizes):
+            grid.append([])
+            want.append([])
+            for j, m in enumerate(col_sizes):
+                kind = (i + j) % 3 if n == m else (i + j) % 2
+                b = (random_matrix(rng, n, m, 2, field), 0, 1)[kind]
+                grid[-1].append(b)
+                want[-1].append((b, zero(n, m, 2, field), eye(n, 2, field))[kind])
+        m = block(grid, row_sizes, col_sizes, 2, field)
+        assert (m.nrows, m.ncols) == (sum(row_sizes), sum(col_sizes))
+        assert unstack(m, row_sizes, col_sizes) == want
+        # hstack and vstack are its one-row and one-column cases
+        for r, n in zip(want, row_sizes):
+            assert hstack(r) == block([r], (n,), col_sizes, 2, field)
+        assert vstack([block([r], (n,), col_sizes, 2, field)
+                       for r, n in zip(want, row_sizes)]) == m
+
+
+def test_block_refuses_a_block_that_does_not_fit():
+    x = Polynomial.variable(0, 2)
+    a = PolyMatrix.from_rows([[x, x, x], [x, x, x]], 2, QQ)
+    with pytest.raises(UsageError, match="a 2x3 block in a 2x2 place"):
+        block([[a, 0]], (2,), (2, 3), 2, QQ)
+    with pytest.raises(UsageError, match="square 1"):
+        block([[a, 1]], (2,), (3, 3), 2, QQ)
+    with pytest.raises(UsageError, match="square 1"):
+        block([[a, 2]], (2,), (3, 2), 2, QQ)
+    with pytest.raises(UsageError, match="does not match its row sizes"):
+        block([[a], [0]], (2,), (3,), 2, QQ)
+    with pytest.raises(UsageError):
+        hstack([a, PolyMatrix.from_rows([[x]], 2, QQ)])
+    with pytest.raises(UsageError):
+        vstack([a, PolyMatrix.from_rows([[x]], 2, QQ)])
 
 
 def test_zero_factorizations_over_equal_fields_made_apart():

@@ -79,6 +79,48 @@ def test_json_round_trip():
     assert back.action == ws.action
 
 
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_demo_workspaces_survive_json_and_text(name):
+    ws = parse_workspace(run_demo(name)[0])
+    back = Workspace.loads(json.dumps(ws.to_json()))
+    assert back == ws
+    assert parse_workspace(back.render()) == ws
+
+
+def _an_json(**changes):
+    data = parse_workspace(run_demo("an")[0]).to_json()
+    data.update(changes)
+    return data
+
+
+def test_json_refuses_what_the_text_grammar_refuses(tmp_path, capsys):
+    long_chars = _an_json()
+    long_chars["factorizations"]["f1"]["chars0"] = [[0, 5]]
+    wrong_degree = _an_json(weights={"weights": [1], "degree": 5})
+    for data in (long_chars, wrong_degree):
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(data))
+        for args in (["verify", str(path)],
+                     ["hom", str(path), "f1", "f1", "--equivariant"]):
+            code, _, _ = run_cli(args, capsys)
+            assert code == 1, (args, data["weights"])
+    with pytest.raises(ParseError, match="not quasi-homogeneous"):
+        Workspace.from_json(wrong_degree)
+    with pytest.raises(ParseError, match="one entry per variable"):
+        Workspace.from_json(_an_json(weights={"weights": [1, 1], "degree": 4}))
+    # a factorization's weight system must be the workspace's, None included
+    ungraded = _an_json(weights=None)
+    with pytest.raises(ParseError, match="'f1' carries another weight system"):
+        Workspace.from_json(ungraded)
+    for mf in ungraded["factorizations"].values():
+        del mf["weights"], mf["degree"]
+    assert Workspace.from_json(ungraded).weights is None
+    regraded = _an_json()
+    regraded["factorizations"]["f2"].update(weights=[2], degree=8)
+    with pytest.raises(ParseError, match="'f2' carries another weight system"):
+        Workspace.from_json(regraded)
+
+
 def test_ungraded_workspace():
     ws = parse_workspace(UNGRADED)
     assert ws.weights is None
