@@ -22,12 +22,12 @@ Twisting a structure shifts all its generator characters by the same
 amount, so the character pieces of a twisted pair are those of the
 untwisted pair relabelled by a fixed offset.  One character split
 therefore serves a whole twist orbit.  It is kept in a bounded cache whose
-key takes, per structure, the fields every twist shares (W, the weights,
-the generator degrees, p0 and p1; twists share the matrix objects, and
-the hashes of polynomials, matrices, weight systems and actions are
-memoized) and the characters relative to the structure's first one, plus
-the action.  Each structure computes that part of the key once and keeps
-it (``EquivariantStructure._orbit_key``), and ``twist`` returns one
+key takes, per structure, its factorization without characters, which
+every twist shares up to equality (``homotopy._untwisted``: a char-free
+copy kept on the factorization, whose hash is kept too), and the
+characters relative to the structure's first one, plus the action.  Each
+structure computes that part of the key once and keeps it
+(``EquivariantStructure._orbit_key``), and ``twist`` returns one
 shared object per structure and character from a bounded cache
 (``_twisted``), so the callers that twist a structure by every character
 of every pair make each twist, and its key, once.  The piece of character
@@ -152,11 +152,11 @@ class EquivariantStructure:
 
     @kept
     def _orbit_key(self):
-        """((``_untwisted`` fields, relative characters), base): base is
-        the first generator character (zero without generators) and the
-        relative characters are (chars0 - base, chars1 - base), so every
-        twist of the structure has the same first part and twisting moves
-        base only."""
+        """((the factorization without characters (``_untwisted``), the
+        relative characters), base): base is the first generator character
+        (zero without generators) and the relative characters are
+        (chars0 - base, chars1 - base), so every twist of the structure has
+        an equal first part and twisting moves base only."""
         orders = self.action.orders
         chars0, chars1 = self.chars0, self.chars1
         first = chars0 or chars1
@@ -327,8 +327,8 @@ def _orbit_split(source, target, action):
     (``homotopy._rank_table``) of the maps between two structures without
     their characters, relative to need0; source and
     target are each the first part of a structure's ``_orbit_key``
-    (``_untwisted`` fields, relative characters), so every twist of the
-    pair has the same key.
+    (factorization without characters, relative characters), so every
+    twist of the pair has the same key.
 
     An unknown (kind, i, j, e) has character need[kind, i, j] - char(e)
     (``_slot_characters``), and need[kind, i, j] is need0 plus the same

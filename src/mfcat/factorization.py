@@ -116,8 +116,9 @@ class MatrixFactorization:
         return hash((self.W, self.weights, self.m0, self.m1, self.p0, self.p1))
 
     def __reduce__(self):
-        # as for PolyMatrix: a pickle carries neither the kept hash nor
-        # the kept split degree and shift; the copy is not validated again
+        # as for PolyMatrix: a pickle carries neither the kept hash nor the
+        # kept split degree, shift and plain copy; the copy is not
+        # validated again
         return MatrixFactorization, (
             self.W, self.weights, self.m0, self.m1, self.p0, self.p1, False)
 
@@ -246,6 +247,13 @@ class MatrixFactorization:
             p1=self.p1,
             validate=False,
         )
+
+    @kept
+    def _plain(self):
+        """strip_chars, built once per object: a factorization with
+        characters is read up to characters through it
+        (``homotopy._untwisted``)."""
+        return self.strip_chars()
 
     def with_chars(self, chars0, chars1):
         return MatrixFactorization(

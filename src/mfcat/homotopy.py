@@ -40,7 +40,8 @@ graded phi is one at all is read off the cone's constant terms.
 Every degree of a hom complex is answered by one reader, ``_Reading``,
 from the ranks a ``_KeptComplex`` keeps.  There is one kind of kept
 complex: that of each ordered pair (X, Y) of factorizations up to
-characters, kept in one bounded LRU (``_rank_table``), and each character
+characters, kept in one bounded LRU (``_rank_table``) whose key is the
+pair without characters (``_untwisted``), and each character
 piece of such an entry (``_KeptComplex.pieces``), which inherits the
 pair's default window and isolated-singularity flag and keeps halves of
 its own.  A kept complex holds answers only.  Per internal degree e, for
@@ -70,7 +71,7 @@ the pieces' halves of a degree add up to the pair's.
 
 Every kept complex, pair or piece, also keeps the finished table of its
 default window, one per (shift, want_reps) read (``_KeptComplex.rows``):
-per degree a frozen ``DegreeData`` that every call shares, and for a
+per degree a ``DegreeData`` that every call shares, and for a
 degree with representatives their (f0, f1) matrix pairs, from which each
 call makes maps between its own endpoints.  A warm default read then
 builds only its ``HomSpace``.  A table refers to no kept complex, and
@@ -97,9 +98,7 @@ from operator import add
 from . import linalg
 from .errors import GradingError, MfcatError, UsageError
 from .factorization import (
-    GradedFreeModule,
     Homotopy,
-    MatrixFactorization,
     MfMorphism,
     cone_factorization,
 )
@@ -454,17 +453,17 @@ class _Pieces(dict):
 
 @lru_cache(maxsize=_RANK_TABLES)
 def _rank_table(source, target):
-    """The _KeptComplex of the maps source -> target, each given by its
-    _untwisted fields, so that every character twist of the pair reads
-    the same entry and its halves ({e: even half}, {e: odd half}).  A
-    half is (n, r, exact): n unknowns of that parity in degree e, and r
-    the rank of D on them.  A kept half is always exact; the flag lets it
+    """The _KeptComplex of the maps source -> target, two factorizations
+    without characters (``_untwisted``), so that every character twist of
+    the pair reads the same entry and its halves ({e: even half}, {e: odd
+    half}).  A half is (n, r, exact): n unknowns of that parity in degree
+    e, and r the rank of D on them.  A kept half is always exact; the flag lets it
     be read like a half fresh from a block, whose r may be a rank mod p
     below the rank, or None.  Only ranks, tables and the cycle bases of
     ``random_chain_map`` are kept, no blocks (``_Reading``)."""
-    s, t = _from_untwisted(source), _from_untwisted(target)
-    _require_shared_grading(s, t)
-    return _KeptComplex(s, t, default_window(s, t), _certified_potential(s.W, s.weights))
+    _require_shared_grading(source, target)
+    return _KeptComplex(source, target, default_window(source, target),
+                        _certified_potential(source.W, source.weights))
 
 
 def _half(n, rows, ncols, field):
@@ -589,23 +588,77 @@ class _Reading:
         return tuple(per_degree), total, tuple(reps)
 
 
-@dataclass(frozen=True)
 class DegreeData:
-    degree: int
-    cycles: int
-    boundaries: int
-    dim: int
-    representatives: tuple
+    """One degree's answer: the dimensions of its cycles, boundaries and
+    homology, and a tuple of representatives (maps), empty when none are
+    held.  A ``__slots__`` class like ``MfMorphism``, immutable by
+    convention, with equality, the hash and the repr of the field tuple
+    (degree, cycles, boundaries, dim, representatives)."""
+
+    __slots__ = ("degree", "cycles", "boundaries", "dim", "representatives")
+
+    def __init__(self, degree, cycles, boundaries, dim, representatives):
+        self.degree = degree
+        self.cycles = cycles
+        self.boundaries = boundaries
+        self.dim = dim
+        self.representatives = representatives
+
+    def _fields(self):
+        return (self.degree, self.cycles, self.boundaries, self.dim,
+                self.representatives)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return ("DegreeData(degree=%r, cycles=%r, boundaries=%r, dim=%r, "
+                "representatives=%r)" % self._fields())
+
+    def __reduce__(self):
+        return DegreeData, self._fields()
 
 
-@dataclass(frozen=True)
 class HomSpace:
-    source: MatrixFactorization
-    target: MatrixFactorization
-    window: tuple
-    per_degree: tuple
-    total: int
-    certified: bool
+    """The morphism space of ``hom_space``: its endpoints, the window read,
+    the DegreeData of each degree with a nonzero Z or B, their total
+    dimension and the certified flag.  A ``__slots__`` class like
+    DegreeData, with the field tuple (source, target, window, per_degree,
+    total, certified)."""
+
+    __slots__ = ("source", "target", "window", "per_degree", "total", "certified")
+
+    def __init__(self, source, target, window, per_degree, total, certified):
+        self.source = source
+        self.target = target
+        self.window = window
+        self.per_degree = per_degree
+        self.total = total
+        self.certified = certified
+
+    def _fields(self):
+        return (self.source, self.target, self.window, self.per_degree,
+                self.total, self.certified)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return ("HomSpace(source=%r, target=%r, window=%r, per_degree=%r, "
+                "total=%r, certified=%r)" % self._fields())
+
+    def __reduce__(self):
+        return HomSpace, self._fields()
 
     def dims_by_degree(self):
         return {p.degree: p.dim for p in self.per_degree}
@@ -778,19 +831,14 @@ def _graded(s, t):
 
 
 def _untwisted(mf):
-    """The fields of mf that every character twist of it shares: all but
-    the generator characters.  Two factorizations are equal up to
-    characters when these are equal."""
-    return mf.W, mf.weights, mf.m0.degrees, mf.m1.degrees, mf.p0, mf.p1
-
-
-def _from_untwisted(fields):
-    """The factorization without characters whose _untwisted fields are
-    the given ones."""
-    W, weights, deg0, deg1, p0, p1 = fields
-    return MatrixFactorization(
-        W, weights, GradedFreeModule(len(deg0), deg0),
-        GradedFreeModule(len(deg1), deg1), p0, p1, validate=False)
+    """mf without its generator characters: mf itself when it has none,
+    else its char-free copy kept on it (``MatrixFactorization._plain``).
+    Two factorizations are equal up to characters when these are equal,
+    and the hash of either is kept, so it is the key of every store read
+    up to characters."""
+    if mf.m0.chars is None and mf.m1.chars is None:
+        return mf
+    return mf._plain
 
 
 class _KeptSystems:
@@ -799,9 +847,9 @@ class _KeptSystems:
 
     A system is D(h) = phi in the degree-d odd unknowns h of maps
     source -> target, one equation per even coordinate (kind, i, j, e)
-    that D reaches; its key is (source, target, d), each side given by
-    its _untwisted fields.  An entry is (weight, odd unknowns, solve), and
-    the equations themselves are not kept:
+    that D reaches; its key is (source, target, d), each side without its
+    characters (``_untwisted``).  An entry is (weight, odd unknowns,
+    solve), and the equations themselves are not kept:
 
     * a system met for the first time gets a marker (``mark``), solve
       None, weighing its unknowns.  The caller solves that right-hand side

@@ -31,7 +31,10 @@ attach a character tuple per generator and require an action.
 
 The JSON mirror holds the same data: keys ring {nvars, field},
 potential, weights, action, factorizations; polynomials are term lists
-and each factorization uses its own JSON shape.
+and each factorization uses its own JSON shape.  Its weights, potential
+and characters are checked as the text's are, and its characters reduced
+mod the orders likewise, so a workspace read from either form renders to
+text that reads back equal.
 """
 
 from __future__ import annotations
@@ -168,6 +171,11 @@ class Workspace:
                 raise ParseError("potential is not invariant under the action")
         ws = cls(nvars, field, potential, weights, action)
         for name, mfdata in data.get("factorizations", {}).items():
+            chars = _checked_chars(
+                name, (mfdata.get("chars0"), mfdata.get("chars1")),
+                (len(mfdata["P0_deg"]), len(mfdata["P1_deg"])), action)
+            if chars[0] is not None:
+                mfdata = dict(mfdata, chars0=chars[0], chars1=chars[1])
             mf = MatrixFactorization.from_json(mfdata, nvars, field, validate=validate)
             if mf.W != potential:
                 raise ParseError(
@@ -254,6 +262,34 @@ def _parse_char(token, line):
         return (int(t),)
     except ValueError:
         raise ParseError(f"bad character {token!r}", line)
+
+
+def _checked_chars(name, chars, counts, action, lines=(None, None, None)):
+    """The (chars0, chars1) of factorization name, both None or both given,
+    with every component reduced mod its factor's order.  ParseError, at
+    lines (the block's, chars0's, chars1's), for one without the other,
+    characters without an action, or a character list whose length is not
+    its count of generators or a character whose length is not the
+    action's number of factors."""
+    if chars == (None, None):
+        return chars
+    if None in chars:
+        raise ParseError(f"{name!r} needs both chars0 and chars1 or neither", lines[0])
+    if action is None:
+        raise ParseError(
+            f"{name!r} has characters but the workspace has no action", lines[0])
+    out = []
+    for label, cs, line, count in zip(("chars0", "chars1"), chars, lines[1:], counts):
+        if len(cs) != count:
+            raise ParseError(
+                f"{label} of {name!r} has {len(cs)} entries for {count} generators",
+                line)
+        if any(len(c) != action.nfactors for c in cs):
+            raise ParseError(
+                f"{label} entries of {name!r} need {action.nfactors} components",
+                line)
+        out.append(tuple(tuple(v % m for v, m in zip(c, action.orders)) for c in cs))
+    return tuple(out)
 
 
 def infer_generator_degrees(p0, p1, weights):
@@ -478,43 +514,11 @@ def parse_workspace(text, validate=True, field_override=None):
                 f"deg1 of {name!r} has {len(deg1)} entries for {p0.nrows} generators",
                 block["line"],
             )
-        chars0 = chars1 = None
-        if "chars0" in block or "chars1" in block:
-            if "chars0" not in block or "chars1" not in block:
-                raise ParseError(
-                    f"{name!r} needs both chars0 and chars1 or neither",
-                    block["line"],
-                )
-            if action is None:
-                raise ParseError(
-                    f"{name!r} has characters but the workspace has no action",
-                    block["line"],
-                )
-            chars0, cline0 = block["chars0"]
-            chars1, cline1 = block["chars1"]
-            for label, chars, cline, count in (
-                ("chars0", chars0, cline0, p0.ncols),
-                ("chars1", chars1, cline1, p0.nrows),
-            ):
-                if len(chars) != count:
-                    raise ParseError(
-                        f"{label} of {name!r} has {len(chars)} entries "
-                        f"for {count} generators",
-                        cline,
-                    )
-                for c in chars:
-                    if len(c) != action.nfactors:
-                        raise ParseError(
-                            f"{label} entries of {name!r} need "
-                            f"{action.nfactors} components",
-                            cline,
-                        )
-            chars0 = tuple(
-                tuple(v % m for v, m in zip(c, action.orders)) for c in chars0
-            )
-            chars1 = tuple(
-                tuple(v % m for v, m in zip(c, action.orders)) for c in chars1
-            )
+        chars0, cline0 = block.get("chars0", (None, None))
+        chars1, cline1 = block.get("chars1", (None, None))
+        chars0, chars1 = _checked_chars(
+            name, (chars0, chars1), (p0.ncols, p0.nrows), action,
+            (block["line"], cline0, cline1))
         try:
             mf = MatrixFactorization(
                 W=potential,

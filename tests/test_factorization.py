@@ -1,5 +1,7 @@
 """Factorization constructors, the shift, cones, bricks, and morphism algebra."""
 
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -27,6 +29,7 @@ from mfcat import (
     zero_factorization,
 )
 from mfcat.errors import GradingError, MfcatError, UsageError
+from mfcat.homotopy import DegreeData, HomSpace
 
 
 def fmt(matrix):
@@ -194,6 +197,21 @@ def test_value_types_compare_hash_and_print_by_their_fields():
         mf, mf, one, one)
     assert repr(one) == "PolyMatrix(nrows=1, ncols=1, nvars=1, field=%r, entries=%r)" % (
         QQ, one.entries)
+    # the answers of hom_space likewise, their reprs those of the frozen
+    # dataclasses they were, and a pickle carrying the fields alone
+    dd = DegreeData(0, 2, 1, 1, (phi,))
+    hs = HomSpace(mf, mf, (0, 2), (dd,), 1, True)
+    assert dd != DegreeData(0, 2, 1, 1, ()) and hs != HomSpace(mf, mf, (0, 2), (dd,), 1, False)
+    for obj in (dd, hs):
+        fields = type(obj).__slots__
+        values = tuple(getattr(obj, f) for f in fields)
+        twin = type(obj)(*values)
+        assert twin == obj and hash(twin) == hash(obj) and twin is not obj
+        assert obj != phi and not obj == values
+        frozen = dataclasses.make_dataclass(type(obj).__name__, fields, frozen=True)
+        assert repr(obj) == repr(frozen(*values))
+        copy = pickle.loads(pickle.dumps(obj))
+        assert type(copy) is type(obj) and copy == obj
 
 
 def test_cone_structure():

@@ -7,11 +7,25 @@ class alike.  A value derived from an object's fields is kept with
 ``poly.kept``, which stores it with ``object.__setattr__``, or in a slot
 (as ``Polynomial`` and ``PolyMatrix`` keep their hash).  The package names
 ``cached_property`` nowhere: not as a decorator, an attribute or an import.
+
+The value types made on every witness check and every hom read are
+``__slots__`` classes, immutable by convention: ``PolyMatrix``,
+``MfMorphism``, ``Homotopy``, ``HomSpace`` and ``DegreeData``.  None of
+them may give its instances a ``__dict__`` again (as a dataclass, or a
+subclass or base without ``__slots__``, would), since a dict per object
+costs memory and a slower construction on those paths.
 """
 
 import ast
+import dataclasses
 import glob
 import os
+
+from mfcat.factorization import Homotopy, MfMorphism
+from mfcat.homotopy import DegreeData, HomSpace
+from mfcat.matrices import PolyMatrix
+
+SLOTTED = (PolyMatrix, MfMorphism, Homotopy, HomSpace, DegreeData)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -56,3 +70,27 @@ def test_the_rule_sees_every_cached_property(tmp_path):
         "# cached_property in a comment is no use\n")
     assert cached_property_uses(str(tmp_path)) == {
         ("demo", 2), ("demo", 5), ("demo", 9), ("demo", 12)}
+
+
+def with_instance_dict(classes):
+    """The names of those classes whose instances have a ``__dict__``."""
+    return [cls.__name__ for cls in classes if cls.__dictoffset__]
+
+
+def test_slotted_value_types_keep_no_instance_dict():
+    assert not with_instance_dict(SLOTTED), with_instance_dict(SLOTTED)
+
+
+def test_the_rule_sees_every_instance_dict():
+    class Slotted:
+        __slots__ = ("a",)
+
+    class Unslotted(Slotted):
+        pass
+
+    class Plain:
+        pass
+
+    frozen = dataclasses.make_dataclass("Frozen", ["a"], frozen=True)
+    assert with_instance_dict((Slotted, Unslotted, Plain, frozen)) == [
+        "Unslotted", "Plain", "Frozen"]

@@ -136,6 +136,19 @@ def test_memoized_hash_matches_fresh_hash():
     assert {hash(p) for p in same} == {fresh_hash(same[0])}
 
 
+def test_equality_of_one_object_and_of_equal_objects():
+    # an object equals itself at once; distinct equal objects still compare
+    # by their terms, and a different field or variable count still differs
+    p = parse_poly("x1^2 - 1/2*x1*x2", 2)
+    assert p == p and not (p != p)
+    q = parse_poly("x1^2 - 1/2*x1*x2", 2)
+    assert q is not p and q == p and not (q != p)
+    assert p != parse_poly("x1^2", 2)
+    assert p != parse_poly("x1^2 - 1/2*x1*x2", 3)
+    assert parse_poly("x1", 1) != parse_poly("x1", 1, PrimeField(7))
+    assert (p == 1) is False and p != "p"
+
+
 def test_matrix_hash_is_kept_and_structural():
     def build():
         return PolyMatrix.from_rows(

@@ -7,6 +7,7 @@ hom tables from its own description of Y[1], with no library solver code.
 
 import gc
 import itertools
+import pickle
 import random
 import types
 
@@ -14,12 +15,14 @@ import pytest
 
 from mfcat import (
     QQ,
+    MatrixFactorization,
     MfcatError,
     PrimeField,
     cok,
     enumerate_structures,
     random_chain_map,
     stable_hom,
+    twist_orbits,
 )
 from mfcat.equivariant import _orbit_split, _twist_orbit, isotypic_decompose
 from mfcat.homotopy import (
@@ -125,6 +128,50 @@ def test_both_shifts_and_every_twist_read_one_entry(monkeypatch):
     isotypic_decompose(s0, s1)
     assert _rank_table.cache_info().misses == info.misses
     assert _rank_table.cache_info().currsize == 1
+
+
+def test_the_key_up_to_characters_is_the_char_free_factorization(monkeypatch):
+    # every twist of a structure has an equal key of equal hash; a
+    # factorization without characters is its own key, and one with them
+    # builds its char-free copy once and keeps it out of its pickle
+    act = suites.an_action(4)
+    plain = suites.an_objects(4)[1]
+    assert homotopy._untwisted(plain) is plain
+    built = []
+    strip = MatrixFactorization.strip_chars
+
+    def counted(self):
+        built.append(self)
+        return strip(self)
+
+    monkeypatch.setattr(MatrixFactorization, "strip_chars", counted)
+    # the structures on (x | x^3) are the four twists of one, each on a
+    # factorization of its own
+    structures = enumerate_structures(plain, act)
+    keys = []
+    for st in structures:
+        mf = st.factorization
+        key = homotopy._untwisted(mf)
+        assert homotopy._untwisted(mf) is key and key.m0.chars is key.m1.chars is None
+        keys.append(key)
+        data = pickle.dumps(mf)
+        assert b"_plain" not in data and "_plain" not in vars(pickle.loads(data))
+    assert len(built) == 4 and all(m is st.factorization for m, st in zip(built, structures))
+    assert all(key == plain and hash(key) == hash(plain) for key in keys)
+    assert len(twist_orbits(structures)) == 1
+
+
+def test_one_rank_table_entry_serves_every_twist_of_a_pair():
+    act = suites.an_action(4)
+    s0, s1 = enumerate_structures(suites.an_objects(4)[1], act)[:2]
+    _rank_table.cache_clear()
+    for c0, c1 in itertools.product(act.characters(), repeat=2):
+        x, y = s0.twist(c0).factorization, s1.twist(c1).factorization
+        _rank_table(homotopy._untwisted(x), homotopy._untwisted(y))
+        hom_space(x, y, want_reps=False)
+    info = _rank_table.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    _rank_table.cache_clear()
 
 
 def test_warm_reads_at_both_shifts_construct_no_problem(monkeypatch):

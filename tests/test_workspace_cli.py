@@ -121,6 +121,39 @@ def test_json_refuses_what_the_text_grammar_refuses(tmp_path, capsys):
         Workspace.from_json(regraded)
 
 
+def test_json_characters_are_reduced_and_refused_as_in_the_text(tmp_path, capsys):
+    # a component is reduced mod its factor's order, so the workspace
+    # renders to text that reads back equal
+    data = _an_json()
+    data["factorizations"]["f1"]["chars1"] = [[5]]
+    ws = Workspace.from_json(data)
+    assert ws.factorization("f1").m1.chars == ((1,),)
+    assert ws == parse_workspace(run_demo("an")[0])
+    assert parse_workspace(ws.render()) == ws and ws.verify_all()["ok"]
+
+    def changed(edit):
+        data = _an_json()
+        edit(data, data["factorizations"]["f1"])
+        return data
+
+    refused = {
+        "needs both chars0 and chars1 or neither":
+            changed(lambda ws, mf: mf.pop("chars1")),
+        "has characters but the workspace has no action":
+            changed(lambda ws, mf: ws.update(action=None)),
+        "chars0 of 'f1' has 2 entries for 1 generators":
+            changed(lambda ws, mf: mf.update(chars0=[[0], [1]])),
+        "chars1 entries of 'f1' need 1 components":
+            changed(lambda ws, mf: mf.update(chars1=[[1, 0]])),
+    }
+    for message, data in refused.items():
+        with pytest.raises(ParseError, match=message):
+            Workspace.from_json(data)
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(data))
+        assert run_cli(["hom", str(path), "f1", "f1"], capsys)[0] == 1, message
+
+
 def test_ungraded_workspace():
     ws = parse_workspace(UNGRADED)
     assert ws.weights is None
