@@ -64,6 +64,15 @@ class GroupAction:
         object.__setattr__(self, "exponents", tuple(norm))
         object.__setattr__(self, "orders", tuple(int(m) for m in self.orders))
 
+    def __eq__(self, other):
+        # the structures of a pair most often share one action
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.orders, self.exponents, self.nvars)
+                == (other.orders, other.exponents, other.nvars))
+
     def __hash__(self):
         return self._hash
 

@@ -23,8 +23,8 @@ amount, so the character pieces of a twisted pair are those of the
 untwisted pair relabelled by a fixed offset.  One character split
 therefore serves a whole twist orbit.  It is kept in a bounded cache whose
 key takes, per structure, its factorization without characters, which
-every twist shares up to equality (``homotopy._untwisted``: a char-free
-copy kept on the factorization, whose hash is kept too), and the
+every twist shares as one object (``homotopy._untwisted``: a char-free
+copy handed down by ``with_chars``, whose hash is kept), and the
 characters relative to the structure's first one, plus the action.  Each
 structure computes that part of the key once and keeps it
 (``EquivariantStructure._orbit_key``), and ``twist`` returns one

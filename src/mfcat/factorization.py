@@ -117,7 +117,7 @@ class MatrixFactorization:
 
     def __reduce__(self):
         # as for PolyMatrix: a pickle carries neither the kept hash nor the
-        # kept split degree, shift and plain copy; the copy is not
+        # other kept values (``kept``); the copy is not
         # validated again
         return MatrixFactorization, (
             self.W, self.weights, self.m0, self.m1, self.p0, self.p1, False)
@@ -151,6 +151,12 @@ class MatrixFactorization:
                         return None
                     return d - self.m0.degrees[j] + self.m1.degrees[i]
         return None
+
+    @kept
+    def _contractible(self):
+        """Graded contractibility (``homotopy._nakayama``), decided once."""
+        from .homotopy import _nakayama  # deferred: homotopy imports this module
+        return _nakayama(self)
 
     def verify(self):
         """Full validity report; never raises."""
@@ -212,7 +218,9 @@ class MatrixFactorization:
     @kept
     def _shifted(self):
         """The shift, built once per object like split_degree: hom spaces
-        into a shift read it on every call."""
+        into a shift read it on every call; with characters, from ``_plain``'s."""
+        if self.m0.chars is not None and self.m1.chars is not None:
+            return self._plain._shifted.with_chars(self.m1.chars, self.m0.chars)
         return MatrixFactorization(
             W=self.W,
             weights=self.weights,
@@ -250,13 +258,15 @@ class MatrixFactorization:
 
     @kept
     def _plain(self):
-        """strip_chars, built once per object: a factorization with
+        """strip_chars, kept once or handed over: a factorization with
         characters is read up to characters through it
         (``homotopy._untwisted``)."""
         return self.strip_chars()
 
     def with_chars(self, chars0, chars1):
-        return MatrixFactorization(
+        """self with characters, handed self's char-free copy as its
+        ``_plain``, so all twists share one (``homotopy._untwisted``)."""
+        out = MatrixFactorization(
             W=self.W,
             weights=self.weights,
             m0=GradedFreeModule(self.m0.rank, self.m0.degrees, tuple(chars0)),
@@ -265,6 +275,9 @@ class MatrixFactorization:
             p1=self.p1,
             validate=False,
         )
+        plain = self if self.m0.chars is None and self.m1.chars is None else self._plain
+        object.__setattr__(out, "_plain", plain)
+        return out
 
     def to_json(self):
         data = {

@@ -835,7 +835,8 @@ def _untwisted(mf):
     else its char-free copy kept on it (``MatrixFactorization._plain``).
     Two factorizations are equal up to characters when these are equal,
     and the hash of either is kept, so it is the key of every store read
-    up to characters."""
+    up to characters.  The structures and twists of one factorization
+    share one copy (``with_chars``), so their keys match by identity."""
     if mf.m0.chars is None and mf.m1.chars is None:
         return mf
     return mf._plain
@@ -1043,7 +1044,7 @@ def is_contractible(mf, bound=None):
     without a grading, by a null-homotopy of the identity searched within
     the bound."""
     if mf.weights is not None:
-        return _nakayama(mf)
+        return mf._contractible
     return is_null_homotopic(MfMorphism.identity(mf), bound)
 
 

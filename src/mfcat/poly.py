@@ -410,6 +410,14 @@ class WeightSystem:
         if any(w <= 0 for w in self.weights) or self.degree <= 0:
             raise UsageError("weights and total degree must be positive")
 
+    def __eq__(self, other):
+        # the two sides of a pair most often hold one object
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.weights, self.degree) == (other.weights, other.degree)
+
     def __hash__(self):
         return self._hash
 

@@ -11,7 +11,11 @@ import pytest
 import oracles as orc
 import suites
 from mfcat import (
+    QQ,
     EquivariantStructure,
+    GradedFreeModule,
+    GroupAction,
+    MatrixFactorization,
     Polynomial,
     check_equivariant,
     cyclic_action,
@@ -731,3 +735,69 @@ def test_the_euler_form_of_the_residue_field_is_the_affine_cartan_matrix():
     want = euler_form_oracle(3, (1, 1, 1))
     assert residue_field_euler_form(3, (1, 1, 1), (1, 1, 1), 3) == want
     assert want == [[0, 3, -3], [-3, 0, 3], [3, -3, 0]]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+def test_every_handed_over_char_free_copy_is_the_stripped_factorization(field):
+    # with_chars and the kept shift hand over a char-free copy instead of
+    # stripping the characters again: over every suite object and every
+    # structure on it, that copy is the stripped factorization, hash and
+    # all, for the structure's factorization, each twist and each shift
+    actions = {"quadric": suites.quadric_action(), "fermat": suites.fermat_action()}
+    # twists are kept by structure up to equality: start with none kept
+    _twisted.cache_clear()
+    seen = 0
+    for label, mf in suites.full_suite(field):
+        act = actions.get(label) or suites.an_action(mf.weights.degree)
+        for st in enumerate_structures(mf, act):
+            twists = [st.twist(c).factorization for c in act.characters()]
+            for x in [st.factorization] + twists:
+                for y in (x, x.shift()):
+                    key, want = _untwisted(y), y.strip_chars()
+                    assert key == want and hash(key) == hash(want)
+                    assert key.m0.chars is key.m1.chars is None
+                    seen += 1
+                assert _untwisted(x.shift()) is _untwisted(x).shift()
+                assert _untwisted(x) is _untwisted(st.factorization)
+    assert seen > 100
+
+
+def test_warm_equivariant_reads_compare_nothing_field_by_field(monkeypatch):
+    # after one warm-up, every store key of an equivariant read matches by
+    # identity, so no factorization, module, action or weight system is
+    # compared with another object; the action and weight system checks
+    # compare one object with itself, which their __eq__ answers at once
+    act = suites.an_action(4)
+    objs = suites.an_objects(4)
+    _twisted.cache_clear()
+    _orbit_split.cache_clear()
+    _rank_table.cache_clear()
+    e1 = enumerate_structures(objs[1], act)[0]
+    e2 = enumerate_structures(objs[2], act)[1]
+    twists = [e2.twist(c) for c in act.characters()]
+
+    def reads():
+        return ([equivariant_hom_space(e1, t) for t in twists]
+                + [equivariant_hom_space(e1, e2), isotypic_decompose(e1, e2)])
+
+    want = reads()
+    compared = []
+    for cls in (MatrixFactorization, GradedFreeModule, GroupAction, WeightSystem):
+        def counted(self, other, eq=cls.__eq__, name=cls.__name__):
+            if other is not self:
+                compared.append(name)
+            return eq(self, other)
+
+        monkeypatch.setattr(cls, "__eq__", counted)
+    assert reads() == want
+    assert compared == []
+    monkeypatch.undo()
+    # equal but distinct weight systems and actions still compare equal
+    ws, ws2 = WeightSystem((1, 2), 6), WeightSystem((1, 2), 6)
+    g, g2 = cyclic_action(4, (1, 3), 2), cyclic_action(4, (1, 3), 2)
+    assert ws is not ws2 and ws == ws2 and not ws != ws2
+    assert hash(ws) == hash(ws2) == hash(((1, 2), 6))
+    assert g is not g2 and g == g2 and not g != g2
+    assert hash(g) == hash(g2) == hash(((4,), ((1, 3),), 2))
+    assert ws != WeightSystem((1, 2), 8) and g != cyclic_action(4, (1, 1), 2)
+    assert ws != (1, 2) and g != ws

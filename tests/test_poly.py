@@ -23,6 +23,7 @@ from mfcat import (
     detect_weights,
     elementary_factorization,
     format_poly,
+    is_contractible,
     monomials_of_weighted_degree,
     monomials_up_to_total_degree,
     parse_poly,
@@ -180,8 +181,10 @@ def test_pickles_carry_no_kept_hash():
     # the slotted value types keep no instance dict
     assert not any(hasattr(obj, "__dict__") for obj in (p, m, phi, h))
     assert mf.shift().shift() == mf and mf.split_degree == 2
+    assert is_contractible(mf) is False and "_contractible" in vars(mf)
     data = pickle.dumps(objs)
     assert b"_hash" not in data and b"_shifted" not in data and b"split_degree" not in data
+    assert b"_contractible" not in data
     code = (
         "import pickle, sys\n"
         "p, m, ws, act, mf, g, phi, h = pickle.loads(sys.stdin.buffer.read())\n"

@@ -24,7 +24,7 @@ from mfcat import (
     stable_hom,
     twist_orbits,
 )
-from mfcat.equivariant import _orbit_split, _twist_orbit, isotypic_decompose
+from mfcat.equivariant import _orbit_split, _twist_orbit, _twisted, isotypic_decompose
 from mfcat.homotopy import (
     _KEPT_DEGREES,
     _RANK_TABLES,
@@ -131,9 +131,10 @@ def test_both_shifts_and_every_twist_read_one_entry(monkeypatch):
 
 
 def test_the_key_up_to_characters_is_the_char_free_factorization(monkeypatch):
-    # every twist of a structure has an equal key of equal hash; a
-    # factorization without characters is its own key, and one with them
-    # builds its char-free copy once and keeps it out of its pickle
+    # a factorization without characters is its own key, and every
+    # structure on it, every twist of one and every twist of a twist is
+    # handed it as its key, so no char-free copy is built and the keys
+    # match by identity; the handed copy stays out of every pickle
     act = suites.an_action(4)
     plain = suites.an_objects(4)[1]
     assert homotopy._untwisted(plain) is plain
@@ -145,19 +146,22 @@ def test_the_key_up_to_characters_is_the_char_free_factorization(monkeypatch):
         return strip(self)
 
     monkeypatch.setattr(MatrixFactorization, "strip_chars", counted)
+    # twists are kept by structure up to equality, and an equal structure
+    # made by an earlier test would hand over its own (equal) copy
+    _twisted.cache_clear()
     # the structures on (x | x^3) are the four twists of one, each on a
     # factorization of its own
     structures = enumerate_structures(plain, act)
-    keys = []
+    assert len({id(st.factorization) for st in structures}) == 4
     for st in structures:
-        mf = st.factorization
-        key = homotopy._untwisted(mf)
-        assert homotopy._untwisted(mf) is key and key.m0.chars is key.m1.chars is None
-        keys.append(key)
-        data = pickle.dumps(mf)
-        assert b"_plain" not in data and "_plain" not in vars(pickle.loads(data))
-    assert len(built) == 4 and all(m is st.factorization for m, st in zip(built, structures))
-    assert all(key == plain and hash(key) == hash(plain) for key in keys)
+        twists = [st.twist(c) for c in act.characters()]
+        twists += [t.twist(c) for t in twists for c in act.characters()]
+        for mf in [st.factorization] + [t.factorization for t in twists]:
+            key = homotopy._untwisted(mf)
+            assert key is plain and homotopy._untwisted(mf) is key
+            data = pickle.dumps(mf)
+            assert b"_plain" not in data and "_plain" not in vars(pickle.loads(data))
+    assert built == []
     assert len(twist_orbits(structures)) == 1
 
 
